@@ -89,8 +89,11 @@ def cmd_round(args):
     result = pipeline(instance, level=args.level, alpha_target=args.alpha,
                       trials=args.trials, seed=args.seed, depth=args.depth,
                       solver_config=_solver_config(args))
+    report = result.solve_report
     doc = {
         "schema": "cardcsp.round/1",
+        "status": report.status,
+        "iterations": report.iterations,
         "best": json.loads(result.best.to_json()),
         "sdp_objective": result.sdp_objective,
         "achieved_alpha": result.achieved_alpha,
@@ -101,6 +104,8 @@ def cmd_round(args):
         "seed": args.seed,
     }
     _emit(json.dumps(doc, indent=2), args.out)
+    if report.status == "infeasible-suspected":
+        raise NumericalError("solver did not reach a feasible point")
     return EXIT_OK
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from itertools import product
 
 import numpy as np
 
@@ -125,14 +124,12 @@ def condition(solution: MomentSolution, pivot: int, value: int,
     new_level = solution.level - 1
     indices = build_index_set(solution.n, solution.q, new_level)
     rows = []
-    alive = []
     for subset, alpha in indices:
         lifted = merge_assignments(subset, alpha, (pivot,), (value,))
         if lifted is None:
             rows.append(-1)  # incompatible with the conditioning event
         else:
             rows.append(solution.pos[lifted])
-            alive.append(True)
     d = len(indices)
     gram = np.zeros((d, d))
     live = [r for r, src in enumerate(rows) if src >= 0]

@@ -10,7 +10,7 @@ all fit this shape with domain size q = 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -284,6 +284,8 @@ def load_edge_list(text: str) -> CspInstance:
                 v, w = int(parts[1]), float(parts[2])
             except (IndexError, ValueError):
                 raise ParseError(f"malformed vertex line {line!r}", lineno) from None
+            if v < 0:
+                raise ParseError("vertex ids must be nonnegative", lineno)
             vertex_weights[v] = w
             max_vertex = max(max_vertex, v)
             continue

@@ -1,20 +1,27 @@
 """Level-k moment relaxation for globally constrained CSPs.
 
-The relaxation is expressed as a conic program over a single symmetric
-moment matrix G indexed by (subset, local assignment) pairs, with the empty
-index housing the constant vector.  Feasible points of the program are
-exactly the moment solutions: G is PSD, compatible entries agree with the
-local distributions, marginalization holds, and the cardinality constraint
-is enforced on all conditioning events.
+The relaxation is a conic program over a single symmetric moment matrix G
+indexed by (subset, local assignment) pairs, with the empty index housing
+the constant vector.  Its affine part is one sparse operator: rows
+A vec(G) = b that fix G[0,0] = 1, tie every entry to its canonical local
+probability (or to zero for clashing assignments), impose marginalization,
+and enforce the cardinality constraint on every conditioning event.
+``_constraint_operator`` is the only place these rows are written.  Feasible
+points are exactly the moment solutions: G is PSD and A vec(G) = b.
+``check_feasibility`` reads the consistency and cardinality violations off
+the residual A vec(G) - b of the same operator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import CapacityError, CardCspError, InconsistentSolutionError
 from .instance import CspInstance
@@ -66,9 +73,6 @@ class MomentSolution:
             return float(self.gram[0, 0])
         return float(self.gram[0, self.pos[(subset, assignment)]])
 
-    def entry(self, idx_a: MomentIndex, idx_b: MomentIndex) -> float:
-        return float(self.gram[self.pos[idx_a], self.pos[idx_b]])
-
     def copy(self):
         return MomentSolution(self.level, self.n, self.q, list(self.indices),
                               self.gram.copy(), self.objective_value)
@@ -105,10 +109,6 @@ class LocalDistribution:
     subset: tuple[int, ...]
     probabilities: np.ndarray  # row-major over [q]^subset
 
-    def as_matrix(self):
-        q = round(len(self.probabilities) ** (1 / max(1, len(self.subset))))
-        return self.probabilities.reshape((q,) * len(self.subset))
-
 
 def local_distribution(solution: MomentSolution, subset, tol=1e-5) -> LocalDistribution:
     """Read mu_S off the canonical gram entries, clip and renormalize."""
@@ -129,49 +129,145 @@ def local_distribution(solution: MomentSolution, subset, tol=1e-5) -> LocalDistr
 
 # -- conic program ---------------------------------------------------------
 
+@dataclass(frozen=True)
+class ConstraintOperator:
+    """The affine rows A vec(G) = b of the relaxation.
+
+    ``A`` is unnormalized; a coefficient on an off-diagonal entry of G is
+    split in halves over the entry and its mirror.  ``event`` holds, for
+    each cardinality row, the gram column of its conditioning event, and -1
+    on every other row.
+    """
+
+    A: sp.csr_matrix
+    b: np.ndarray
+    event: np.ndarray
+
+    def __len__(self):
+        return self.A.shape[0]
+
+
 @dataclass
 class ConicProgram:
-    """maximize <objective, G> over PSD G subject to sparse affine rows."""
+    """Maximize (or minimize) <C, G> over PSD G with A vec(G) = b."""
 
     dim: int
     indices: list[MomentIndex]
-    # each row: (list of (r, c, coefficient) on the symmetric matrix, rhs)
-    constraints: list[tuple[list[tuple[int, int, float]], float]]
-    objective: list[tuple[int, int, float]]
+    constraints: ConstraintOperator
+    C: np.ndarray  # dense symmetric objective
     level: int
     n: int
     q: int
     sense: str = "max"
 
-    def to_json(self) -> str:
-        doc = {
-            "schema": "cardcsp.program/1",
-            "dim": self.dim,
-            "level": self.level,
-            "n": self.n,
-            "q": self.q,
-            "sense": self.sense,
-            "indices": [[list(s), list(a)] for s, a in self.indices],
-            "constraints": [{"triplets": [[r, c, v] for r, c, v in row], "rhs": rhs}
-                            for row, rhs in self.constraints],
-            "objective": [[r, c, v] for r, c, v in self.objective],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConicProgram":
-        doc = json.loads(text)
-        return cls(
-            dim=doc["dim"],
-            indices=[(tuple(s), tuple(a)) for s, a in doc["indices"]],
-            constraints=[([(r, c, v) for r, c, v in row["triplets"]], row["rhs"])
-                         for row in doc["constraints"]],
-            objective=[(r, c, v) for r, c, v in doc["objective"]],
-            level=doc["level"], n=doc["n"], q=doc["q"], sense=doc["sense"],
-        )
-
 
 DEFAULT_INDEX_CAP = 6000
+
+
+def _value_table(indices, n):
+    """Row r holds index r's assignment on its subset and -1 elsewhere."""
+    values = np.full((len(indices), n), -1, dtype=np.int8)
+    for r, (subset, alpha) in enumerate(indices):
+        values[r, list(subset)] = alpha
+    return values
+
+
+def _positions(values, q, level):
+    """Position in ``build_index_set`` order of each row of a value table.
+
+    Indices run by subset size, then subset in lexicographic order, then
+    assignment in row-major order.  A subset's lexicographic rank counts,
+    for each j outside it below its last element, the subsets that agree
+    with it below j and take j next.
+    """
+    n = values.shape[1]
+    inside = values >= 0
+    size = inside.sum(axis=1)
+    below = np.cumsum(inside, axis=1) - inside
+    rest = np.clip(size[:, None] - below - 1, 0, None)
+    binom = np.array([[comb(a, s) for s in range(level)] for a in range(n)])
+    later = ~inside & (below < size[:, None])
+    rank = np.where(later, binom[n - 1 - np.arange(n), rest], 0).sum(axis=1)
+    code = np.where(inside, values * q ** rest, 0).sum(axis=1)
+    offset = np.cumsum([0] + [comb(n, s) * q ** s for s in range(level)])
+    return offset[size] + rank * q ** size + code
+
+
+def _split(row, r, c, coef, d):
+    """Triplets over vec(G) of coefficients on entries (r, c) of G."""
+    row, r, c, coef = (x.ravel() for x in np.broadcast_arrays(
+        row, r, c, np.asarray(coef, dtype=float)))
+    off = r != c
+    return (np.concatenate([row, row[off]]),
+            np.concatenate([r * d + c, c[off] * d + r[off]]),
+            np.concatenate([np.where(off, coef / 2, coef), coef[off] / 2]))
+
+
+def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
+    """All rows of the level-``level`` program over the index set.
+
+    Rows, in order: the unit row G[0,0] = 1; consistency of every entry
+    (r <= c, row-major, r > 0) whose subsets span at most ``level``
+    variables, tied to its canonical entry (0, merged) or to zero when the
+    assignments clash; marginalization by (event, j);
+    cardinality by (event, v).  Events are the indices below full size.
+    """
+    indices = build_index_set(n, q, level)
+    d = len(indices)
+    values = _value_table(indices, n)
+    inside = (values >= 0).astype(float)
+    onehot = (values[:, :, None] == np.arange(q)).reshape(d, n * q).astype(float)
+    size = inside.sum(axis=1)
+
+    # pairs scanned in row blocks: |S u T| from shared variables, clashes
+    # from shared variables that disagree
+    block = max(1, (1 << 18) // d)
+    pairs = []
+    for lo in range(1, d, block):
+        hi = min(lo + block, d)
+        shared = inside[lo:hi] @ inside.T
+        near = (size[lo:hi, None] + size - shared <= level) & \
+            (np.arange(d) >= np.arange(lo, hi)[:, None])
+        r, c = np.nonzero(near)
+        agree = (onehot[lo:hi] @ onehot.T)[r, c]
+        pairs.append((r + lo, c, agree == shared[r, c]))
+    r, c, fits = (np.concatenate(x) for x in zip(*pairs))
+    canon = _positions(np.maximum(values[r[fits]], values[c[fits]]), q, level)
+
+    n_events = sum(comb(n, s) * q ** s for s in range(level))
+    ev, j = np.nonzero(values[:n_events] < 0)
+    ext = np.empty((len(ev), q), dtype=np.int64)
+    for a in range(q):
+        grown = values[ev]
+        grown[np.arange(len(ev)), j] = a
+        ext[:, a] = _positions(grown, q, level)
+    w = np.asarray(weights, dtype=float)
+    base = (onehot[:n_events].reshape(n_events, n, q) * w[:, None]).sum(axis=1) \
+        - np.asarray(target, dtype=float)
+
+    cons = 1 + np.arange(len(r))
+    marg = 1 + len(r) + np.arange(len(ev))
+    card = 1 + len(r) + len(ev) + np.arange(n_events * q).reshape(n_events, q)
+    m = card[-1, -1] + 1
+    events = np.arange(n_events)
+    parts = [
+        _split(0, 0, 0, 1.0, d),
+        _split(cons, r, c, 1.0, d),
+        _split(cons[fits], 0, canon, -1.0, d),
+        _split(marg, 0, ev, -1.0, d),
+        _split(card, 0, events[:, None], base, d),
+    ]
+    for a in range(q):
+        parts.append(_split(marg, 0, ext[:, a], 1.0, d))
+        parts.append(_split(card[ev, a], 0, ext[:, a], w[j], d))
+    rows, cols, coefs = (np.concatenate(x) for x in zip(*parts))
+    A = sp.csr_matrix((coefs, (rows, cols)), shape=(m, d * d))
+    A.eliminate_zeros()
+    b = np.zeros(m)
+    b[0] = 1.0
+    event = np.full(m, -1)
+    event[card] = events[:, None]
+    return ConstraintOperator(A, b, event)
 
 
 def build_relaxation(instance: CspInstance, level: int = 2,
@@ -180,101 +276,30 @@ def build_relaxation(instance: CspInstance, level: int = 2,
     if level < 2:
         raise CardCspError("level must be at least 2")
     n, q = instance.n, instance.q
-    size = sum(
-        q ** s * _comb(n, s) for s in range(level + 1))
-    if size > index_cap:
+    d = sum(q ** s * comb(n, s) for s in range(level + 1))
+    if d > index_cap:
         raise CapacityError(
-            f"level {level} too high for n={n}: index set size {size} exceeds "
+            f"level {level} too high for n={n}: index set size {d} exceeds "
             f"cap {index_cap}")
     indices = build_index_set(n, q, level)
+    constraints = _constraint_operator(n, q, level, instance.weights_array,
+                                       instance.cardinality.as_floats())
+
+    # objective: E_{S ~ W} sum_beta P_S(beta) mu_S(beta), halves on (0, p)
+    # and (p, 0)
     pos = {idx: r for r, idx in enumerate(indices)}
-
-    def canon(subset, assignment):
-        if not subset:
-            return (0, 0)
-        return (0, pos[(subset, assignment)])
-
-    constraints: list[tuple[list[tuple[int, int, float]], float]] = []
-
-    # constant vector is a unit vector
-    constraints.append(([(0, 0, 1.0)], 1.0))
-
-    # consistency: every entry with |S u T| <= level ties to its canonical
-    # representative (or vanishes for incompatible assignments)
-    for r in range(len(indices)):
-        s_set, s_asn = indices[r]
-        for c in range(r, len(indices)):
-            t_set, t_asn = indices[c]
-            union = set(s_set) | set(t_set)
-            if len(union) > level:
-                continue
-            merged = merge_assignments(s_set, s_asn, t_set, t_asn)
-            if merged is None:
-                constraints.append(([(r, c, 1.0)], 0.0))
-                continue
-            cr, cc = canon(*merged)
-            if (r, c) == (cr, cc):
-                continue
-            constraints.append(([(r, c, 1.0), (cr, cc, -1.0)], 0.0))
-
-    # marginalization: sum_a P(S u {j} = alpha u a) = P(S = alpha)
-    for subset, alpha in indices:
-        if len(subset) >= level:
-            continue
-        base = canon(subset, alpha)
-        for j in range(n):
-            if j in subset:
-                continue
-            row = [(base[0], base[1], -1.0)]
-            for a in range(q):
-                merged = merge_assignments(subset, alpha, (j,), (a,))
-                ext = canon(*merged)
-                row.append((ext[0], ext[1], 1.0))
-            constraints.append((row, 0.0))
-
-    # cardinality on every conditioning event:
-    #   sum_j W_j P(x_j = v, X_S = alpha) = c_v P(X_S = alpha)
-    w = instance.weights_array
-    c_target = instance.cardinality.as_floats()
-    for subset, alpha in indices:
-        if len(subset) >= level:
-            continue
-        base = canon(subset, alpha)
-        for v in range(q):
-            coeffs: dict[tuple[int, int], float] = {}
-            for j in range(n):
-                if j in subset:
-                    if alpha[subset.index(j)] == v:
-                        coeffs[base] = coeffs.get(base, 0.0) + w[j]
-                else:
-                    merged = merge_assignments(subset, alpha, (j,), (v,))
-                    ext = canon(*merged)
-                    coeffs[ext] = coeffs.get(ext, 0.0) + w[j]
-            coeffs[base] = coeffs.get(base, 0.0) - c_target[v]
-            row = [(r, c, coef) for (r, c), coef in coeffs.items() if coef != 0.0]
-            constraints.append((row, 0.0))
-
-    # objective: E_{S ~ W} sum_beta P_S(beta) mu_S(beta)
-    obj: dict[tuple[int, int], float] = {}
+    C = np.zeros((d, d))
     for term in instance.payoffs:
         scope = tuple(sorted(term.scope))
         for beta in product(range(q), repeat=len(scope)):
-            local = tuple(beta[scope.index(v)] for v in term.scope)
-            val = term.value(local)
-            if val == 0.0:
-                continue
-            rc = canon(scope, beta)
-            obj[rc] = obj.get(rc, 0.0) + term.weight * val
-    objective = [(r, c, v) for (r, c), v in obj.items()]
+            val = term.value(tuple(beta[scope.index(v)] for v in term.scope))
+            if val:
+                p = pos[(scope, beta)]
+                C[0, p] += term.weight * val / 2
+                C[p, 0] += term.weight * val / 2
 
-    return ConicProgram(dim=len(indices), indices=indices,
-                        constraints=constraints, objective=objective,
-                        level=level, n=n, q=q, sense=instance.sense)
-
-
-def _comb(n, k):
-    from math import comb
-    return comb(n, k)
+    return ConicProgram(dim=d, indices=indices, constraints=constraints,
+                        C=C, level=level, n=n, q=q, sense=instance.sense)
 
 
 # -- feasibility checking --------------------------------------------------
@@ -293,61 +318,30 @@ class FeasibilityReport:
 
 def check_feasibility(solution: MomentSolution, instance: CspInstance,
                       prob_floor=PROB_FLOOR) -> FeasibilityReport:
-    """Report the largest PSD / consistency / cardinality violations."""
+    """Report the largest PSD / consistency / cardinality violations.
+
+    Consistency is the largest residual of the unit, consistency and
+    marginalization rows.  Cardinality is checked in conditional form: each
+    cardinality residual over the probability of its event, on events above
+    ``prob_floor``.
+    """
     gram = solution.gram
-    level = solution.level
-    n, q = solution.n, solution.q
-    eigs = np.linalg.eigvalsh((gram + gram.T) / 2)
+    ops = _constraint_operator(solution.n, solution.q, solution.level,
+                               instance.weights_array,
+                               instance.cardinality.as_floats())
+    resid = np.abs(ops.A @ gram.reshape(-1) - ops.b)
+    card = ops.event >= 0
+    consistency = float(resid[~card].max())
+    p_event = gram[0, ops.event[card]]
+    live = p_event > prob_floor
+    cardinality = float((resid[card][live] / p_event[live]).max(initial=0.0))
+
+    sym = gram + gram.T
+    sym /= 2
+    # sym.T is the Fortran-ordered view of the same symmetric matrix, so
+    # LAPACK works in place instead of on a second d x d copy
+    eigs = scipy.linalg.eigvalsh(sym.T, overwrite_a=True, driver="evd")
     psd_violation = max(0.0, float(-eigs.min()))
-
-    consistency = abs(gram[0, 0] - 1.0)
-    pos = solution.pos
-    indices = solution.indices
-    for r in range(len(indices)):
-        s_set, s_asn = indices[r]
-        for c in range(r, len(indices)):
-            t_set, t_asn = indices[c]
-            union = set(s_set) | set(t_set)
-            if len(union) > level:
-                continue
-            merged = merge_assignments(s_set, s_asn, t_set, t_asn)
-            if merged is None:
-                consistency = max(consistency, abs(gram[r, c]))
-            else:
-                canonical = solution.prob(*merged)
-                consistency = max(consistency, abs(gram[r, c] - canonical))
-    # marginalization
-    for subset, alpha in indices:
-        if len(subset) >= level:
-            continue
-        base = solution.prob(subset, alpha)
-        for j in range(n):
-            if j in subset:
-                continue
-            total = sum(solution.prob(*merge_assignments(subset, alpha, (j,), (a,)))
-                        for a in range(q))
-            consistency = max(consistency, abs(total - base))
-
-    # cardinality, in conditional form on events above the probability floor
-    w = instance.weights_array
-    c_target = instance.cardinality.as_floats()
-    cardinality = 0.0
-    for subset, alpha in indices:
-        if len(subset) >= level:
-            continue
-        p_event = solution.prob(subset, alpha)
-        if p_event <= prob_floor:
-            continue
-        for v in range(q):
-            acc = 0.0
-            for j in range(n):
-                if j in subset:
-                    acc += w[j] * (1.0 if alpha[subset.index(j)] == v else 0.0)
-                else:
-                    acc += w[j] * (solution.prob(
-                        *merge_assignments(subset, alpha, (j,), (v,))) / p_event)
-            cardinality = max(cardinality, abs(acc - c_target[v]))
-
     return FeasibilityReport(psd_violation, consistency, cardinality)
 
 

@@ -19,6 +19,7 @@ from .errors import CardCspError
 from .instance import CspInstance
 from .lasserre import (MomentSolution, bias, pair_correlation,
                        solution_objective)
+from .sdp_solver import SolveReport
 
 DEGENERATE_TOL = 1e-12
 
@@ -164,24 +165,20 @@ def round_profile(profile: BiasProfile, seed: int,
 
 
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
-    xi = profile.wbar @ g
-    t = profile.thresholds()
-    labels = np.where(xi <= t, 1, -1)
-    labels[profile.degenerate] = np.where(profile.mu[profile.degenerate] >= 0, 1, -1)
+    """+-1 labels (..., n) for Gaussian vectors g (..., r); degenerate
+    vertices take the sign of their bias."""
+    xi = np.asarray(g) @ profile.wbar.T
+    labels = np.where(xi <= profile.thresholds(), 1, -1)
+    labels[..., profile.degenerate] = np.where(
+        profile.mu[profile.degenerate] >= 0, 1, -1)
     return labels
 
 
 def round_many(profile: BiasProfile, trials: int, seed: int) -> np.ndarray:
     """Label matrix (trials x n) for a batch of independent trials."""
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((trials, profile.w.shape[1]))
-    xi = G @ profile.wbar.T
-    t = profile.thresholds()
-    labels = np.where(xi <= t[None, :], 1, -1)
-    if profile.degenerate.any():
-        fixed = np.where(profile.mu[profile.degenerate] >= 0, 1, -1)
-        labels[:, profile.degenerate] = fixed[None, :]
-    return labels
+    return labels_from_gaussian(
+        profile, rng.standard_normal((trials, profile.w.shape[1])))
 
 
 def repair_balance(instance: CspInstance, assignment: RoundedAssignment,
@@ -235,6 +232,7 @@ class PipelineResult:
     balance_mean: float
     balance_var: float
     trials: int
+    solve_report: SolveReport | None = None  # None when a solution is given
 
 
 def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
@@ -249,19 +247,18 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     from .independence import decorrelate
     from .lasserre import build_relaxation
 
+    report = None
     if solution is None:
         program = build_relaxation(instance, level)
-        solution, _report = sdp_solver.solve(program, solver_config)
+        solution, report = sdp_solver.solve(program, solver_config)
     dec = decorrelate(solution, instance, alpha_target, strategy="sampled",
                       seed=seed, depth=depth)
     sol = dec.solution
     profile = bias_decompose(sol)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     sub_seeds = [int(s.generate_state(1)[0]) for s in seeds]
-    repaired = []
-    for s in sub_seeds:
-        trial = round_profile(profile, s, instance)
-        repaired.append(repair_balance(instance, trial))
+    repaired = [repair_balance(instance, round_profile(profile, s))
+                for s in sub_seeds]
     values = np.array([r.value for r in repaired])
     balances = np.array([r.balance for r in repaired])
     pick = int(np.argmax(values) if instance.sense == "max" else np.argmin(values))
@@ -275,4 +272,5 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
         balance_mean=float(balances.mean()),
         balance_var=float(balances.var()),
         trials=trials,
+        solve_report=report,
     )

@@ -25,7 +25,6 @@ class SolverConfig:
     dual_tolerance: float = 1e-6
     rho: float = 0.05
     over_relaxation: float = 1.85
-    seed: int = 0
     check_every: int = 25
 
     def __post_init__(self):
@@ -62,46 +61,21 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * clipped) @ eigvecs.T
 
 
-def _assemble(program: ConicProgram):
-    """Sparse constraint matrix over vec(G) with symmetric coefficient
-    splitting, normalized rows, plus the objective matrix."""
-    d = program.dim
-    rows, cols, vals, rhs = [], [], [], []
-    for ridx, (triplets, b) in enumerate(program.constraints):
-        coeffs: dict[int, float] = {}
-        for r, c, v in triplets:
-            if r == c:
-                coeffs[r * d + c] = coeffs.get(r * d + c, 0.0) + v
-            else:
-                coeffs[r * d + c] = coeffs.get(r * d + c, 0.0) + v / 2
-                coeffs[c * d + r] = coeffs.get(c * d + r, 0.0) + v / 2
-        norm = np.sqrt(sum(v * v for v in coeffs.values()))
-        if norm == 0:
-            continue
-        for pos, v in coeffs.items():
-            rows.append(len(rhs))
-            cols.append(pos)
-            vals.append(v / norm)
-        rhs.append(b / norm)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), d * d))
-    b_vec = np.array(rhs)
-    C = np.zeros((d, d))
-    for r, c, v in program.objective:
-        if r == c:
-            C[r, c] += v
-        else:
-            C[r, c] += v / 2
-            C[c, r] += v / 2
-    return A, b_vec, C
-
-
 def solve(program: ConicProgram, config: SolverConfig | None = None,
           keep_history: bool = False) -> tuple[MomentSolution, SolveReport]:
     """Run the splitting method on a conic program."""
     config = config or SolverConfig()
     d = program.dim
-    A, b, C = _assemble(program)
+    # unit-norm rows; a row without coefficients constrains nothing.
+    # A[keep] is a copy, so the program's own rows stay unscaled.
+    A = program.constraints.A
+    norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
+    keep = norms > 0
+    A = A[keep]
+    A.data /= np.repeat(norms[keep], np.diff(A.indptr))
+    b = program.constraints.b[keep] / norms[keep]
     m = A.shape[0]
+    C = program.C
     sign = 1.0 if program.sense == "max" else -1.0
     Cs = sign * C
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cardcsp import sdp_solver
 from cardcsp.cli import main
 from cardcsp.instance import generate
 
@@ -42,6 +43,23 @@ def test_round_subcommand(c4_file, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["best"]["value"] == pytest.approx(1.0, abs=1e-6)
     assert abs(doc["best"]["balance"]) <= 1e-9
+    assert doc["status"] == "optimal"
+    assert doc["iterations"] > 0
+
+
+def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
+                                                           monkeypatch):
+    real_solve = sdp_solver.solve
+
+    def suspicious_solve(program, config=None, keep_history=False):
+        solution, report = real_solve(program, config, keep_history)
+        report.status = "infeasible-suspected"
+        return solution, report
+
+    monkeypatch.setattr(sdp_solver, "solve", suspicious_solve)
+    out = tmp_path / "round.json"
+    assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 4
+    assert json.loads(out.read_text())["status"] == "infeasible-suspected"
 
 
 def test_round_is_deterministic(c4_file, tmp_path):

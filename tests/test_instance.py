@@ -76,6 +76,12 @@ def test_edge_list_errors_carry_line_numbers():
         load_edge_list("kind maxcut-bisection\n")
 
 
+def test_edge_list_rejects_negative_vertex_id():
+    with pytest.raises(ParseError, match="line 1: vertex ids") as err:
+        load_edge_list("vertex -1 0.9\n0 1\n1 2\n2 3\n")
+    assert err.value.lineno == 1
+
+
 def test_edge_list_max2sat_literals():
     inst = load_edge_list("kind max2sat\n1 2\n-1 3 2.0\n")
     assert inst.kind == "max2sat"

@@ -1,0 +1,180 @@
+"""Property tests of the relaxation's constraint operator over random
+instances: domain size 2 or 3, levels 2 and 3, random vertex weights."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
+                              generate)
+from cardcsp.lasserre import (MomentSolution, build_index_set,
+                              build_relaxation, check_feasibility,
+                              integral_lift, merge_assignments)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _instance(q, parts, target_parts):
+    """Instance with vertex weights and cardinality in proportion to the
+    given nonnegative integers; one payoff term on (0, 1)."""
+    n = len(parts)
+    total = sum(parts)
+    target_total = sum(target_parts)
+    term = PayoffTerm((0, 1), (1.0,) * q * q, 1.0, q)
+    return CspInstance(
+        n, q, (term,), tuple(p / total for p in parts),
+        CardinalityFunction(tuple(Fraction(t, target_total)
+                                  for t in target_parts)))
+
+
+@st.composite
+def shapes(draw):
+    q = draw(st.sampled_from([2, 3]))
+    level = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(level, 6 if level == 2 else 5))
+    return q, level, n
+
+
+@st.composite
+def balanced_mixtures(draw):
+    """An instance whose vertices come in pairs of equal weight, and a convex
+    mixture of assignments that differ by swaps within pairs, all of which
+    meet the cardinality target exactly."""
+    q, level, n = draw(shapes())
+    base = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    pair_parts = draw(st.lists(st.integers(1, 9), min_size=(n + 1) // 2,
+                               max_size=(n + 1) // 2))
+    parts = [pair_parts[j // 2] for j in range(n)]
+    target = [sum(p for p, a in zip(parts, base) if a == v) for v in range(q)]
+    inst = _instance(q, parts, target)
+    swaps = draw(st.lists(st.lists(st.booleans(), min_size=n // 2,
+                                   max_size=n // 2), min_size=1, max_size=4))
+    assignments = []
+    for swap in swaps:
+        a = list(base)
+        for i, flip in enumerate(swap):
+            if flip:
+                a[2 * i], a[2 * i + 1] = a[2 * i + 1], a[2 * i]
+        assignments.append(a)
+    mix = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(swaps),
+                                 max_size=len(swaps))))
+    mix /= mix.sum()
+    gram = sum(p * integral_lift(inst, a, level).gram
+               for p, a in zip(mix, assignments))
+    return inst, level, MomentSolution(level, n, q,
+                                       build_index_set(n, q, level), gram)
+
+
+@st.composite
+def single_lifts(draw):
+    """Any assignment of an instance with random weights and target."""
+    q, level, n = draw(shapes())
+    parts = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)
+                 .filter(lambda ps: sum(ps) > 0))
+    target = draw(st.lists(st.integers(0, 9), min_size=q, max_size=q)
+                  .filter(lambda ts: sum(ts) > 0))
+    inst = _instance(q, parts, target)
+    assignment = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    return inst, level, assignment
+
+
+def _reference_rows(inst, level):
+    """The rows written out one at a time, in order, as lists of
+    (r, c, coefficient) on entries of G, with the event column of each
+    cardinality row (-1 elsewhere)."""
+    n, q = inst.n, inst.q
+    w, target = inst.weights_array, inst.cardinality.as_floats()
+    indices = build_index_set(n, q, level)
+    pos = {idx: r for r, idx in enumerate(indices)}
+    rows = [([(0, 0, 1.0)], -1)]
+    for r in range(1, len(indices)):
+        for c in range(r, len(indices)):
+            (s, a), (t, b) = indices[r], indices[c]
+            if len(set(s) | set(t)) > level:
+                continue
+            merged = merge_assignments(s, a, t, b)
+            tie = [] if merged is None else [(0, pos[merged], -1.0)]
+            rows.append(([(r, c, 1.0)] + tie, -1))
+    events = [idx for idx in indices if len(idx[0]) < level]
+    for s, a in events:
+        for j in range(n):
+            if j not in s:
+                rows.append(([(0, pos[(s, a)], -1.0)] + [
+                    (0, pos[merge_assignments(s, a, (j,), (v,))], 1.0)
+                    for v in range(q)], -1))
+    for s, a in events:
+        for v in range(q):
+            own = sum(w[j] for j, x in zip(s, a) if x == v)
+            rows.append(([(0, pos[(s, a)], own - target[v])] + [
+                (0, pos[merge_assignments(s, a, (j,), (v,))], w[j])
+                for j in range(n) if j not in s], pos[(s, a)]))
+    return len(indices), rows
+
+
+@settings(max_examples=15, deadline=None)
+@given(single_lifts())
+def test_operator_matches_rows_written_one_at_a_time(case):
+    inst, level, _ = case
+    ops = build_relaxation(inst, level).constraints
+    d, rows = _reference_rows(inst, level)
+    assert len(ops) == len(rows)
+    assert ops.event.tolist() == [event for _, event in rows]
+    assert ops.b.tolist() == [1.0] + [0.0] * (len(rows) - 1)
+    for i, (row, _) in enumerate(rows):
+        expected = {}
+        for r, c, v in row:
+            halves = [(r * d + c, v)] if r == c else \
+                [(r * d + c, v / 2), (c * d + r, v / 2)]
+            for col, part in halves:
+                expected[col] = expected.get(col, 0.0) + part
+        got = ops.A.getrow(i)
+        assert dict(zip(got.indices.tolist(), got.data.tolist())) == \
+            {col: v for col, v in expected.items() if v != 0.0}
+
+
+@SETTINGS
+@given(balanced_mixtures())
+def test_every_row_holds_on_mixtures_of_balanced_lifts(case):
+    inst, level, mixture = case
+    ops = build_relaxation(inst, level).constraints
+    assert np.abs(ops.A @ mixture.gram.reshape(-1) - ops.b).max() <= 1e-12
+    assert check_feasibility(mixture, inst).passes(1e-12)
+
+
+@SETTINGS
+@given(balanced_mixtures(), st.data(), st.floats(1e-6, 1.0))
+def test_consistency_violation_is_the_entry_perturbation(case, data, delta):
+    inst, level, mixture = case
+    indices = mixture.indices
+    r = data.draw(st.integers(1, len(indices) - 1))
+    near = [c for c in range(r, len(indices))
+            if len(set(indices[r][0]) | set(indices[c][0])) <= level]
+    c = data.draw(st.sampled_from(near))
+    mixture.gram[r, c] += delta
+    if r != c:
+        mixture.gram[c, r] += delta
+    report = check_feasibility(mixture, inst)
+    assert report.consistency_violation == pytest.approx(delta, rel=1e-9)
+    assert report.cardinality_violation <= 1e-12
+
+
+@SETTINGS
+@given(single_lifts())
+def test_cardinality_violation_of_a_lift(case):
+    inst, level, assignment = case
+    w = inst.weights_array
+    counts = np.array([w[np.array(assignment) == v].sum()
+                       for v in range(inst.q)])
+    expected = np.abs(counts - inst.cardinality.as_floats()).max()
+    report = check_feasibility(integral_lift(inst, assignment, level), inst)
+    assert report.cardinality_violation == pytest.approx(expected, abs=1e-12)
+    assert report.consistency_violation <= 1e-12
+
+
+@pytest.mark.parametrize("n,level,rows", [(12, 2, 2343), (6, 3, 5961)])
+def test_row_counts(n, level, rows):
+    program = build_relaxation(generate("gnp", n, seed=1, p=0.5), level)
+    assert len(program.constraints) == rows

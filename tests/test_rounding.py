@@ -5,10 +5,12 @@ import pytest
 
 from cardcsp.errors import CardCspError
 from cardcsp.instance import cut_instance, generate
+from cardcsp.sdp_solver import SolverConfig
 from cardcsp.lasserre import integral_lift
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import (BiasProfile, RoundedAssignment, bias_decompose,
-                              pipeline, repair_balance, round_many,
+                              labels_from_gaussian, pipeline,
+                              repair_balance, round_many,
                               round_profile, separation_identity_gap,
                               threshold)
 
@@ -139,6 +141,26 @@ def test_pipeline_on_exact_solution():
     assert result.best.value == pytest.approx(1.0)
     assert result.best.balance == pytest.approx(0.0)
     assert result.achieved_alpha <= 1e-9
+    assert result.solve_report is None
+
+
+def test_pipeline_reports_its_solve():
+    result = pipeline(generate("cycle", 6),
+                      solver_config=SolverConfig(max_iterations=500))
+    assert result.solve_report.status == "max_iter"
+    assert result.solve_report.iterations == 500
+
+
+def test_round_many_matches_single_trials():
+    inst = generate("cycle", 6)
+    sol = exact_mixture_moments(
+        inst, [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0), (0, 0, 1, 1, 0, 1)],
+        [0.4, 0.4, 0.2], level=2)
+    profile = bias_decompose(sol)
+    batch = round_many(profile, 5, seed=4)
+    g = np.random.default_rng(4).standard_normal((5, profile.w.shape[1]))
+    for row, draw in zip(batch, g):
+        assert np.array_equal(row, labels_from_gaussian(profile, draw))
 
 
 def test_more_trials_never_hurt():
