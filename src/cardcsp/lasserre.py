@@ -193,6 +193,28 @@ def _positions(values, q, level):
     return offset[size] + rank * q ** size + code
 
 
+def _reduced_basis(indices, n, q):
+    """Positions R of the indices whose values all lie below q - 1, and the
+    lift P (d x |R|) with G = P G[R, R] P^T on every moment solution.
+
+    P is inclusion-exclusion: each value q - 1 expands as
+    [x_j = q - 1] = 1 - sum_{a < q - 1} [x_j = a], so P[(S, alpha), (T, beta)]
+    is (-1)^{|{j in T : alpha_j = q - 1}|} when T drops only variables valued
+    q - 1 and beta agrees with alpha below q - 1, and zero otherwise.
+    """
+    values = _value_table(indices, n)
+    red = np.flatnonzero((values < q - 1).all(axis=1))
+    top = values == q - 1
+    # one-hot over -1, 0, ..., q - 2; values q - 1 match anything
+    kinds = np.arange(-1, q - 1)
+    full = (values[:, :, None] == kinds).reshape(len(values), -1)
+    sub = full[red]
+    matches = full.astype(float) @ sub.T.astype(float)
+    fits = matches == (~top).sum(axis=1)[:, None]
+    flips = top.astype(float) @ (values[red] >= 0).T.astype(float)
+    return red, np.where(fits, 1.0 - 2.0 * (flips % 2), 0.0)
+
+
 def _split(row, r, c, coef, d):
     """Triplets over vec(G) of coefficients on entries (r, c) of G."""
     row, r, c, coef = (x.ravel() for x in np.broadcast_arrays(

@@ -191,7 +191,9 @@ def repair_balance(instance: CspInstance, assignment: RoundedAssignment,
         target_balance = float(c[0] - c[1])
     labels = assignment.labels.copy()
     w = instance.weights_array
-    deg = instance.weighted_degrees()
+    # vertices by (weighted degree, index): the first candidate is the move
+    order = np.lexsort((np.arange(instance.n), instance.weighted_degrees()))
+    moved = np.zeros(instance.n, dtype=bool)
     moves = []
     moved_weight = 0.0
     while True:
@@ -200,13 +202,13 @@ def repair_balance(instance: CspInstance, assignment: RoundedAssignment,
         if gap == 0.0:
             break
         heavy = 1 if gap > 0 else -1
-        candidates = [i for i in range(instance.n)
-                      if labels[i] == heavy and i not in moves
-                      and abs(gap - 2 * heavy * w[i]) < abs(gap) - 1e-15]
-        if not candidates:
+        closer = np.abs(gap - 2 * heavy * w) < abs(gap) - 1e-15
+        candidates = ((labels == heavy) & ~moved & closer)[order]
+        if not candidates.any():
             break
-        best = min(candidates, key=lambda i: (deg[i], i))
+        best = int(order[candidates.argmax()])
         labels[best] = -heavy
+        moved[best] = True
         moves.append(best)
         moved_weight += w[best]
     if moved_weight > delta_cap:
@@ -240,8 +242,11 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
              solver_config=None, solution: MomentSolution | None = None) -> PipelineResult:
     """solve -> decorrelate -> decompose -> round x trials -> repair -> best.
 
-    Sub-seeds are spawned from the master seed with numpy's SeedSequence
-    splitting rule.  ``solution`` may be supplied to skip the solve.
+    The best trial is chosen among those whose repair succeeded; when every
+    repair fails, a ``CardCspError`` names the smallest move fraction one
+    would have needed.  Sub-seeds are spawned from the master seed with
+    numpy's SeedSequence splitting rule.  ``solution`` may be supplied to
+    skip the solve.
     """
     from . import sdp_solver
     from .independence import decorrelate
@@ -261,7 +266,15 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
                 for s in sub_seeds]
     values = np.array([r.value for r in repaired])
     balances = np.array([r.balance for r in repaired])
-    pick = int(np.argmax(values) if instance.sense == "max" else np.argmin(values))
+    failed = np.array([r.repair_failed for r in repaired])
+    if failed.all():
+        need = min(r.required_move_fraction for r in repaired)
+        raise CardCspError(
+            f"balance repair failed on all {trials} trials: the closest needs "
+            f"to move a weight fraction of {need:.3g}")
+    ranked = np.where(failed, np.nan, values)
+    pick = int(np.nanargmax(ranked) if instance.sense == "max"
+               else np.nanargmin(ranked))
     return PipelineResult(
         best=repaired[pick],
         solution=sol,

@@ -1,9 +1,16 @@
 """First-order operator-splitting solver for the moment-matrix programs.
 
-Alternates a projection onto the affine constraint subspace (cached sparse
-factorization of the regularized normal equations) with a PSD-cone
+Every moment solution is a fixed linear image G = P G[R, R] P^T of its
+principal block on R, the indices whose values all lie below q - 1 (the
+inclusion-exclusion lift of ``lasserre._reduced_basis``).  P has full column
+rank, so G is PSD exactly when the block is, and the program's rows whose
+support lies inside R x R constrain the block exactly as the full rows
+constrain G.  The method runs on that block: it alternates a projection onto
+the affine constraint subspace (cached sparse factorization of the
+regularized normal equations, one refinement step) with a PSD-cone
 projection via dense symmetric eigendecomposition, with over-relaxation and
-residual-balancing penalty updates.  Deterministic; no external solver.
+residual-balancing penalty updates.  Residuals are measured on the lifted
+matrices.  Deterministic; no external solver.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .lasserre import ConicProgram, MomentSolution
+from .lasserre import ConicProgram, MomentSolution, _reduced_basis
 
 
 @dataclass
@@ -61,28 +68,47 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * clipped) @ eigvecs.T
 
 
+def _reduced_rows(constraints, d, red):
+    """Unit-norm rows over vec(G[R, R]): the rows whose support lies inside
+    R x R, restricted to those columns (a copy: the program's own rows stay
+    unscaled).  Rows without coefficients, which constrain nothing, are
+    dropped."""
+    inside = np.zeros(d, dtype=bool)
+    inside[red] = True
+    cols = (red[:, None] * d + red).ravel()
+    A = constraints.A
+    outside = ~(inside[A.indices // d] & inside[A.indices % d])
+    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    spill = np.bincount(row_of, weights=outside, minlength=A.shape[0])
+    rows = np.flatnonzero((spill == 0) & (np.diff(A.indptr) > 0))
+    A = A[rows][:, cols]
+    norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
+    A.data /= np.repeat(norms, np.diff(A.indptr))
+    return A, constraints.b[rows] / norms
+
+
 def solve(program: ConicProgram, config: SolverConfig | None = None,
           keep_history: bool = False) -> tuple[MomentSolution, SolveReport]:
-    """Run the splitting method on a conic program."""
+    """Run the splitting method on the reduced block G' = G[R, R] and
+    return the lifted moment matrix G = P G' P^T."""
     config = config or SolverConfig()
-    d = program.dim
-    # unit-norm rows; a row without coefficients constrains nothing.
-    # A[keep] is a copy, so the program's own rows stay unscaled.
-    A = program.constraints.A
-    norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
-    keep = norms > 0
-    A = A[keep]
-    A.data /= np.repeat(norms[keep], np.diff(A.indptr))
-    b = program.constraints.b[keep] / norms[keep]
+    red, P = _reduced_basis(program.indices, program.n, program.q)
+    d = len(red)
+    A, b = _reduced_rows(program.constraints, program.dim, red)
     m = A.shape[0]
     C = program.C
     sign = 1.0 if program.sense == "max" else -1.0
-    Cs = sign * C
+    Cs = sign * (P.T @ C @ P)
+    # ||P D P^T|| = ||T D T^T|| for P = Q T: residuals measured on the
+    # lifted matrix at the cost of the reduced one
+    T = np.linalg.qr(P, mode="r")
 
-    normal = (A @ A.T).tocsc()
-    normal = normal + 1e-11 * sp.identity(m, format="csc")
+    def lifted_norm(mat):
+        return np.linalg.norm(T @ mat @ T.T)
+
+    AAt = (A @ A.T).tocsc()
     try:
-        factor = spla.splu(normal)
+        factor = spla.splu(AAt + 1e-11 * sp.identity(m, format="csc"))
     except RuntimeError as exc:
         raise NumericalError("factorization of constraint normal equations "
                              f"failed: {exc}") from exc
@@ -91,6 +117,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
         v = mat.reshape(-1)
         resid = A @ v - b
         lam = factor.solve(resid)
+        # one refinement step: on dependent rows (q = 3) the ridge alone
+        # leaves residuals near 1e-10
+        lam += factor.solve(resid - AAt @ lam)
         return (v - A.T @ lam).reshape(d, d)
 
     rho = config.rho
@@ -112,8 +141,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
         U = U + X_hat - Z
 
         if it % config.check_every == 0 or it == config.max_iterations:
-            pri = np.linalg.norm(X - Z)
-            dual = rho * np.linalg.norm(Z - Z_prev)
+            pri = lifted_norm(X - Z)
+            dual = rho * lifted_norm(Z - Z_prev)
             scale = max(1.0, np.linalg.norm(X))
             if keep_history:
                 history.append((it, pri, dual))
@@ -138,7 +167,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                 rho /= 2.0
                 U *= 2.0
 
-    gram = (X + X.T) / 2
+    gram = P @ ((X + X.T) / 2) @ P.T
     objective = float(np.tensordot(C, gram))
     solution = MomentSolution(program.level, program.n, program.q,
                               list(program.indices), gram, objective)

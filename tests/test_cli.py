@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cardcsp import sdp_solver
+from cardcsp import rounding, sdp_solver
 from cardcsp.cli import main
 from cardcsp.instance import generate
 
@@ -60,6 +60,23 @@ def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
     out = tmp_path / "round.json"
     assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 4
     assert json.loads(out.read_text())["status"] == "infeasible-suspected"
+
+
+def test_round_exits_2_when_every_repair_fails(c4_file, tmp_path, capsys,
+                                              monkeypatch):
+    real_repair = rounding.repair_balance
+
+    def failed_repair(instance, assignment):
+        out = real_repair(instance, assignment)
+        out.repair_failed = True
+        out.required_move_fraction = 0.75
+        return out
+
+    monkeypatch.setattr(rounding, "repair_balance", failed_repair)
+    out = tmp_path / "round.json"
+    assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 2
+    assert "weight fraction of 0.75" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_round_is_deterministic(c4_file, tmp_path):

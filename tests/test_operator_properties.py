@@ -1,18 +1,23 @@
-"""Property tests of the relaxation's constraint operator over random
-instances: domain size 2 or 3, levels 2 and 3, random vertex weights."""
+"""Property tests of the relaxation's constraint operator, and of the
+reduced basis the solver runs on, over random instances: domain size 2 or
+3, levels 2 and 3, random vertex weights."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardcsp import sdp_solver
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
-from cardcsp.lasserre import (MomentSolution, build_index_set,
-                              build_relaxation, check_feasibility,
-                              integral_lift, merge_assignments)
+from cardcsp.lasserre import (MomentSolution, _reduced_basis,
+                              build_index_set, build_relaxation,
+                              check_feasibility, integral_lift,
+                              merge_assignments)
+from cardcsp.sdp_solver import _reduced_rows
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -28,6 +33,11 @@ def _instance(q, parts, target_parts):
         n, q, (term,), tuple(p / total for p in parts),
         CardinalityFunction(tuple(Fraction(t, target_total)
                                   for t in target_parts)))
+
+
+def _target_met_by(parts, base, q):
+    """Per value, the total weight the assignment ``base`` gives it."""
+    return [sum(p for p, a in zip(parts, base) if a == v) for v in range(q)]
 
 
 @st.composite
@@ -48,7 +58,7 @@ def balanced_mixtures(draw):
     pair_parts = draw(st.lists(st.integers(1, 9), min_size=(n + 1) // 2,
                                max_size=(n + 1) // 2))
     parts = [pair_parts[j // 2] for j in range(n)]
-    target = [sum(p for p, a in zip(parts, base) if a == v) for v in range(q)]
+    target = _target_met_by(parts, base, q)
     inst = _instance(q, parts, target)
     swaps = draw(st.lists(st.lists(st.booleans(), min_size=n // 2,
                                    max_size=n // 2), min_size=1, max_size=4))
@@ -178,3 +188,110 @@ def test_cardinality_violation_of_a_lift(case):
 def test_row_counts(n, level, rows):
     program = build_relaxation(generate("gnp", n, seed=1, p=0.5), level)
     assert len(program.constraints) == rows
+
+
+# -- the reduced basis G' = G[R, R] the solver runs on ----------------------
+
+@st.composite
+def mixtures(draw):
+    """A convex mixture of the lifts of up to five arbitrary assignments."""
+    q, level, n = draw(shapes())
+    inst = _instance(q, [1] * n, [1] * q)
+    assignments = draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+        min_size=1, max_size=5))
+    k = len(assignments)
+    mix = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k,
+                                 max_size=k)))
+    mix /= mix.sum()
+    return sum(p * integral_lift(inst, a, level).gram
+               for p, a in zip(mix, assignments)), n, q, level
+
+
+@SETTINGS
+@given(mixtures())
+def test_lift_recovers_mixtures_of_any_assignments(case):
+    gram, n, q, level = case
+    red, P = _reduced_basis(build_index_set(n, q, level), n, q)
+    assert np.abs(P @ gram[np.ix_(red, red)] @ P.T - gram).max() <= 1e-12
+    assert np.linalg.matrix_rank(P) == len(red)
+
+
+@SETTINGS
+@given(balanced_mixtures())
+def test_reduced_rows_hold_on_mixtures_of_balanced_lifts(case):
+    inst, level, mixture = case
+    program = build_relaxation(inst, level)
+    red, _ = _reduced_basis(program.indices, inst.n, inst.q)
+    A, b = _reduced_rows(program.constraints, program.dim, red)
+    block = mixture.gram[np.ix_(red, red)]
+    assert np.abs(A @ block.reshape(-1) - b).max() <= 1e-12
+
+
+@st.composite
+def small_instances(draw):
+    """Random vertex weights and a target that some assignment meets, n
+    small enough for dense algebra over vec(G[R, R])."""
+    q = draw(st.sampled_from([2, 3]))
+    level = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(level, 4 if level == 2 else 3))
+    parts = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    base = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    target = _target_met_by(parts, base, q)
+    return _instance(q, parts, target), level
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_instances(), st.integers(0, 2 ** 32 - 1))
+def test_reduced_rows_imply_every_row(case, seed):
+    """Any symmetric block meeting the reduced rows lifts to a matrix that
+    meets every row of the program."""
+    inst, level = case
+    program = build_relaxation(inst, level)
+    red, P = _reduced_basis(program.indices, inst.n, inst.q)
+    A, b = _reduced_rows(program.constraints, program.dim, red)
+    A = A.toarray()
+    y = np.random.default_rng(seed).standard_normal((len(red), len(red)))
+    y = ((y + y.T) / 2).reshape(-1)
+    block = y - np.linalg.lstsq(A, A @ y - b, rcond=None)[0]
+    assert np.abs(A @ block - b).max() <= 1e-9
+    gram = P @ block.reshape(len(red), len(red)) @ P.T
+    ops = program.constraints
+    assert np.abs(ops.A @ gram.reshape(-1) - ops.b).max() <= 1e-9
+
+
+@st.composite
+def ternary_instances(draw):
+    """n = 4, q = 3: random payoff tables on random pairs, random vertex
+    weights, and a target met exactly by some assignment."""
+    n, q = 4, 3
+    parts = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    base = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    target = _target_met_by(parts, base, q)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=4))
+    terms = tuple(PayoffTerm(e, tuple(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0]), min_size=q * q, max_size=q * q))),
+        1.0 / len(pairs), q) for e in pairs)
+    total = sum(parts)
+    return CspInstance(n, q, terms, tuple(p / total for p in parts),
+                       CardinalityFunction(tuple(Fraction(t, total)
+                                                 for t in target)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(ternary_instances())
+def test_ternary_solve_is_feasible_and_bounds_the_optimum(inst):
+    program = build_relaxation(inst, 2)
+    solution, report = sdp_solver.solve(program)
+    assert report.status == "optimal"
+    assert solution.indices == program.indices
+    feas = check_feasibility(solution, inst)
+    assert max(feas.psd_violation, feas.consistency_violation,
+               feas.cardinality_violation) <= 1e-5
+    target = inst.cardinality.as_floats()
+    best = max(inst.evaluate(a) for a in product(range(3), repeat=inst.n)
+               if np.abs(inst.balance(a) - target).max() <= 1e-12)
+    assert report.objective >= best - 1e-4

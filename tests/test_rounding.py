@@ -1,10 +1,16 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cardcsp import rounding
 from cardcsp.errors import CardCspError
-from cardcsp.instance import cut_instance, generate
+from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
+                              generate)
 from cardcsp.sdp_solver import SolverConfig
 from cardcsp.lasserre import integral_lift
 from cardcsp.oracle import exact_mixture_moments
@@ -145,10 +151,42 @@ def test_pipeline_on_exact_solution():
 
 
 def test_pipeline_reports_its_solve():
+    # cycle 6 converges after 375 iterations; at 100 its primal residual is
+    # still about 300 times the tolerance, yet consistent enough to round
     result = pipeline(generate("cycle", 6),
-                      solver_config=SolverConfig(max_iterations=500))
+                      solver_config=SolverConfig(max_iterations=100))
     assert result.solve_report.status == "max_iter"
-    assert result.solve_report.iterations == 500
+    assert result.solve_report.iterations == 100
+
+
+def test_pipeline_never_returns_a_failed_repair():
+    # every trial rounds to all +1 (balance 1.0) against a target of -0.5:
+    # repair would have to move 0.75 of the weight, over its 0.5 cap
+    inst = replace(generate("cycle", 8), cardinality=CardinalityFunction(
+        (Fraction(1, 4), Fraction(3, 4))))
+    with pytest.raises(CardCspError, match="move a weight fraction of 0.75"):
+        pipeline(inst, trials=4, seed=0,
+                 solution=integral_lift(inst, (0,) * 8))
+
+
+def test_pipeline_picks_among_repaired_trials(monkeypatch):
+    inst = generate("cycle", 4)
+    sol = exact_mixture_moments(inst, [(0, 1, 0, 1), (1, 0, 1, 0)],
+                                [0.5, 0.5], level=2)
+    real_repair = rounding.repair_balance
+    trial = iter(range(4))
+
+    def first_fails(instance, assignment):
+        out = real_repair(instance, assignment)
+        if next(trial) == 0:  # flagged failed, with the best value of all
+            out.value = 2.0
+            out.repair_failed = True
+        return out
+
+    monkeypatch.setattr(rounding, "repair_balance", first_fails)
+    result = pipeline(inst, trials=4, seed=0, solution=sol)
+    assert not result.best.repair_failed
+    assert result.best.value == pytest.approx(1.0)
 
 
 def test_round_many_matches_single_trials():
@@ -171,3 +209,64 @@ def test_more_trials_never_hurt():
     one = pipeline(inst, trials=1, seed=3, solution=sol)
     many = pipeline(inst, trials=32, seed=3, solution=sol)
     assert many.best.value >= one.best.value - 1e-12
+
+
+def _repair_moves_by_loop(instance, labels, target_balance):
+    """Moves of the greedy repair, one Python scan over all vertices per
+    move: the lightest-degree heavy-side vertex (lowest index on ties) whose
+    move brings the balance strictly closer to the target."""
+    labels = labels.copy()
+    w = instance.weights_array
+    deg = instance.weighted_degrees()
+    moves = []
+    while True:
+        gap = float(w @ labels) - target_balance
+        if gap == 0.0:
+            return moves, labels
+        heavy = 1 if gap > 0 else -1
+        candidates = [i for i in range(instance.n)
+                      if labels[i] == heavy and i not in moves
+                      and abs(gap - 2 * heavy * w[i]) < abs(gap) - 1e-15]
+        if not candidates:
+            return moves, labels
+        best = min(candidates, key=lambda i: (deg[i], i))
+        labels[best] = -heavy
+        moves.append(best)
+
+
+@st.composite
+def repair_cases(draw):
+    """Random vertex weights (ties likely), payoff terms of equal weight on
+    random pairs (degree ties likely), random labels and target."""
+    n = draw(st.integers(2, 12))
+    parts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                 .filter(lambda ps: sum(ps) > 0))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=2 * n))
+    terms = tuple(PayoffTerm(e, (0.0, 1.0, 1.0, 0.0), 1.0 / len(pairs))
+                  for e in pairs)
+    share = draw(st.integers(0, 8))
+    inst = CspInstance(n, 2, terms, tuple(p / sum(parts) for p in parts),
+                       CardinalityFunction((Fraction(share, 8),
+                                            Fraction(8 - share, 8))))
+    labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                                    max_size=n)))
+    target = draw(st.one_of(st.none(), st.floats(-1.0, 1.0)))
+    return inst, labels, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(repair_cases())
+def test_repair_moves_match_the_loop_scan(case):
+    inst, labels, target = case
+    start = RoundedAssignment(labels=labels, value=None, balance=None, seed=0)
+    out = repair_balance(inst, start, target_balance=target, delta_cap=2.0)
+    if target is None:
+        c = inst.cardinality.as_floats()
+        target = float(c[0] - c[1])
+    moves, expected = _repair_moves_by_loop(inst, labels, target)
+    assert out.repair_moves == moves
+    assert np.array_equal(out.labels, expected)
+    assert not out.repair_failed
