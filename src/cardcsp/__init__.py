@@ -16,8 +16,7 @@ from .sdp_solver import SolverConfig, solve
 from .independence import (alpha_independence, condition, decorrelate,
                            entropy, mutual_information)
 from .rounding import (BiasProfile, RoundedAssignment, bias_decompose,
-                       pipeline, repair_balance, round_profile,
-                       separation_identity_gap)
+                       pipeline, separation_identity_gap)
 from .landscape import bvn_cdf, ratio_search, sqrt_eps_curve, worst_separation
 from .dictator import (DictGadget, build_gadget, completeness, dict_value,
                        influence, round_with_function, soundness_enumerate)
@@ -38,7 +37,7 @@ __all__ = [
     "alpha_independence", "condition", "decorrelate", "entropy",
     "mutual_information",
     "BiasProfile", "RoundedAssignment", "bias_decompose", "pipeline",
-    "repair_balance", "round_profile", "separation_identity_gap",
+    "separation_identity_gap",
     "bvn_cdf", "ratio_search", "sqrt_eps_curve", "worst_separation",
     "DictGadget", "build_gadget", "completeness", "dict_value", "influence",
     "round_with_function", "soundness_enumerate",

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapacityError, CardCspError
 from .instance import CspInstance, CUT_TABLE
 from .lasserre import MomentSolution, local_distribution
-from .rounding import BiasProfile, bias_decompose
+from .rounding import BiasProfile, RoundedAssignment, bias_decompose
 
 R_CAP = 12
 
@@ -186,10 +186,6 @@ def influence(F, ell: int, marginal: float, R: int | None = None) -> float:
     return float(weights @ var)
 
 
-def influences_all(F, marginal: float, R: int) -> np.ndarray:
-    return np.array([influence(F, ell, marginal, R) for ell in range(R)])
-
-
 @dataclass
 class SoundnessReport:
     tau: float
@@ -312,8 +308,6 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
     by (1-eps)^d, evaluate at shared Gaussian surrogate coordinates, clamp
     to [-1, 1], then draw the +-1 label with the matching bias.
     """
-    from .rounding import _finalize
-
     F = np.asarray(F, dtype=float)
     if R is None:
         R = int(round(np.log2(F.size)))
@@ -338,6 +332,9 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
         p = evaluate_noisy_polynomial(coeffs, gauss_chi, eps, R)
         p_star[i] = clamp(p)
     labels = np.where(rng.random(profile.n) < (1 + p_star) / 2, 1, -1)
-    out = _finalize(labels, seed, instance)
+    out = RoundedAssignment(labels=labels,
+                            value=instance.evaluate((1 - labels) // 2),
+                            balance=float(instance.weights_array @ labels),
+                            seed=seed)
     out.p_star = p_star
     return out

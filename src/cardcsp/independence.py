@@ -59,12 +59,10 @@ def pair_joint(solution: MomentSolution, i: int, j: int) -> np.ndarray:
 class PairCorrelationSummary:
     average_mi: float
     max_mi: float
-    per_pair: np.ndarray | None = None
 
 
 def alpha_independence(solution: MomentSolution, instance: CspInstance,
-                       include_diagonal: bool = True,
-                       keep_table: bool = False) -> PairCorrelationSummary:
+                       include_diagonal: bool = True) -> PairCorrelationSummary:
     """Average pairwise mutual information under i, j ~ W (Def. of
     alpha-independence).  The i = j terms contribute H(X_i)."""
     if solution.level < 2:
@@ -87,8 +85,7 @@ def alpha_independence(solution: MomentSolution, instance: CspInstance,
     average = float((weight * table)[mask].sum() / denom) if denom > 0 else 0.0
     support = weight > 0
     max_mi = float(table[mask & support].max()) if (mask & support).any() else 0.0
-    return PairCorrelationSummary(average_mi=average, max_mi=max_mi,
-                                  per_pair=table if keep_table else None)
+    return PairCorrelationSummary(average_mi=average, max_mi=max_mi)
 
 
 @dataclass

@@ -10,6 +10,7 @@ all fit this shape with domain size q = 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -66,10 +67,10 @@ class PayoffTerm:
             raise CardCspError(f"repeated variable in scope {self.scope}")
         if len(self.table) != self.q ** len(self.scope):
             raise CardCspError("payoff table size does not match scope")
-        if any(v < -1e-12 or v > 1 + 1e-12 for v in self.table):
+        if not all(-1e-12 <= v <= 1 + 1e-12 for v in self.table):
             raise CardCspError("payoff values must lie in [0, 1]")
-        if self.weight < 0:
-            raise CardCspError("payoff weight must be nonnegative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise CardCspError("payoff weight must be finite and nonnegative")
 
     def value(self, local_assignment):
         idx = 0
@@ -97,8 +98,8 @@ class CspInstance:
             raise CardCspError(f"payoff weights sum to {total}, not 1")
         if len(self.vertex_weights) != self.n:
             raise CardCspError("vertex weight vector length mismatch")
-        if any(w < 0 for w in self.vertex_weights):
-            raise CardCspError("vertex weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.vertex_weights):
+            raise CardCspError("vertex weights must be finite and nonnegative")
         if abs(sum(self.vertex_weights) - 1.0) > 1e-9:
             raise CardCspError("vertex weights must sum to 1")
         if self.cardinality.q != self.q:
@@ -116,14 +117,20 @@ class CspInstance:
     def weights_array(self):
         return np.asarray(self.vertex_weights)
 
-    def evaluate(self, assignment) -> float:
-        """Weighted payoff of an assignment in [q]^n."""
+    def evaluate(self, assignment):
+        """Weighted payoff of assignments (..., n) in [q]^n: a float for one
+        assignment, an array over the leading axes for a stack.  Terms are
+        summed in order, so every row gets the value it gets alone."""
         assignment = np.asarray(assignment, dtype=int)
-        if assignment.shape != (self.n,):
+        if assignment.shape[-1:] != (self.n,):
             raise CardCspError(f"assignment length {assignment.shape} != n={self.n}")
-        return float(
-            sum(t.weight * t.value(assignment[list(t.scope)]) for t in self.payoffs)
-        )
+        total = np.zeros(assignment.shape[:-1])
+        for t in self.payoffs:
+            idx = np.zeros(assignment.shape[:-1], dtype=int)
+            for v in t.scope:
+                idx = idx * self.q + assignment[..., v]
+            total += t.weight * np.asarray(t.table)[idx]
+        return float(total) if total.ndim == 0 else total
 
     def balance(self, assignment):
         """Weighted frequency of each domain value under the assignment."""
@@ -199,22 +206,28 @@ def clause_table(sign_i: int, sign_j: int):
     return tuple(table)
 
 
+def _pair_instance(n, terms, kind, vertex_weights, cardinality):
+    """Instance of (scope, table, weight) terms with the weights normalized;
+    uniform vertex weights and bisection unless given."""
+    if not terms:
+        raise CardCspError("no payoff terms")
+    total = sum(w for _, _, w in terms)
+    if not 0 < total < math.inf:
+        raise CardCspError("payoff weights must have a positive, finite total")
+    if vertex_weights is None:
+        vertex_weights = [1.0 / n] * n
+    return CspInstance(n=n, q=2,
+                       payoffs=tuple(PayoffTerm(s, t, w / total) for s, t, w in terms),
+                       vertex_weights=tuple(vertex_weights),
+                       cardinality=cardinality or bisection_cardinality(), kind=kind)
+
+
 def cut_instance(n, edges, kind="maxcut-bisection", vertex_weights=None,
                  cardinality=None):
     """Build a cut instance from weighted edges [(u, v, w), ...]."""
-    if not edges:
-        raise CardCspError("no payoff terms")
-    total = sum(w for _, _, w in edges)
-    payoffs = tuple(
-        PayoffTerm(scope=(min(u, v), max(u, v)), table=CUT_TABLE, weight=w / total)
-        for u, v, w in edges
-    )
-    if vertex_weights is None:
-        vertex_weights = tuple(1.0 / n for _ in range(n))
-    if cardinality is None:
-        cardinality = bisection_cardinality()
-    return CspInstance(n=n, q=2, payoffs=payoffs, vertex_weights=tuple(vertex_weights),
-                       cardinality=cardinality, kind=kind)
+    return _pair_instance(n, [((min(u, v), max(u, v)), CUT_TABLE, w)
+                              for u, v, w in edges],
+                          kind, vertex_weights, cardinality)
 
 
 def max2sat_instance(n, clauses, vertex_weights=None, cardinality=None):
@@ -222,44 +235,45 @@ def max2sat_instance(n, clauses, vertex_weights=None, cardinality=None):
 
     ``clauses`` is a list of (i, j, sign_i, sign_j, weight).
     """
-    if not clauses:
-        raise CardCspError("no payoff terms")
-    total = sum(c[4] for c in clauses)
-    payoffs = []
-    for i, j, si, sj, w in clauses:
-        if i > j:
-            i, j, si, sj = j, i, sj, si
-        payoffs.append(PayoffTerm(scope=(i, j), table=clause_table(si, sj),
-                                  weight=w / total))
-    if vertex_weights is None:
-        vertex_weights = tuple(1.0 / n for _ in range(n))
-    if cardinality is None:
-        cardinality = bisection_cardinality()
-    return CspInstance(n=n, q=2, payoffs=tuple(payoffs),
-                       vertex_weights=tuple(vertex_weights),
-                       cardinality=cardinality, kind="max2sat")
+    return _pair_instance(n, [((i, j), clause_table(si, sj), w) if i <= j else
+                              ((j, i), clause_table(sj, si), w)
+                              for i, j, si, sj, w in clauses],
+                          "max2sat", vertex_weights, cardinality)
 
 
 # -- edge-list loader ------------------------------------------------------
+
+def _weight(token: str, lineno: int, what: str) -> float:
+    """A finite nonnegative weight, or a line-numbered ``ParseError``."""
+    try:
+        w = float(token)
+    except ValueError:
+        w = math.nan
+    if not (math.isfinite(w) and w >= 0):
+        raise ParseError(f"{what} {token!r} is not finite and nonnegative", lineno)
+    return w
+
 
 def load_edge_list(text: str) -> CspInstance:
     """Parse an edge-list document.
 
     Format::
 
-        kind maxcut-bisection            # optional header
+        kind maxcut-bisection            # optional header, before any edge
         vertex 0 0.25                    # optional vertex-weight lines
         0 1 [weight]                     # one edge per line
 
     For ``kind max2sat`` the edge lines hold nonzero DIMACS-style literals
     (variable ids are |lit| - 1, the sign is the literal sign).
     ``kind alpha-cut <alpha>`` sets the cardinality to (alpha, 1 - alpha).
+    Weights must be finite and nonnegative, with a positive, finite total.
     """
     kind = "maxcut-bisection"
     alpha = None
     edges = []
     vertex_weights = {}
     max_vertex = -1
+    edge_line = vertex_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -268,36 +282,39 @@ def load_edge_list(text: str) -> CspInstance:
         if parts[0] == "kind":
             if len(parts) < 2 or parts[1] not in KNOWN_KINDS:
                 raise ParseError(f"unknown problem kind {parts[1:]}", lineno)
+            if edges:
+                raise ParseError("kind must precede the edge lines", lineno)
             kind = parts[1]
             if kind == "alpha-cut":
                 if len(parts) != 3:
                     raise ParseError("alpha-cut requires a fraction", lineno)
                 try:
                     alpha = Fraction(parts[2])
-                except ValueError:
+                except (ValueError, ZeroDivisionError):
                     raise ParseError(f"bad alpha {parts[2]!r}", lineno) from None
                 if not 0 <= alpha <= 1:
                     raise ParseError("alpha must be in [0, 1]", lineno)
             continue
         if parts[0] == "vertex":
             try:
-                v, w = int(parts[1]), float(parts[2])
+                v = int(parts[1])
+                w = _weight(parts[2], lineno, "vertex weight")
             except (IndexError, ValueError):
                 raise ParseError(f"malformed vertex line {line!r}", lineno) from None
             if v < 0:
                 raise ParseError("vertex ids must be nonnegative", lineno)
             vertex_weights[v] = w
             max_vertex = max(max_vertex, v)
+            vertex_line = lineno
             continue
         if len(parts) not in (2, 3):
             raise ParseError(f"malformed edge line {line!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise ParseError(f"malformed edge line {line!r}", lineno) from None
-        if w < 0:
-            raise ParseError("negative edge weight", lineno)
+        w = _weight(parts[2], lineno, "edge weight") if len(parts) == 3 else 1.0
+        edge_line = lineno
         if kind == "max2sat":
             if u == 0 or v == 0:
                 raise ParseError("literal 0 is not allowed", lineno)
@@ -323,16 +340,20 @@ def load_edge_list(text: str) -> CspInstance:
         for v, w in vertex_weights.items():
             weights[v] = w
         total = sum(weights)
-        if total <= 0:
-            raise ParseError("vertex weights must have positive total")
+        if not 0 < total < math.inf:
+            raise ParseError("vertex weights must have a positive, finite total",
+                             vertex_line)
         weights = tuple(w / total for w in weights)
     cardinality = None
     if kind == "alpha-cut":
         cardinality = CardinalityFunction((alpha, 1 - alpha))
-    if kind == "max2sat":
-        return max2sat_instance(n, edges, vertex_weights=weights)
-    return cut_instance(n, edges, kind=kind, vertex_weights=weights,
-                        cardinality=cardinality)
+    try:
+        if kind == "max2sat":
+            return max2sat_instance(n, edges, vertex_weights=weights)
+        return cut_instance(n, edges, kind=kind, vertex_weights=weights,
+                            cardinality=cardinality)
+    except CardCspError as exc:  # the edge weights' total
+        raise ParseError(str(exc), edge_line) from None
 
 
 # -- generators ------------------------------------------------------------

@@ -307,18 +307,11 @@ def build_relaxation(instance: CspInstance, level: int = 2,
     constraints = _constraint_operator(n, q, level, instance.weights_array,
                                        instance.cardinality.as_floats())
 
-    # objective: E_{S ~ W} sum_beta P_S(beta) mu_S(beta), halves on (0, p)
-    # and (p, 0)
-    pos = {idx: r for r, idx in enumerate(indices)}
+    # objective <C, G> = c . G[0, :], halves on (0, p) and (p, 0)
+    c = _payoff_vector(instance, {idx: r for r, idx in enumerate(indices)})
     C = np.zeros((d, d))
-    for term in instance.payoffs:
-        scope = tuple(sorted(term.scope))
-        for beta in product(range(q), repeat=len(scope)):
-            val = term.value(tuple(beta[scope.index(v)] for v in term.scope))
-            if val:
-                p = pos[(scope, beta)]
-                C[0, p] += term.weight * val / 2
-                C[p, 0] += term.weight * val / 2
+    C[0] = c / 2
+    C[:, 0] += c / 2
 
     return ConicProgram(dim=d, indices=indices, constraints=constraints,
                         C=C, level=level, n=n, q=q, sense=instance.sense)
@@ -379,17 +372,22 @@ def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSo
                           objective_value=instance.evaluate(assignment))
 
 
-def solution_objective(solution: MomentSolution, instance: CspInstance) -> float:
-    """Instance objective evaluated on the solution's local distributions."""
-    total = 0.0
+def _payoff_vector(instance: CspInstance, pos) -> np.ndarray:
+    """c over an index set (``pos`` maps index to position) with
+    E_{S ~ W} sum_beta P_S(beta) mu_S(beta) = c . G[0, :]: entry (S, beta)
+    sums weight * payoff over the terms on S."""
+    c = np.zeros(len(pos))
     for term in instance.payoffs:
         scope = tuple(sorted(term.scope))
         for beta in product(range(instance.q), repeat=len(scope)):
             local = tuple(beta[scope.index(v)] for v in term.scope)
-            val = term.value(local)
-            if val:
-                total += term.weight * val * solution.prob(scope, beta)
-    return total
+            c[pos[(scope, beta)]] += term.weight * term.value(local)
+    return c
+
+
+def solution_objective(solution: MomentSolution, instance: CspInstance) -> float:
+    """Instance objective evaluated on the solution's local distributions."""
+    return float(_payoff_vector(instance, solution.pos) @ solution.gram[0])
 
 
 def pair_correlation(solution: MomentSolution, i: int, j: int) -> float:

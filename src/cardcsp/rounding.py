@@ -4,7 +4,8 @@ Each vertex vector splits as v_i = mu_i I + w_i.  One shared Gaussian
 vector is projected on the normalized orthogonal parts and compared against
 the threshold Phi^{-1}((1 + mu_i)/2), so every vertex keeps its SDP bias
 exactly.  A greedy least-degree repair step then restores the cardinality
-target.
+target.  ``pipeline`` rounds, repairs and scores all its trials as one
+(trials x n) label matrix.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ def separation_identity_gap(solution: MomentSolution,
     only holds up to the solution's consistency error.
     """
     pos = solution.pos
-    gram = solution.gram
     worst = 0.0
     for term in instance.payoffs:
         if len(term.scope) != 2:
@@ -103,16 +103,11 @@ def separation_identity_gap(solution: MomentSolution,
         # geometric identity with the sanitation error
         p_neq = (solution.prob((i, j), (0, 1))
                  + solution.prob((i, j), (1, 0)))
-        def dot(a, b):
-            return gram[pos[a], pos[b]]
-        xi = [((i,), (0,)), ((i,), (1,))]
-        xj = [((j,), (0,)), ((j,), (1,))]
-        nii = dot(xi[0], xi[0]) + dot(xi[1], xi[1]) - 2 * dot(xi[0], xi[1])
-        njj = dot(xj[0], xj[0]) + dot(xj[1], xj[1]) - 2 * dot(xj[0], xj[1])
-        nij = (dot(xi[0], xj[0]) - dot(xi[0], xj[1])
-               - dot(xi[1], xj[0]) + dot(xi[1], xj[1]))
-        geometric = (nii + njj - 2 * nij) / 4.0
-        worst = max(worst, abs(p_neq - geometric))
+        # v_i - v_j in gram coordinates, with v_k = [x_k = 0] - [x_k = 1]
+        a = np.zeros(len(pos))
+        a[[pos[((i,), (0,))], pos[((j,), (1,))]]] = 1.0
+        a[[pos[((i,), (1,))], pos[((j,), (0,))]]] = -1.0
+        worst = max(worst, abs(p_neq - a @ solution.gram @ a / 4.0))
     return worst
 
 
@@ -146,24 +141,6 @@ class RoundedAssignment:
                    repair_moves=list(doc["repair_moves"]))
 
 
-def _finalize(labels, seed, instance: CspInstance | None, moves=None):
-    value = balance = None
-    if instance is not None:
-        values = ((1 - labels) // 2).astype(int)
-        value = instance.evaluate(values)
-        balance = float(instance.weights_array @ labels)
-    return RoundedAssignment(labels=labels, value=value, balance=balance,
-                             seed=seed, repair_moves=list(moves or []))
-
-
-def round_profile(profile: BiasProfile, seed: int,
-                  instance: CspInstance | None = None) -> RoundedAssignment:
-    """One rounding trial with a shared Gaussian vector."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(profile.w.shape[1])
-    return _finalize(labels_from_gaussian(profile, g), seed, instance)
-
-
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
     """+-1 labels (..., n) for Gaussian vectors g (..., r); degenerate
     vertices take the sign of their bias."""
@@ -181,46 +158,55 @@ def round_many(profile: BiasProfile, trials: int, seed: int) -> np.ndarray:
         profile, rng.standard_normal((trials, profile.w.shape[1])))
 
 
-def repair_balance(instance: CspInstance, assignment: RoundedAssignment,
-                   target_balance: float | None = None,
-                   delta_cap: float = 0.5) -> RoundedAssignment:
-    """Move least-weighted-degree vertices off the heavy side until the
-    balance matches the target to within one vertex weight."""
+@dataclass
+class Repair:
+    """Outcome of ``repair_many`` on a (trials x n) label matrix."""
+
+    labels: np.ndarray        # repaired rows; failed rows keep their input
+    moves: np.ndarray         # (trials x n) moved vertices in order, -1 pad
+    moved_weight: np.ndarray  # weight each row moved or would have moved
+    failed: np.ndarray        # moved weight over the cap
+
+
+def repair_many(instance: CspInstance, labels, target_balance: float | None = None,
+                delta_cap: float = 0.5) -> Repair:
+    """Move least-weighted-degree vertices off the heavy side of every row
+    until its balance matches the target to within one vertex weight.
+
+    Each step, every row still off target moves its first candidate in
+    (weighted degree, index) order: a heavy-side vertex not moved yet whose
+    move brings the balance strictly closer to the target.  A row whose
+    moved weight exceeds ``delta_cap`` fails and keeps its input labels.
+    """
     if target_balance is None:
         c = instance.cardinality.as_floats()
         target_balance = float(c[0] - c[1])
-    labels = assignment.labels.copy()
+    start = np.atleast_2d(labels)
+    out = start.copy()
     w = instance.weights_array
-    # vertices by (weighted degree, index): the first candidate is the move
     order = np.lexsort((np.arange(instance.n), instance.weighted_degrees()))
-    moved = np.zeros(instance.n, dtype=bool)
-    moves = []
-    moved_weight = 0.0
-    while True:
-        bal = float(w @ labels)
-        gap = bal - target_balance
-        if gap == 0.0:
+    moved = np.zeros(out.shape, dtype=bool)
+    moved_weight = np.zeros(len(out))
+    moves = np.full(out.shape, -1)
+    live = np.arange(len(out))
+    for step in range(instance.n):  # a vertex moves at most once
+        gap = out[live] @ w - target_balance
+        heavy = np.where(gap > 0, 1, -1)[:, None]
+        closer = np.abs(gap[:, None] - 2 * heavy * w) < np.abs(gap)[:, None] - 1e-15
+        candidates = ((out[live] == heavy) & ~moved[live] & closer)[:, order]
+        keep = candidates.any(axis=1)
+        if not keep.any():
             break
-        heavy = 1 if gap > 0 else -1
-        closer = np.abs(gap - 2 * heavy * w) < abs(gap) - 1e-15
-        candidates = ((labels == heavy) & ~moved & closer)[order]
-        if not candidates.any():
-            break
-        best = int(order[candidates.argmax()])
-        labels[best] = -heavy
-        moved[best] = True
-        moves.append(best)
-        moved_weight += w[best]
-    if moved_weight > delta_cap:
-        out = _finalize(assignment.labels, assignment.seed, instance,
-                        assignment.repair_moves)
-        out.repair_failed = True
-        out.required_move_fraction = moved_weight
-        return out
-    out = _finalize(labels, assignment.seed, instance,
-                    list(assignment.repair_moves) + moves)
-    out.repair_failed = False
-    return out
+        live = live[keep]
+        best = order[candidates[keep].argmax(axis=1)]
+        out[live, best] = -heavy[keep, 0]
+        moved[live, best] = True
+        moved_weight[live] += w[best]
+        moves[live, step] = best
+    failed = moved_weight > delta_cap
+    out[failed] = start[failed]
+    moves[failed] = -1
+    return Repair(out, moves, moved_weight, failed)
 
 
 @dataclass
@@ -260,23 +246,28 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
                       seed=seed, depth=depth)
     sol = dec.solution
     profile = bias_decompose(sol)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    sub_seeds = [int(s.generate_state(1)[0]) for s in seeds]
-    repaired = [repair_balance(instance, round_profile(profile, s))
-                for s in sub_seeds]
-    values = np.array([r.value for r in repaired])
-    balances = np.array([r.balance for r in repaired])
-    failed = np.array([r.repair_failed for r in repaired])
-    if failed.all():
-        need = min(r.required_move_fraction for r in repaired)
+    sub_seeds = [int(s.generate_state(1)[0])
+                 for s in np.random.SeedSequence(seed).spawn(trials)]
+    # each trial's Gaussian comes from its own sub-seed, so any trial can be
+    # replayed alone
+    g = np.array([np.random.default_rng(s).standard_normal(profile.w.shape[1])
+                  for s in sub_seeds])
+    repair = repair_many(instance, labels_from_gaussian(profile, g))
+    values = instance.evaluate((1 - repair.labels) // 2)
+    balances = repair.labels @ instance.weights_array
+    if repair.failed.all():
         raise CardCspError(
             f"balance repair failed on all {trials} trials: the closest needs "
-            f"to move a weight fraction of {need:.3g}")
-    ranked = np.where(failed, np.nan, values)
+            f"to move a weight fraction of {repair.moved_weight.min():.3g}")
+    ranked = np.where(repair.failed, np.nan, values)
     pick = int(np.nanargmax(ranked) if instance.sense == "max"
                else np.nanargmin(ranked))
+    moves = repair.moves[pick]
+    best = RoundedAssignment(labels=repair.labels[pick], value=float(values[pick]),
+                             balance=float(balances[pick]), seed=sub_seeds[pick],
+                             repair_moves=moves[moves >= 0].tolist())
     return PipelineResult(
-        best=repaired[pick],
+        best=best,
         solution=sol,
         achieved_alpha=dec.achieved_alpha,
         sdp_objective=solution_objective(sol, instance),

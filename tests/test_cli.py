@@ -64,15 +64,15 @@ def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
 
 def test_round_exits_2_when_every_repair_fails(c4_file, tmp_path, capsys,
                                               monkeypatch):
-    real_repair = rounding.repair_balance
+    real_repair = rounding.repair_many
 
-    def failed_repair(instance, assignment):
-        out = real_repair(instance, assignment)
-        out.repair_failed = True
-        out.required_move_fraction = 0.75
+    def failed_repair(instance, labels):
+        out = real_repair(instance, labels)
+        out.failed[:] = True
+        out.moved_weight[:] = 0.75
         return out
 
-    monkeypatch.setattr(rounding, "repair_balance", failed_repair)
+    monkeypatch.setattr(rounding, "repair_many", failed_repair)
     out = tmp_path / "round.json"
     assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 2
     assert "weight fraction of 0.75" in capsys.readouterr().err
@@ -126,6 +126,20 @@ def test_usage_errors_exit_2(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"instances": []}))
     assert main(["bench", "--config", str(empty)]) == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1 nan\n", 1),
+    ("0 1\n1 2 1e400\n", 2),
+    ("vertex 0 nan\n0 1\n", 1),
+    ("0 1 0\n", 1),
+    ("kind alpha-cut 1/0\n0 1\n", 1),
+])
+def test_oracle_rejects_bad_weights_with_exit_2(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text)
+    assert main(["oracle", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 def test_capacity_errors_exit_3(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp.errors import CardCspError, ParseError
-from cardcsp.instance import (CardinalityFunction, CspInstance,
-                              bisection_cardinality, clause_table,
-                              cut_instance, generate, load_edge_list,
-                              max2sat_instance)
+from cardcsp.instance import (CUT_TABLE, KNOWN_KINDS, CardinalityFunction,
+                              CspInstance, PayoffTerm, bisection_cardinality,
+                              clause_table, cut_instance, generate,
+                              load_edge_list, max2sat_instance)
 
 
 def test_cardinality_sums_to_one():
@@ -47,7 +49,6 @@ def test_json_round_trip():
 
 
 def test_payoff_weights_must_normalize():
-    from cardcsp.instance import PayoffTerm
     with pytest.raises(CardCspError):
         CspInstance(n=2, q=2,
                     payoffs=(PayoffTerm((0, 1), (0, 1, 1, 0), 0.5),),
@@ -80,6 +81,38 @@ def test_edge_list_rejects_negative_vertex_id():
     with pytest.raises(ParseError, match="line 1: vertex ids") as err:
         load_edge_list("vertex -1 0.9\n0 1\n1 2\n2 3\n")
     assert err.value.lineno == 1
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1 nan\n", 1, "edge weight .* is not finite"),
+    ("0 1\n1 2 1e400\n", 2, "edge weight .* is not finite"),
+    ("0 1 -1\n", 1, "edge weight '-1' is not finite and nonnegative"),
+    ("vertex 0 nan\n0 1\n", 1, "vertex weight .* is not finite"),
+    ("vertex 0 -1\nvertex 1 3\n0 1\n", 1, "vertex weight .* is not finite"),
+    ("0 1 0\n", 1, "payoff weights must have a positive, finite total"),
+    ("0 1 0\n1 2 0\n", 2, "positive, finite total"),
+    ("0 1 1e308\n1 2 1e308\n", 2, "positive, finite total"),
+    ("vertex 0 0\nvertex 1 0\n0 1\n", 2, "positive, finite total"),
+    ("kind alpha-cut 1/0\n0 1\n", 1, "bad alpha"),
+    ("0 1\nkind max2sat\n1 2\n", 2, "kind must precede"),
+])
+def test_edge_list_rejects_bad_input_with_line_numbers(text, line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        load_edge_list(text)
+    assert err.value.lineno == line
+
+
+def test_instances_reject_non_finite_weights():
+    with pytest.raises(CardCspError, match="finite"):
+        PayoffTerm((0, 1), CUT_TABLE, float("nan"))
+    with pytest.raises(CardCspError, match="finite"):
+        PayoffTerm((0, 1), CUT_TABLE, float("inf"))
+    with pytest.raises(CardCspError, match="payoff values"):
+        PayoffTerm((0, 1), (0.0, float("nan"), 1.0, 0.0), 1.0)
+    term = PayoffTerm((0, 1), CUT_TABLE, 1.0)
+    for weights in ((float("nan"), 1.0), (float("inf"), 0.0)):
+        with pytest.raises(CardCspError, match="finite"):
+            CspInstance(2, 2, (term,), weights, bisection_cardinality())
 
 
 def test_edge_list_max2sat_literals():
@@ -125,3 +158,44 @@ def test_mincut_sense():
     inst = cut_instance(4, [(0, 1, 1.0)], kind="mincut-bisection")
     assert inst.sense == "min"
     assert generate("cycle", 4).sense == "max"
+
+
+# edge-list tokens: vertex ids and literals up to 20 in size (so no huge n
+# is built), weights and fractions good and bad, the grammar's words, junk
+IDS = [str(v) for v in range(21)]
+GOOD = ["1", "0.25", "2.5", "5e-324", "1e-300"]
+BAD = ["-1", "-3", "0", "-0", "1/2", "-1.5", "nan", "inf", "-inf", "1e400",
+       "1e308"]
+ALPHAS = ["1/2", "1/4", "0", "1/0", "3/2", "-1/2", "nan", "x"]
+JUNK = ["kind", "vertex", "#", "x", "--", "1e", ".", "0x1", "1,2", "kind#"]
+
+
+def _line(*parts):
+    return st.tuples(*parts).map(lambda ts: " ".join(t for t in ts if t))
+
+
+# mostly well-formed lines, so that a fair share of documents parse
+_id = st.one_of(st.sampled_from(IDS), st.sampled_from(IDS),
+                st.sampled_from(IDS), st.sampled_from(["-1", "-3", "1.5"]))
+_weight = st.one_of(st.sampled_from(GOOD), st.sampled_from(GOOD),
+                    st.sampled_from(BAD))
+_edge = _line(_id, _id, st.one_of(st.just(""), _weight))
+EDGE_LIST_LINES = st.one_of(
+    _edge, _edge, _edge, _edge,
+    _line(st.just("vertex"), _id, _weight),
+    _line(st.just("kind"), st.sampled_from(KNOWN_KINDS),
+          st.sampled_from([""] + ALPHAS)),
+    st.lists(st.sampled_from(IDS + GOOD + BAD + ALPHAS + JUNK
+                             + list(KNOWN_KINDS)), max_size=4).map(" ".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(EDGE_LIST_LINES, max_size=8).map("\n".join))
+def test_edge_list_fuzz_raises_only_parse_errors(text):
+    try:
+        inst = load_edge_list(text)
+    except ParseError:
+        return
+    assert all(np.isfinite(t.weight) for t in inst.payoffs)
+    assert np.isfinite(inst.weights_array).all()

@@ -15,10 +15,8 @@ from cardcsp.sdp_solver import SolverConfig
 from cardcsp.lasserre import integral_lift
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import (BiasProfile, RoundedAssignment, bias_decompose,
-                              labels_from_gaussian, pipeline,
-                              repair_balance, round_many,
-                              round_profile, separation_identity_gap,
-                              threshold)
+                              labels_from_gaussian, pipeline, repair_many,
+                              round_many, separation_identity_gap, threshold)
 
 
 def _phi_inverse_bisection(p, tol=1e-12):
@@ -65,9 +63,9 @@ def test_bias_decompose_degenerate_vertices():
     sol = integral_lift(inst, (0, 1, 0, 1))
     profile = bias_decompose(sol)
     assert profile.degenerate.all()
-    out = round_profile(profile, seed=0, instance=inst)
-    assert out.labels.tolist() == [1, -1, 1, -1]
-    assert out.value == pytest.approx(1.0)
+    labels = round_many(profile, 3, seed=0)
+    assert labels.tolist() == [[1, -1, 1, -1]] * 3
+    assert inst.evaluate((1 - labels) // 2).tolist() == [1.0] * 3
 
 
 def test_rounding_marginals_track_bias():
@@ -104,30 +102,30 @@ def test_separation_identity_on_exact_solutions():
 
 def test_repair_balance_restores_target():
     inst = generate("complete", 6)
-    bad = RoundedAssignment(labels=np.array([1, 1, 1, 1, 1, -1]),
-                            value=None, balance=None, seed=0)
-    bad = repair_balance(inst, bad)
-    assert bad.balance == pytest.approx(0.0)
-    assert not bad.repair_failed
-    assert len(bad.repair_moves) == 2
+    out = repair_many(inst, np.array([[1, 1, 1, 1, 1, -1]]))
+    assert out.labels[0] @ inst.weights_array == pytest.approx(0.0)
+    assert not out.failed[0]
+    assert (out.moves[0] >= 0).sum() == 2
 
 
 def test_repair_balance_noop_when_balanced():
     inst = generate("cycle", 4)
-    ok = RoundedAssignment(labels=np.array([1, -1, 1, -1]),
-                           value=None, balance=None, seed=0)
-    out = repair_balance(inst, ok)
-    assert out.repair_moves == []
-    assert out.value == pytest.approx(1.0)
+    out = repair_many(inst, np.array([[1, -1, 1, -1]]))
+    assert (out.moves == -1).all()
+    assert np.array_equal(out.labels, [[1, -1, 1, -1]])
+    assert out.moved_weight[0] == 0.0
 
 
 def test_repair_respects_move_cap():
     inst = generate("complete", 6)
-    bad = RoundedAssignment(labels=np.ones(6, dtype=int), value=None,
-                            balance=None, seed=0)
-    out = repair_balance(inst, bad, delta_cap=0.1)
-    assert out.repair_failed
-    assert np.array_equal(out.labels, bad.labels)
+    bad = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, -1, -1]])
+    out = repair_many(inst, bad, delta_cap=0.2)
+    # the first row would move half its weight, the second one sixth
+    assert out.failed.tolist() == [True, False]
+    assert np.array_equal(out.labels[0], bad[0])
+    assert (out.moves[0] == -1).all()
+    assert out.moved_weight[0] == pytest.approx(0.5)
+    assert out.labels[1] @ inst.weights_array == pytest.approx(0.0)
 
 
 def test_assignment_json_round_trip():
@@ -173,19 +171,21 @@ def test_pipeline_picks_among_repaired_trials(monkeypatch):
     inst = generate("cycle", 4)
     sol = exact_mixture_moments(inst, [(0, 1, 0, 1), (1, 0, 1, 0)],
                                 [0.5, 0.5], level=2)
-    real_repair = rounding.repair_balance
-    trial = iter(range(4))
+    real_repair = rounding.repair_many
 
-    def first_fails(instance, assignment):
-        out = real_repair(instance, assignment)
-        if next(trial) == 0:  # flagged failed, with the best value of all
-            out.value = 2.0
-            out.repair_failed = True
+    def first_fails(instance, labels):
+        # trial 0 flagged failed, with a best value of all that it would
+        # win on the tie
+        out = real_repair(instance, labels)
+        values = instance.evaluate((1 - out.labels) // 2)
+        out.labels[0] = out.labels[int(np.argmax(values))]
+        out.failed[0] = True
         return out
 
-    monkeypatch.setattr(rounding, "repair_balance", first_fails)
+    monkeypatch.setattr(rounding, "repair_many", first_fails)
     result = pipeline(inst, trials=4, seed=0, solution=sol)
-    assert not result.best.repair_failed
+    first = int(np.random.SeedSequence(0).spawn(1)[0].generate_state(1)[0])
+    assert result.best.seed != first
     assert result.best.value == pytest.approx(1.0)
 
 
@@ -237,7 +237,8 @@ def _repair_moves_by_loop(instance, labels, target_balance):
 @st.composite
 def repair_cases(draw):
     """Random vertex weights (ties likely), payoff terms of equal weight on
-    random pairs (degree ties likely), random labels and target."""
+    random pairs (degree ties likely), a batch of random label rows and a
+    random target."""
     n = draw(st.integers(2, 12))
     parts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
                  .filter(lambda ps: sum(ps) > 0))
@@ -251,22 +252,94 @@ def repair_cases(draw):
     inst = CspInstance(n, 2, terms, tuple(p / sum(parts) for p in parts),
                        CardinalityFunction((Fraction(share, 8),
                                             Fraction(8 - share, 8))))
-    labels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n,
-                                    max_size=n)))
+    row = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+    labels = np.array(draw(st.lists(row, min_size=1, max_size=6)))
     target = draw(st.one_of(st.none(), st.floats(-1.0, 1.0)))
-    return inst, labels, target
+    cap = draw(st.sampled_from([0.25, 0.5, 2.0]))
+    return inst, labels, target, cap
 
 
 @settings(max_examples=200, deadline=None)
 @given(repair_cases())
 def test_repair_moves_match_the_loop_scan(case):
-    inst, labels, target = case
-    start = RoundedAssignment(labels=labels, value=None, balance=None, seed=0)
-    out = repair_balance(inst, start, target_balance=target, delta_cap=2.0)
+    inst, labels, target, cap = case
+    out = repair_many(inst, labels, target_balance=target, delta_cap=cap)
     if target is None:
         c = inst.cardinality.as_floats()
         target = float(c[0] - c[1])
-    moves, expected = _repair_moves_by_loop(inst, labels, target)
-    assert out.repair_moves == moves
-    assert np.array_equal(out.labels, expected)
-    assert not out.repair_failed
+    w = inst.weights_array
+    for k, row in enumerate(labels):
+        moves, expected = _repair_moves_by_loop(inst, row, target)
+        # the cap compares the weight summed in move order
+        moved = 0.0
+        for v in moves:
+            moved += w[v]
+        assert out.moved_weight[k] == moved
+        assert out.failed[k] == (moved > cap)
+        if out.failed[k]:
+            moves, expected = [], row
+        assert out.moves[k][out.moves[k] >= 0].tolist() == moves
+        assert (out.moves[k][len(moves):] == -1).all()
+        assert np.array_equal(out.labels[k], expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_stacked_evaluate_equals_row_by_row(n, m, seed):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(m):
+        scope = tuple(int(v) for v in rng.choice(n, size=rng.integers(1, 3),
+                                                 replace=False))
+        table = tuple(float(v) for v in rng.random(2 ** len(scope)))
+        terms.append((scope, table, float(rng.random()) + 1e-3))
+    total = sum(t[2] for t in terms)
+    inst = CspInstance(n, 2, tuple(PayoffTerm(s, t, w / total)
+                                   for s, t, w in terms),
+                       (1.0 / n,) * n, CardinalityFunction((Fraction(1, 2),
+                                                            Fraction(1, 2))))
+    stack = rng.integers(0, 2, size=(2, 5, n))
+    values = inst.evaluate(stack)
+    assert values.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        # bit for bit, not approximately, and equal to the term-order sum
+        row = stack[idx]
+        assert values[idx] == inst.evaluate(row) == sum(
+            t.weight * t.value(row[list(t.scope)]) for t in inst.payoffs)
+    assert isinstance(inst.evaluate(stack[0, 0]), float)
+
+
+def _pipeline_best_by_trial(instance, profile, trials, seed):
+    """(labels, value, seed, moves) of the best repaired trial, one trial
+    at a time: its own Gaussian, the loop repair, its own evaluation."""
+    c = instance.cardinality.as_floats()
+    w = instance.weights_array
+    best = None
+    for s in np.random.SeedSequence(seed).spawn(trials):
+        sub = int(s.generate_state(1)[0])
+        g = np.random.default_rng(sub).standard_normal(profile.w.shape[1])
+        moves, labels = _repair_moves_by_loop(
+            instance, labels_from_gaussian(profile, g), float(c[0] - c[1]))
+        if sum(w[v] for v in moves) > 0.5:
+            continue
+        value = instance.evaluate((1 - labels) // 2)
+        better = (value > best[1] if instance.sense == "max"
+                  else value < best[1]) if best else True
+        if better:
+            best = (labels.tolist(), value, sub, moves)
+    return best
+
+
+@pytest.mark.parametrize("kind", ["maxcut-bisection", "mincut-bisection"])
+def test_pipeline_best_matches_trial_by_trial(kind):
+    # a mixture of assignments off balance, so most trials need repair
+    inst = replace(generate("gnp", 10, seed=2, p=0.5), kind=kind)
+    sol = exact_mixture_moments(
+        inst, [(0, 1, 1, 1, 0, 1, 0, 1, 0, 1), (1, 1, 0, 0, 1, 1, 1, 0, 1, 1),
+               (0, 1, 1, 1, 0, 0, 1, 1, 1, 0)], [0.5, 0.3, 0.2], level=2)
+    result = pipeline(inst, trials=64, seed=3, solution=sol)
+    best = result.best
+    assert best.repair_moves
+    assert (best.labels.tolist(), best.value, best.seed,
+            best.repair_moves) == _pipeline_best_by_trial(
+                inst, bias_decompose(sol), 64, 3)
