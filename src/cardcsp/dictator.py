@@ -165,6 +165,16 @@ def completeness(gadget: DictGadget, sdp_value: float,
     return report
 
 
+def _coordinate_split(R: int, ell: int, p0: float):
+    """The cube points with coordinate ell at value 0 (a mask), and at each
+    of them the product-measure weight of the other coordinates, with
+    P(value 0) = p0 per coordinate."""
+    labels = hypercube_labels(R)
+    side0 = labels[:, ell] == 1
+    rest = np.delete(labels[side0], ell, axis=1)
+    return side0, np.prod(np.where(rest == 1, p0, 1 - p0), axis=1)
+
+
 def influence(F, ell: int, marginal: float, R: int | None = None) -> float:
     """E over the other coordinates of the variance along coordinate ell,
     under the product measure with P(value 0) = marginal per coordinate."""
@@ -172,17 +182,8 @@ def influence(F, ell: int, marginal: float, R: int | None = None) -> float:
     if R is None:
         R = int(round(np.log2(F.size)))
     p0 = marginal
-    size = F.size
-    stride = 1 << (R - 1 - ell)
-    idx = np.arange(size)
-    side0 = (idx // stride) % 2 == 0
-    F0 = F[side0]   # coordinate ell at value 0
-    F1 = F[~side0]
-    # weight of the remaining coordinates
-    rest_bits = np.array(list(product((0, 1), repeat=R)))[side0]
-    rest_bits = np.delete(rest_bits, ell, axis=1)
-    weights = np.prod(np.where(rest_bits == 0, p0, 1 - p0), axis=1)
-    var = p0 * (1 - p0) * (F0 - F1) ** 2
+    side0, weights = _coordinate_split(R, ell, p0)
+    var = p0 * (1 - p0) * (F[side0] - F[~side0]) ** 2
     return float(weights @ var)
 
 
@@ -210,7 +211,12 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
                         balance_tol: float = 1e-9,
                         grid_points: int = 5) -> SoundnessReport:
     """Max gadget value over balanced functions with all influences <= tau
-    under every source-vertex measure."""
+    under every source-vertex measure.
+
+    Influences are computed for the balanced functions only, and the
+    admitted ones are scored together as 0.5 (1 - F E F^T) row by row.  A
+    row's function id is its index in the full enumeration.
+    """
     R = gadget.R
     size = 1 << R
     if mode == "boolean_exhaustive":
@@ -228,33 +234,30 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
         raise CardCspError(f"unknown mode {mode!r}")
 
     balances = F_all @ gadget.vertex_weights
-    keep = np.abs(balances) <= balance_tol
+    balanced = np.flatnonzero(np.abs(balances) <= balance_tol)
+    F = F_all[balanced]
     # influence filter under every distinct vertex measure
     distinct = np.unique(np.round(gadget.vertex_marginals, 12))
-    max_inf = np.zeros(F_all.shape[0])
+    max_inf = np.zeros(balanced.size)
     for p0 in distinct:
         for ell in range(R):
-            stride = 1 << (R - 1 - ell)
-            idx = np.arange(size)
-            side0 = (idx // stride) % 2 == 0
-            rest_bits = np.array(list(product((0, 1), repeat=R)))[side0]
-            rest_bits = np.delete(rest_bits, ell, axis=1)
-            weights = np.prod(np.where(rest_bits == 0, p0, 1 - p0), axis=1)
-            diff = F_all[:, side0] - F_all[:, ~side0]
+            side0, weights = _coordinate_split(R, ell, p0)
+            diff = F[:, side0] - F[:, ~side0]
             inf_here = p0 * (1 - p0) * (diff ** 2 @ weights)
             np.maximum(max_inf, inf_here, out=max_inf)
-    keep &= max_inf <= tau + 1e-12
+    low = max_inf <= tau + 1e-12
 
-    if not keep.any():
+    if not low.any():
         return SoundnessReport(tau=tau, mode=mode, max_value=None, witness=None,
                                candidates=0, empty=True, rows=[])
-    kept = np.flatnonzero(keep)
-    values = np.array([dict_value(gadget, F_all[k]) for k in kept])
+    kept = balanced[low]
+    F = F[low]
+    values = 0.5 * (1.0 - ((F @ gadget.edge_weights) * F).sum(axis=1))
     best = int(np.argmax(values))
-    rows = [(int(k), float(balances[k]), float(max_inf[k]), float(v))
-            for k, v in zip(kept, values)]
+    rows = list(zip(kept.tolist(), balances[kept].tolist(),
+                    max_inf[low].tolist(), values.tolist()))
     return SoundnessReport(tau=tau, mode=mode, max_value=float(values[best]),
-                           witness=F_all[kept[best]], candidates=int(kept.size),
+                           witness=F[best], candidates=int(kept.size),
                            empty=False, rows=rows)
 
 

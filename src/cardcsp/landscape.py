@@ -18,6 +18,8 @@ from .errors import CardCspError
 from .rounding import threshold
 
 SDP_FLOOR = 1e-6  # configs below this payoff value are excluded from ratios
+_CUT_KINDS = ("cut", "maxcut-bisection", "mincut-bisection", "alpha-cut")
+_SAT_KINDS = ("max2sat", "2sat")
 
 
 # -- bivariate normal ------------------------------------------------------
@@ -65,19 +67,29 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 def bvn_cdf_grid(t1, t2, rho):
     """Vectorized bivariate normal CDF (fixed 48-node Gauss-Legendre on the
-    arcsine path).  Cross-validated against the adaptive scalar version."""
+    arcsine path).  Cross-validated against the adaptive scalar version.
+
+    The path nodes depend on rho alone, so they are evaluated once per
+    distinct value of rho and broadcast against the thresholds.
+    """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    t1, t2, rho = np.broadcast_arrays(t1, t2, rho)
-    upper = np.arcsin(np.clip(rho, -1.0, 1.0))
-    theta = 0.5 * upper[..., None] * (_GL_NODES + 1.0)
-    s = np.sin(theta)
-    c2 = np.cos(theta) ** 2
-    c2 = np.maximum(c2, 1e-300)
+    values, inverse = np.unique(rho, return_inverse=True)
+    inverse = inverse.reshape(rho.shape)
+    upper = np.arcsin(np.clip(values, -1.0, 1.0))
+    theta = 0.5 * upper[:, None] * (_GL_NODES + 1.0)
+    s = np.sin(theta)[inverse]
+    c2 = np.maximum(np.cos(theta) ** 2, 1e-300)[inverse]
+    upper = upper[inverse]
     a = np.where(np.isfinite(t1), t1, 0.0)[..., None]
     b = np.where(np.isfinite(t2), t2, 0.0)[..., None]
-    integrand = np.exp(-(a * a - 2.0 * s * a * b + b * b) / (2.0 * c2))
+    # exp(-(a^2 - 2 s a b + b^2) / (2 c2)), in place in one (cell, node) buffer
+    integrand = 2.0 * s * a * b
+    np.subtract(a * a, integrand, out=integrand)
+    integrand += b * b
+    integrand /= -2.0 * c2
+    np.exp(integrand, out=integrand)
     integral = 0.5 * upper * (integrand @ _GL_WEIGHTS)
     out = ndtr(t1) * ndtr(t2) + integral / (2.0 * np.pi)
     # finite-threshold formula is wrong at infinities; patch those entries
@@ -157,20 +169,32 @@ def edge_sdp_value(kind: str, config: EdgeConfig) -> float:
 
 def edge_sdp_value_grid(kind, mu1, mu2, rhobar):
     m = config_m(mu1, mu2, rhobar)
-    if kind in ("cut", "maxcut-bisection", "mincut-bisection", "alpha-cut"):
+    if kind in _CUT_KINDS:
         return (1.0 - m) / 2.0
-    if kind in ("max2sat", "2sat"):
+    if kind in _SAT_KINDS:
         # clause (+, +): unsatisfied only when both literals are false
         p_mm = (1.0 - mu1 - mu2 + m) / 4.0
         return 1.0 - p_mm
     raise CardCspError(f"unknown payoff kind {kind!r}")
 
 
+def rounded_value(kind: str, config: EdgeConfig) -> float:
+    """Expected payoff of the rounded labels for one term, with the
+    adaptive-quadrature kernel."""
+    if kind in _CUT_KINDS:
+        return separation_prob(config)
+    if kind in _SAT_KINDS:
+        t1, t2 = threshold(config.mu1), threshold(config.mu2)
+        p_both_false = 1.0 - ndtr(t1) - ndtr(t2) + bvn_cdf(t1, t2, config.rhobar)
+        return float(np.clip(1.0 - p_both_false, 0.0, 1.0))
+    raise CardCspError(f"unknown payoff kind {kind!r}")
+
+
 def rounded_value_grid(kind, mu1, mu2, rhobar):
     """Expected payoff of the rounded labels for one term."""
-    if kind in ("cut", "maxcut-bisection", "mincut-bisection", "alpha-cut"):
+    if kind in _CUT_KINDS:
         return separation_prob_grid(mu1, mu2, rhobar)
-    if kind in ("max2sat", "2sat"):
+    if kind in _SAT_KINDS:
         t1, t2 = threshold(mu1), threshold(mu2)
         p_both_false = 1.0 - ndtr(t1) - ndtr(t2) + bvn_cdf_grid(t1, t2, rhobar)
         return np.clip(1.0 - p_both_false, 0.0, 1.0)
@@ -201,11 +225,29 @@ class RatioCertificate:
         }, indent=2)
 
 
+def _require_steps(resolution):
+    if resolution < 2:
+        raise CardCspError("resolution must be at least 2 points per axis")
+
+
+def _on_cells(x, mask):
+    """x at the cells of mask; a scalar stays one value."""
+    return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
+
+
 def _ratio_on_grid(kind, mu1, mu2, rhobar):
+    """Ratio, SDP value, rounded value and validity on a grid of configs.
+
+    The rounded value is integrated on the valid cells only; elsewhere it is
+    NaN and the ratio +inf.
+    """
     sdp = edge_sdp_value_grid(kind, mu1, mu2, rhobar)
-    rounded = rounded_value_grid(kind, mu1, mu2, rhobar)
     valid = config_valid_mask(mu1, mu2, rhobar) & (sdp > SDP_FLOOR)
-    ratio = np.where(valid, rounded / np.where(valid, sdp, 1.0), np.inf)
+    rounded = np.full(valid.shape, np.nan)
+    rounded[valid] = rounded_value_grid(
+        kind, *(_on_cells(x, valid) for x in (mu1, mu2, rhobar)))
+    ratio = np.full(valid.shape, np.inf)
+    ratio[valid] = rounded[valid] / sdp[valid]
     return ratio, sdp, rounded, valid
 
 
@@ -223,7 +265,7 @@ def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
     best = []  # (ratio, mu1, mu2, rho)
     M1, M2 = np.meshgrid(mus, mus, indexing="ij")
     for rho in rhos:
-        ratio, _, _, _ = _ratio_on_grid(kind, M1, M2, np.full_like(M1, rho))
+        ratio, _, _, _ = _ratio_on_grid(kind, M1, M2, rho)
         flat = np.argsort(ratio, axis=None)[:max(1, top_k // 4)]
         for f in flat:
             i, j = np.unravel_index(f, ratio.shape)
@@ -237,27 +279,27 @@ def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
     local_res = 9
     lipschitz = 0.0
     for round_idx in range(refinement_rounds):
+        # one call for all local boxes: axes (box, mu1, mu2, rho)
+        centers = np.array([b[1:] for b in best])
+        lo = np.maximum(centers - step, -1.0)
+        hi = np.minimum(centers + step, 1.0)
+        g = np.linspace(lo, hi, local_res, axis=-1)  # (box, coordinate, point)
+        ratio, _, _, _ = _ratio_on_grid(kind, g[:, 0, :, None, None],
+                                        g[:, 1, None, :, None],
+                                        g[:, 2, None, None, :])
         new_best = list(best)
-        for ratio0, m1, m2, rh in best:
-            lo = np.maximum([m1, m2, rh] - step, -1.0)
-            hi = np.minimum([m1, m2, rh] + step, 1.0)
-            g1 = np.linspace(lo[0], hi[0], local_res)
-            g2 = np.linspace(lo[1], hi[1], local_res)
-            g3 = np.linspace(lo[2], hi[2], local_res)
-            G1, G2, G3 = np.meshgrid(g1, g2, g3, indexing="ij")
-            ratio, _, _, valid = _ratio_on_grid(kind, G1, G2, G3)
-            finite = np.isfinite(ratio)
+        for b, box in enumerate(ratio):
+            finite = np.isfinite(box)
             if not finite.any():
                 continue
-            spread = ratio[finite]
+            spread = box[finite]
             if spread.size > 1:
                 lipschitz = max(lipschitz,
                                 float((spread.max() - spread.min())
-                                      / max(np.max(hi - lo), 1e-12)))
-            f = np.argmin(ratio, axis=None)
-            i, j, k = np.unravel_index(f, ratio.shape)
-            new_best.append((float(ratio[i, j, k]), float(G1[i, j, k]),
-                             float(G2[i, j, k]), float(G3[i, j, k])))
+                                      / max(np.max(hi[b] - lo[b]), 1e-12)))
+            i, j, k = np.unravel_index(np.argmin(box, axis=None), box.shape)
+            new_best.append((float(box[i, j, k]), float(g[b, 0, i]),
+                             float(g[b, 1, j]), float(g[b, 2, k])))
         new_best.sort()
         best = new_best[:top_k]
         step = step * 2.0 / (local_res - 1)
@@ -266,10 +308,7 @@ def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
     # re-evaluate the minimizer with the adaptive-quadrature kernel
     argmin = EdgeConfig(m1, m2, rh)
     sdp = edge_sdp_value(kind, argmin)
-    sep = (separation_prob(argmin) if kind not in ("max2sat", "2sat")
-           else float(rounded_value_grid(kind, np.asarray(m1), np.asarray(m2),
-                                         np.asarray(rh))))
-    minimum = sep / sdp if sdp > SDP_FLOOR else ratio0
+    minimum = rounded_value(kind, argmin) / sdp if sdp > SDP_FLOOR else ratio0
     error_bar = 1e-10 / max(sdp, SDP_FLOOR) + lipschitz * float(np.max(step))
     return RatioCertificate(payoff_kind=kind, grid_resolution=resolution,
                             minimum_ratio=float(minimum), argmin=argmin,
@@ -277,22 +316,19 @@ def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
 
 
 def landscape_csv(kind: str, resolution: int = 60) -> str:
-    """One row per grid cell: mu1, mu2, rhobar, sep, sdp, ratio."""
+    """One row per valid grid cell: mu1, mu2, rhobar, rounded, sdp, ratio."""
+    _require_steps(resolution)
     mus = np.linspace(-1.0, 1.0, resolution)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["mu1", "mu2", "rhobar", "rounded", "sdp", "ratio"])
     M1, M2 = np.meshgrid(mus, mus, indexing="ij")
     for rho in mus:
-        R = np.full_like(M1, rho)
-        ratio, sdp, rounded, valid = _ratio_on_grid(kind, M1, M2, R)
-        for i in range(resolution):
-            for j in range(resolution):
-                if not valid[i, j]:
-                    continue
-                writer.writerow([f"{M1[i, j]:.6f}", f"{M2[i, j]:.6f}",
-                                 f"{rho:.6f}", f"{rounded[i, j]:.8f}",
-                                 f"{sdp[i, j]:.8f}", f"{ratio[i, j]:.8f}"])
+        ratio, sdp, rounded, valid = _ratio_on_grid(kind, M1, M2, rho)
+        for i, j in zip(*np.nonzero(valid)):
+            writer.writerow([f"{M1[i, j]:.6f}", f"{M2[i, j]:.6f}",
+                             f"{rho:.6f}", f"{rounded[i, j]:.8f}",
+                             f"{sdp[i, j]:.8f}", f"{ratio[i, j]:.8f}"])
     return out.getvalue()
 
 
@@ -309,6 +345,7 @@ def worst_separation(eps: float, resolution: int = 200,
     """
     if not 0 < eps < 0.5:
         raise CardCspError("eps must be in (0, 1/2)")
+    _require_steps(resolution)
     m_target = 1.0 - 2.0 * eps
 
     def eval_grid(g1, g2):
@@ -318,8 +355,8 @@ def worst_separation(eps: float, resolution: int = 200,
         feasible = rho <= 1.0 + 1e-12
         rho = np.clip(rho, -1.0, 1.0)
         valid = config_valid_mask(M1, M2, rho) & feasible
-        sep = separation_prob_grid(M1, M2, rho)
-        sep = np.where(valid, sep, -np.inf)
+        sep = np.full(valid.shape, -np.inf)
+        sep[valid] = separation_prob_grid(M1[valid], M2[valid], rho[valid])
         return M1, M2, rho, sep
 
     g = np.linspace(-0.999, 0.999, resolution)

@@ -238,6 +238,8 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     from .independence import decorrelate
     from .lasserre import build_relaxation
 
+    if trials < 1:
+        raise CardCspError(f"trials must be at least 1, got {trials}")
     report = None
     if solution is None:
         program = build_relaxation(instance, level)

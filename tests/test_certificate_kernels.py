@@ -1,0 +1,316 @@
+"""The certificate kernels against references that do every cell's work.
+
+`bvn_cdf_grid` evaluates the path nodes once per distinct correlation and
+integrates in place; the searches integrate valid configurations only; the
+soundness enumeration filters on balance first and scores the kept functions
+in one quadratic form.  Each is checked here against a reference that
+evaluates every cell (or every function) one by one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
+
+from cardcsp.dictator import (build_gadget, dict_value, gadget_balance,
+                              influence, soundness_enumerate)
+from cardcsp.instance import generate
+from cardcsp.landscape import (SDP_FLOOR, EdgeConfig, _ratio_on_grid,
+                               bvn_cdf_grid,
+                               config_valid_mask, edge_sdp_value,
+                               edge_sdp_value_grid, ratio_search,
+                               rounded_value, rounded_value_grid,
+                               separation_prob, worst_separation)
+from cardcsp.oracle import exact_mixture_moments
+from cardcsp.rounding import threshold
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+# -- reference kernel and searches: every cell, nodes per cell --------------
+
+def _bvn_every_cell(t1, t2, rho):
+    t1, t2, rho = np.broadcast_arrays(np.asarray(t1, dtype=float),
+                                      np.asarray(t2, dtype=float),
+                                      np.asarray(rho, dtype=float))
+    upper = np.arcsin(np.clip(rho, -1.0, 1.0))
+    theta = 0.5 * upper[..., None] * (_NODES + 1.0)
+    s = np.sin(theta)
+    c2 = np.maximum(np.cos(theta) ** 2, 1e-300)
+    a = np.where(np.isfinite(t1), t1, 0.0)[..., None]
+    b = np.where(np.isfinite(t2), t2, 0.0)[..., None]
+    integrand = np.exp(-(a * a - 2.0 * s * a * b + b * b) / (2.0 * c2))
+    out = ndtr(t1) * ndtr(t2) + 0.5 * upper * (integrand @ _WEIGHTS) / (2.0 * np.pi)
+    out = np.where(t1 == -np.inf, 0.0, out)
+    out = np.where(t2 == -np.inf, 0.0, out)
+    out = np.where((t1 == np.inf) & np.isfinite(t2), ndtr(t2), out)
+    out = np.where((t2 == np.inf) & np.isfinite(t1), ndtr(t1), out)
+    out = np.where((t1 == np.inf) & (t2 == np.inf), 1.0, out)
+    out = np.where(rho >= 1.0, np.minimum(ndtr(t1), ndtr(t2)), out)
+    out = np.where(rho <= -1.0, np.maximum(0.0, ndtr(t1) + ndtr(t2) - 1.0), out)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _rounded_every_cell(kind, mu1, mu2, rho):
+    t1, t2 = threshold(mu1), threshold(mu2)
+    bvn = _bvn_every_cell(t1, t2, rho)
+    if kind == "cut":
+        return np.clip(ndtr(t1) + ndtr(t2) - 2.0 * bvn, 0.0, 1.0)
+    return np.clip(1.0 - (1.0 - ndtr(t1) - ndtr(t2) + bvn), 0.0, 1.0)
+
+
+def _ratio_every_cell(kind, mu1, mu2, rho):
+    sdp = edge_sdp_value_grid(kind, mu1, mu2, rho)
+    rounded = _rounded_every_cell(kind, mu1, mu2, rho)
+    valid = config_valid_mask(mu1, mu2, rho) & (sdp > SDP_FLOOR)
+    return np.where(valid, rounded / np.where(valid, sdp, 1.0), np.inf)
+
+
+def _ratio_search_every_cell(kind, resolution, refinement_rounds, top_k=24):
+    mus = np.linspace(-1.0, 1.0, resolution)
+    best = []
+    M1, M2 = np.meshgrid(mus, mus, indexing="ij")
+    for rho in mus:
+        ratio = _ratio_every_cell(kind, M1, M2, np.full_like(M1, rho))
+        for f in np.argsort(ratio, axis=None)[:max(1, top_k // 4)]:
+            i, j = np.unravel_index(f, ratio.shape)
+            if np.isfinite(ratio[i, j]):
+                best.append((float(ratio[i, j]), float(M1[i, j]),
+                             float(M2[i, j]), float(rho)))
+    best = sorted(best)[:top_k]
+    trace = [{"stage": "grid", "min_ratio": best[0][0]}]
+    step = np.full(3, mus[1] - mus[0])
+    lipschitz = 0.0
+    for round_idx in range(refinement_rounds):
+        new_best = list(best)
+        for _, m1, m2, rh in best:
+            lo = np.maximum([m1, m2, rh] - step, -1.0)
+            hi = np.minimum([m1, m2, rh] + step, 1.0)
+            G1, G2, G3 = np.meshgrid(*(np.linspace(lo[c], hi[c], 9)
+                                       for c in range(3)), indexing="ij")
+            ratio = _ratio_every_cell(kind, G1, G2, G3)
+            finite = ratio[np.isfinite(ratio)]
+            if finite.size == 0:
+                continue
+            if finite.size > 1:
+                lipschitz = max(lipschitz, float((finite.max() - finite.min())
+                                                 / max(np.max(hi - lo), 1e-12)))
+            i, j, k = np.unravel_index(np.argmin(ratio, axis=None), ratio.shape)
+            new_best.append((float(ratio[i, j, k]), float(G1[i, j, k]),
+                             float(G2[i, j, k]), float(G3[i, j, k])))
+        best = sorted(new_best)[:top_k]
+        step = step * 2.0 / 8
+        trace.append({"stage": f"refine{round_idx}", "min_ratio": best[0][0]})
+    _, m1, m2, rh = best[0]
+    argmin = EdgeConfig(m1, m2, rh)
+    sdp = edge_sdp_value(kind, argmin)
+    error_bar = 1e-10 / max(sdp, SDP_FLOOR) + lipschitz * float(np.max(step))
+    return rounded_value(kind, argmin) / sdp, argmin, trace, error_bar
+
+
+def _worst_separation_every_cell(eps, resolution, refinement_rounds=4):
+    m_target = 1.0 - 2.0 * eps
+
+    def eval_grid(g1, g2):
+        M1, M2 = np.meshgrid(g1, g2, indexing="ij")
+        denom = np.sqrt(np.clip((1 - M1**2) * (1 - M2**2), 1e-300, None))
+        rho = (m_target - M1 * M2) / denom
+        feasible = rho <= 1.0 + 1e-12
+        rho = np.clip(rho, -1.0, 1.0)
+        valid = config_valid_mask(M1, M2, rho) & feasible
+        sep = _rounded_every_cell("cut", M1, M2, rho)
+        return M1, M2, rho, np.where(valid, sep, -np.inf)
+
+    def argmax(M1, M2, rho, sep):
+        i, j = np.unravel_index(np.argmax(sep, axis=None), sep.shape)
+        return (float(sep[i, j]), float(M1[i, j]), float(M2[i, j]),
+                float(rho[i, j]))
+
+    g = np.linspace(-0.999, 0.999, resolution)
+    best = argmax(*eval_grid(g, g))
+    step = g[1] - g[0]
+    for _ in range(refinement_rounds):
+        m1, m2 = best[1], best[2]
+        cand = argmax(*eval_grid(
+            np.linspace(max(-0.999999, m1 - step), min(0.999999, m1 + step), 17),
+            np.linspace(max(-0.999999, m2 - step), min(0.999999, m2 + step), 17)))
+        if cand[0] > best[0]:
+            best = cand
+        step = step / 4.0
+    return best[0], EdgeConfig(*best[1:])
+
+
+# -- kernel -------------------------------------------------------------------
+
+_THRESHOLDS = st.one_of(st.floats(-6.0, 6.0),
+                        st.sampled_from([np.inf, -np.inf, 0.0]))
+_RHOS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0, 0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 6),
+       rho_shape=st.sampled_from(["scalar", "row", "column", "full"]))
+def test_bvn_grid_does_not_depend_on_the_shape_of_rho(data, m, n, rho_shape):
+    t1 = np.array(data.draw(st.lists(_THRESHOLDS, min_size=m * n,
+                                     max_size=m * n))).reshape(m, n)
+    t2 = np.array(data.draw(st.lists(_THRESHOLDS, min_size=n, max_size=n)))
+    # a small pool, so that cells share correlations
+    pool = data.draw(st.lists(_RHOS, min_size=1, max_size=3))
+    shape = {"scalar": (), "row": (n,), "column": (m, 1), "full": (m, n)}[rho_shape]
+    size = int(np.prod(shape))
+    rho = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size,
+                                      max_size=size))).reshape(shape)
+    got = bvn_cdf_grid(t1, t2, rho)
+    assert got.shape == (m, n)
+    wide = np.broadcast_arrays(t1, t2, rho)
+    np.testing.assert_array_equal(_bits(got), _bits(bvn_cdf_grid(*wide)))
+    np.testing.assert_array_equal(_bits(got), _bits(_bvn_every_cell(*wide)))
+
+
+def test_rounded_value_is_the_adaptive_kernel():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        config = EdgeConfig(*rng.uniform(-0.95, 0.95, size=3))
+        assert rounded_value("cut", config) == separation_prob(config)
+        for kind in ("cut", "max2sat"):
+            grid = float(rounded_value_grid(kind, config.mu1, config.mu2,
+                                            config.rhobar))
+            assert rounded_value(kind, config) == pytest.approx(grid, abs=1e-10)
+
+
+# -- searches -----------------------------------------------------------------
+
+# The 48-node sum is one BLAS matrix-vector product per call, and OpenBLAS
+# sums a row in a different order when it is left over from its blocks of
+# four rows, so a cell can move by one ulp with its position in a batch.
+# The grids below keep every unpatched cell inside a block in both layouts
+# (the last valid cells have mu1 = 1, an infinite threshold, and are patched),
+# and the searches' outputs are compared whole.
+
+@pytest.mark.parametrize("kind", ["cut", "max2sat"])
+@pytest.mark.parametrize("resolution", [41, 64])
+def test_ratio_grid_equals_every_cell_reference(kind, resolution):
+    mus = np.linspace(-1.0, 1.0, resolution)
+    M1, M2 = np.meshgrid(mus, mus, indexing="ij")
+    for rho in mus:
+        ratio, sdp, rounded, valid = _ratio_on_grid(kind, M1, M2, rho)
+        want = _ratio_every_cell(kind, M1, M2, np.full_like(M1, rho))
+        np.testing.assert_array_equal(_bits(ratio), _bits(want))
+        assert np.isnan(rounded[~valid]).all()
+
+
+@pytest.mark.parametrize("kind", ["cut", "max2sat"])
+@pytest.mark.parametrize("resolution", [50, 60])
+def test_ratio_search_equals_every_cell_reference(kind, resolution):
+    cert = ratio_search(kind, resolution=resolution, refinement_rounds=2)
+    minimum, argmin, trace, error_bar = _ratio_search_every_cell(kind,
+                                                                 resolution, 2)
+    assert cert.argmin == argmin
+    assert cert.refinement_trace == trace
+    assert _bits(cert.minimum_ratio) == _bits(minimum)
+    assert _bits(cert.error_bar) == _bits(error_bar)
+
+
+@pytest.mark.parametrize("eps", [0.0025, 0.04, 0.3])
+@pytest.mark.parametrize("resolution", [60, 77, 100])
+def test_worst_separation_equals_every_cell_reference(eps, resolution):
+    worst, argmax = worst_separation(eps, resolution=resolution)
+    ref_worst, ref_argmax = _worst_separation_every_cell(eps, resolution)
+    assert _bits(worst) == _bits(ref_worst)
+    assert argmax == ref_argmax
+
+
+# -- soundness ----------------------------------------------------------------
+
+def _gadget(R, family, n, assignments, weights):
+    inst = generate(family, n)
+    sol = exact_mixture_moments(inst, assignments, weights, level=2)
+    return build_gadget(sol, inst, 0.1, R=R)
+
+
+# unequal mixture weights give each gadget two or three distinct marginals;
+# each assignment's complement keeps the vertex weights complement-symmetric,
+# so the odd functions (dictators among them) are balanced
+GADGETS = {
+    "cycle4": ("cycle", 4, [(0, 1, 0, 1), (1, 0, 1, 0)], [0.7, 0.3]),
+    "cycle6": ("cycle", 6, [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0),
+                            (0, 0, 1, 1, 0, 1), (1, 1, 0, 0, 1, 0)],
+               [0.4, 0.1, 0.3, 0.2]),
+}
+
+
+def _boolean_functions(R):
+    size = 1 << R
+    codes = np.arange(1 << size)
+    return 1.0 - 2.0 * ((codes[:, None] >> np.arange(size)) & 1)
+
+
+def _grid_functions(R, points):
+    mesh = np.linspace(-1.0, 1.0, points)
+    grids = np.meshgrid(*([mesh] * (1 << R)), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _soundness_by_loop(gadget, tau, functions, balance_tol=1e-9):
+    """(function id, balance, max influence, value) per admitted function,
+    one function at a time."""
+    marginals = np.unique(np.round(gadget.vertex_marginals, 12))
+    rows = []
+    for k, F in enumerate(functions):
+        balance = gadget_balance(gadget, F)
+        if abs(balance) > balance_tol:
+            continue
+        top = max(influence(F, ell, p0, gadget.R)
+                  for p0 in marginals for ell in range(gadget.R))
+        if top <= tau + 1e-12:
+            rows.append((k, balance, top, dict_value(gadget, F)))
+    return rows
+
+
+def _assert_same_rows(report, rows, gadget):
+    assert report.candidates == len(rows)
+    assert report.empty == (not rows)
+    assert [r[0] for r in report.rows] == [r[0] for r in rows]
+    for got, want in zip(report.rows, rows):
+        assert got[1:] == pytest.approx(want[1:], abs=1e-12)
+    if rows:
+        assert report.max_value == pytest.approx(max(r[3] for r in rows),
+                                                 abs=1e-12)
+        assert dict_value(gadget, report.witness) == pytest.approx(
+            report.max_value, abs=1e-12)
+    else:
+        assert report.max_value is None and report.witness is None
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+@pytest.mark.parametrize("R", [2, 3])
+def test_soundness_equals_loop_reference(name, R):
+    gadget = _gadget(R, *GADGETS[name])
+    assert len(np.unique(np.round(gadget.vertex_marginals, 12))) >= 2
+    functions = _boolean_functions(R)
+    for tau in (1.0, 0.8, 0.5, 0.3, 0.0):
+        _assert_same_rows(soundness_enumerate(gadget, tau),
+                          _soundness_by_loop(gadget, tau, functions), gadget)
+
+
+def test_soundness_equals_loop_reference_at_r4():
+    gadget = _gadget(4, *GADGETS["cycle4"])
+    _assert_same_rows(soundness_enumerate(gadget, 0.8),
+                      _soundness_by_loop(gadget, 0.8, _boolean_functions(4)),
+                      gadget)
+
+
+@pytest.mark.parametrize("name", sorted(GADGETS))
+@pytest.mark.parametrize("R", [1, 2])
+def test_soundness_grid_mode_equals_loop_reference(name, R):
+    gadget = _gadget(R, *GADGETS[name])
+    functions = _grid_functions(R, 5)
+    for tau in (1.0, 0.5):
+        _assert_same_rows(
+            soundness_enumerate(gadget, tau, mode="grid", grid_points=5),
+            _soundness_by_loop(gadget, tau, functions), gadget)

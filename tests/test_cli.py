@@ -79,6 +79,26 @@ def test_round_exits_2_when_every_repair_fails(c4_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_round_rejects_trials_below_one(c4_file, tmp_path, capsys, trials):
+    out = tmp_path / "round.json"
+    assert main(["round", c4_file, "--trials", trials, "--out", str(out)]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_bench_rejects_trials_below_one(tmp_path, capsys, trials):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"name": "c4", "family": "cycle", "n": 4}]}))
+    out = tmp_path / "bench_out.json"
+    assert main(["bench", "--config", str(config), "--trials", trials,
+                 "--out", str(out)]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_round_is_deterministic(c4_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["round", c4_file, "--trials", "4", "--seed", "9", "--out", str(a)])
@@ -92,6 +112,19 @@ def test_landscape_sqrt_eps(tmp_path):
                  "--resolution", "80", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["rows"]) == 2
+
+
+@pytest.mark.parametrize("mode, resolution", [
+    ("sqrt-eps", "1"), ("sqrt-eps", "0"), ("csv", "1"), ("csv", "0"),
+    ("csv", "-3"),
+])
+def test_landscape_rejects_grids_too_small_to_step(tmp_path, capsys, mode,
+                                                   resolution):
+    out = tmp_path / "landscape.out"
+    assert main(["landscape", mode, "--resolution", resolution,
+                 "--out", str(out)]) == 2
+    assert "resolution must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dict_subcommand(c4_file, tmp_path):
