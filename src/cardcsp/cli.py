@@ -45,13 +45,12 @@ def _emit(text: str, out_path: str | None):
 def _solver_config(args):
     from .sdp_solver import SolverConfig
 
-    kwargs = {}
-    if getattr(args, "max_iterations", None) is not None:
-        kwargs["max_iterations"] = args.max_iterations
-    if getattr(args, "tolerance", None) is not None:
-        kwargs["primal_tolerance"] = args.tolerance
-        kwargs["dual_tolerance"] = args.tolerance
-    return SolverConfig(**kwargs) if kwargs else None
+    flags = {"max_iterations": args.max_iterations,
+             "primal_tolerance": args.tolerance, "dual_tolerance": args.tolerance}
+    try:
+        return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:  # a flag outside the solver's range
+        raise CardCspError(str(exc)) from exc
 
 
 def cmd_solve(args):
@@ -118,8 +117,7 @@ def cmd_landscape(args):
     elif args.mode == "csv":
         _emit(landscape_csv(args.kind, resolution=args.resolution), args.out)
     elif args.mode == "sqrt-eps":
-        eps_values = [float(e) for e in args.eps.split(",")]
-        curve = sqrt_eps_curve(eps_values, resolution=args.resolution)
+        curve = sqrt_eps_curve(args.eps, resolution=args.resolution)
         _emit(json.dumps(curve, indent=2), args.out)
     return EXIT_OK
 
@@ -172,6 +170,8 @@ def cmd_bench(args):
                        seed=args.seed, alpha_target=args.alpha,
                        solver_config=_solver_config(args))
     _emit(report.to_json(), args.out)
+    if any(row.status == "infeasible-suspected" for row in report.rows):
+        raise NumericalError("solver did not reach a feasible point")
     return EXIT_OK
 
 
@@ -182,6 +182,11 @@ def cmd_oracle(args):
     exact = brute_force(instance, respect_cardinality=not args.unconstrained)
     _emit(exact.to_json(), args.out)
     return EXIT_OK
+
+
+def number_list(text):
+    """Comma-separated floats; argparse turns a ValueError into exit 2."""
+    return [float(x) for x in text.split(",")]
 
 
 def _add_solver_flags(p):
@@ -221,7 +226,7 @@ def build_parser():
     p.add_argument("mode", choices=["ratio", "csv", "sqrt-eps"])
     p.add_argument("--kind", default="cut", choices=["cut", "max2sat"])
     p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--eps", default="0.0025,0.01,0.04,0.09",
+    p.add_argument("--eps", default="0.0025,0.01,0.04,0.09", type=number_list,
                    help="comma-separated eps values for sqrt-eps mode")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_landscape)
@@ -271,18 +276,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (CardCspError, json.JSONDecodeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_CAPACITY if isinstance(exc, CapacityError) else
+                EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -381,6 +381,8 @@ def worst_separation(eps: float, resolution: int = 200,
 
 def sqrt_eps_curve(eps_values, resolution: int = 200):
     """Worst separation per eps, plus the fitted power-law exponent."""
+    if len(set(eps_values)) < 2:
+        raise CardCspError("the exponent fit needs at least two distinct eps values")
     rows = []
     for eps in eps_values:
         worst, argmax = worst_separation(eps, resolution=resolution)

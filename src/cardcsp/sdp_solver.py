@@ -5,10 +5,10 @@ principal block on R, the indices whose values all lie below q - 1 (the
 inclusion-exclusion lift of ``lasserre._reduced_basis``).  P has full column
 rank, so G is PSD exactly when the block is, and the program's rows whose
 support lies inside R x R constrain the block exactly as the full rows
-constrain G.  The method runs on that block: it alternates a projection onto
-the affine constraint subspace (cached sparse factorization of the
-regularized normal equations, one refinement step) with a PSD-cone
-projection via dense symmetric eigendecomposition, with over-relaxation and
+constrain G.  The method runs on that block: it alternates a closed-form
+projection onto the affine constraint subspace (class averaging plus one
+small cardinality system, no factorization) with a PSD-cone projection via
+dense symmetric eigendecomposition, with over-relaxation and
 residual-balancing penalty updates.  Residuals are measured on the lifted
 matrices.  Deterministic; no external solver.
 """
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .lasserre import ConicProgram, MomentSolution, _reduced_basis
@@ -35,10 +33,12 @@ class SolverConfig:
     check_every: int = 25
 
     def __post_init__(self):
-        if self.primal_tolerance <= 0 or self.dual_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # written so that NaN fails the test
+        if not all(0 < x < np.inf for x in (self.primal_tolerance,
+                                            self.dual_tolerance, self.rho)):
+            raise ValueError("tolerances and rho must be positive and finite")
+        if self.max_iterations < 1 or self.check_every < 1:
+            raise ValueError("max_iterations and check_every must be at least 1")
         if not 1.0 <= self.over_relaxation < 2.0:
             raise ValueError("over_relaxation must lie in [1, 2)")
 
@@ -59,32 +59,54 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
-        cond = np.abs(sym).max()
-        raise NumericalError(
-            f"eigendecomposition failed (max |entry| {cond:.3g})") from exc
+        raise NumericalError("eigendecomposition failed "
+                             f"(max |entry| {np.abs(sym).max():.3g})") from exc
     if eigvals[0] >= 0:
         return sym
     clipped = np.clip(eigvals, 0.0, None)
     return (eigvecs * clipped) @ eigvecs.T
 
 
-def _reduced_rows(constraints, d, red):
-    """Unit-norm rows over vec(G[R, R]): the rows whose support lies inside
-    R x R, restricted to those columns (a copy: the program's own rows stay
-    unscaled).  Rows without coefficients, which constrain nothing, are
-    dropped."""
-    inside = np.zeros(d, dtype=bool)
-    inside[red] = True
-    cols = (red[:, None] * d + red).ravel()
-    A = constraints.A
-    outside = ~(inside[A.indices // d] & inside[A.indices % d])
-    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    spill = np.bincount(row_of, weights=outside, minlength=A.shape[0])
-    rows = np.flatnonzero((spill == 0) & (np.diff(A.indptr) > 0))
-    A = A[rows][:, cols]
-    norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
-    A.data /= np.repeat(norms, np.diff(A.indptr))
-    return A, constraints.b[rows] / norms
+def _affine_projection(constraints, d, red):
+    """Orthogonal projection of a symmetric block G' = G[R, R] onto the
+    program's rows inside R x R.  A consistency row ties an entry pair to
+    its canonical pair (0, m), or pins it to 0 on a clash; entries no row
+    names are free.  The unit and cardinality rows touch only row and
+    column 0: B y = e on the canonical values.  So the projection is the
+    class means, corrected by y = mean - N^-1/2 pinv(B N^-1/2) (B mean - e)
+    with N the class sizes (a pseudo-inverse: q = 3 rows are dependent)."""
+    k, m = len(red), constraints.A.shape[0]
+    where = np.full(d, -1)
+    where[red] = np.arange(k)
+    A = constraints.A.tocoo()
+    r, c = where[A.col // d], where[A.col % d]
+    inside = np.bincount(A.row, weights=(r < 0) | (c < 0), minlength=m)[A.row] == 0
+    row, r, c, coef = A.row[inside], r[inside], c[inside], A.data[inside]
+    border = np.bincount(row, weights=(r > 0) & (c > 0), minlength=m)[row] == 0
+    # class of each entry: its canonical position, k on a clash, k + 1 if free
+    canon = np.full(m, k)
+    tie = ~border & (coef < 0)
+    canon[row[tie]] = r[tie] + c[tie]
+    cls = np.full(k * k, k + 1)
+    cls[:k] = cls[::k] = np.arange(k)
+    pair = ~border & (coef > 0)
+    cls[r[pair] * k + c[pair]] = canon[row[pair]]
+    free = cls == k + 1
+    size = np.bincount(cls, minlength=k + 2)[:k]
+    rows, at = np.unique(row[border], return_inverse=True)
+    B = np.zeros((len(rows), k))
+    np.add.at(B, (at, r[border] + c[border]), coef[border])
+    e = constraints.b[rows]
+    # equal to N^-1 B^T pinv(B N^-1 B^T), without squaring the condition number
+    M = np.linalg.pinv(B / np.sqrt(size)) / np.sqrt(size)[:, None]
+
+    def project(mat):
+        v = mat.reshape(-1)
+        mean = np.bincount(cls, weights=v, minlength=k + 2)[:k] / size
+        y = mean - M @ (B @ mean - e)
+        return np.where(free, v, np.append(y, (0.0, 0.0))[cls]).reshape(k, k)
+
+    return project
 
 
 def solve(program: ConicProgram, config: SolverConfig | None = None,
@@ -94,11 +116,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     config = config or SolverConfig()
     red, P = _reduced_basis(program.indices, program.n, program.q)
     d = len(red)
-    A, b = _reduced_rows(program.constraints, program.dim, red)
-    m = A.shape[0]
-    C = program.C
+    project_affine = _affine_projection(program.constraints, program.dim, red)
     sign = 1.0 if program.sense == "max" else -1.0
-    Cs = sign * (P.T @ C @ P)
+    Cs = sign * (P.T @ program.C @ P)
     # ||P D P^T|| = ||T D T^T|| for P = Q T: residuals measured on the
     # lifted matrix at the cost of the reduced one
     T = np.linalg.qr(P, mode="r")
@@ -106,32 +126,13 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     def lifted_norm(mat):
         return np.linalg.norm(T @ mat @ T.T)
 
-    AAt = (A @ A.T).tocsc()
-    try:
-        factor = spla.splu(AAt + 1e-11 * sp.identity(m, format="csc"))
-    except RuntimeError as exc:
-        raise NumericalError("factorization of constraint normal equations "
-                             f"failed: {exc}") from exc
-
-    def project_affine(mat):
-        v = mat.reshape(-1)
-        resid = A @ v - b
-        lam = factor.solve(resid)
-        # one refinement step: on dependent rows (q = 3) the ridge alone
-        # leaves residuals near 1e-10
-        lam += factor.solve(resid - AAt @ lam)
-        return (v - A.T @ lam).reshape(d, d)
-
-    rho = config.rho
-    gamma = config.over_relaxation
+    rho, gamma = config.rho, config.over_relaxation
     X = project_affine(np.zeros((d, d)))
     Z = project_psd(X)
     U = np.zeros((d, d))
     history = []
     status = "max_iter"
-    it = 0
-    pri = dual = np.inf
-    stall_best = np.inf
+    pri = dual = stall_best = np.inf
     stall_counter = 0
     for it in range(1, config.max_iterations + 1):
         X = project_affine(Z - U + Cs / rho)
@@ -168,7 +169,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                 U *= 2.0
 
     gram = P @ ((X + X.T) / 2) @ P.T
-    objective = float(np.tensordot(C, gram))
+    objective = float(np.tensordot(program.C, gram))
     solution = MomentSolution(program.level, program.n, program.q,
                               list(program.indices), gram, objective)
     report = SolveReport(status=status, iterations=it,

@@ -4,7 +4,7 @@ truth, run end to end through the solve/decorrelate/round/repair pipeline."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,11 +45,11 @@ class BenchRow:
     balance: float
     achieved_alpha: float
     seed: int
+    status: str
+    iterations: int
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in
-                ("name", "n", "optimum", "sdp_objective", "rounded_value",
-                 "ratio", "balance", "achieved_alpha", "seed")}
+        return asdict(self)
 
 
 @dataclass
@@ -87,7 +87,9 @@ def run_bench(entries=None, level: int = 2, trials: int = 32, seed: int = 0,
             sdp_objective=result.sdp_objective,
             rounded_value=result.best.value, ratio=float(ratio),
             balance=result.best.balance,
-            achieved_alpha=result.achieved_alpha, seed=sub_seed))
+            achieved_alpha=result.achieved_alpha, seed=sub_seed,
+            status=result.solve_report.status,
+            iterations=result.solve_report.iterations))
         report.min_ratio = min(report.min_ratio, float(ratio))
     return report
 

@@ -62,6 +62,31 @@ def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
     assert json.loads(out.read_text())["status"] == "infeasible-suspected"
 
 
+def test_bench_exits_4_when_solver_suspects_infeasibility(tmp_path,
+                                                           monkeypatch):
+    real_solve = sdp_solver.solve
+    calls = []
+
+    def suspicious_second_solve(program, config=None, keep_history=False):
+        solution, report = real_solve(program, config, keep_history)
+        calls.append(program)
+        if len(calls) == 2:
+            report.status = "infeasible-suspected"
+        return solution, report
+
+    monkeypatch.setattr(sdp_solver, "solve", suspicious_second_solve)
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"name": "c4", "family": "cycle", "n": 4},
+        {"name": "k4", "family": "complete", "n": 4},
+    ]}))
+    out = tmp_path / "bench_out.json"
+    assert main(["bench", "--config", str(config), "--trials", "4",
+                 "--out", str(out)]) == 4
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["status"] for r in rows] == ["optimal", "infeasible-suspected"]
+
+
 def test_round_exits_2_when_every_repair_fails(c4_file, tmp_path, capsys,
                                               monkeypatch):
     real_repair = rounding.repair_many
@@ -114,6 +139,33 @@ def test_landscape_sqrt_eps(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("", "invalid number_list value"), ("0.01,abc", "invalid number_list value"),
+    ("0.01", "two distinct eps"), ("0.01,0.01", "two distinct eps"),
+])
+def test_landscape_sqrt_eps_rejects_lists_that_cannot_fit(tmp_path, capsys,
+                                                          eps, message):
+    out = tmp_path / "curve.json"
+    assert main(["landscape", "sqrt-eps", "--eps", eps, "--resolution", "20",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-iterations", "0"], "max_iterations"),
+    (["--tolerance", "-1"], "tolerances"),
+    (["--tolerance", "0"], "tolerances"),
+    (["--tolerance", "nan"], "tolerances"),
+])
+def test_solve_rejects_bad_solver_flags_with_exit_2(c4_file, tmp_path, capsys,
+                                                   flags, message):
+    out = tmp_path / "sol.json"
+    assert main(["solve", c4_file, "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, resolution", [
     ("sqrt-eps", "1"), ("sqrt-eps", "0"), ("csv", "1"), ("csv", "0"),
     ("csv", "-3"),
@@ -148,6 +200,8 @@ def test_bench_with_config(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["min_ratio"] >= 0.84
     assert [r["name"] for r in doc["rows"]] == ["c4", "k4"]
+    assert [r["status"] for r in doc["rows"]] == ["optimal", "optimal"]
+    assert all(r["iterations"] > 0 for r in doc["rows"])
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -125,3 +125,9 @@ def test_worst_separation_decreases_with_eps():
 def test_sqrt_eps_exponent():
     curve = sqrt_eps_curve([0.0025, 0.01, 0.04, 0.09], resolution=100)
     assert 0.4 <= curve["beta"] <= 0.6
+
+
+@pytest.mark.parametrize("eps_values", [[0.01], [0.01, 0.01], []])
+def test_sqrt_eps_curve_needs_two_distinct_eps(eps_values):
+    with pytest.raises(CardCspError, match="two distinct eps"):
+        sqrt_eps_curve(eps_values, resolution=20)

@@ -1,6 +1,7 @@
 """Property tests of the relaxation's constraint operator, and of the
-reduced basis the solver runs on, over random instances: domain size 2 or
-3, levels 2 and 3, random vertex weights."""
+reduced basis and closed-form affine projection the solver runs on, over
+random instances: domain size 2 or 3, levels 2 and 3, random vertex
+weights."""
 
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,7 @@ from cardcsp.lasserre import (MomentSolution, _reduced_basis,
                               build_index_set, build_relaxation,
                               check_feasibility, integral_lift,
                               merge_assignments)
-from cardcsp.sdp_solver import _reduced_rows
+from cardcsp.sdp_solver import _affine_projection
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -217,6 +218,24 @@ def test_lift_recovers_mixtures_of_any_assignments(case):
     assert np.linalg.matrix_rank(P) == len(red)
 
 
+def _reduced_rows(constraints, d, red):
+    """Reference rows over vec(G[R, R]): the program's rows whose support
+    lies inside R x R, restricted to those columns and scaled to unit norm.
+    Rows without coefficients, which constrain nothing, are dropped."""
+    inside = np.zeros(d, dtype=bool)
+    inside[red] = True
+    cols = (red[:, None] * d + red).ravel()
+    A = constraints.A
+    outside = ~(inside[A.indices // d] & inside[A.indices % d])
+    row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    spill = np.bincount(row_of, weights=outside, minlength=A.shape[0])
+    rows = np.flatnonzero((spill == 0) & (np.diff(A.indptr) > 0))
+    A = A[rows][:, cols]
+    norms = np.sqrt(np.asarray(A.multiply(A).sum(axis=1)).ravel())
+    A.data /= np.repeat(norms, np.diff(A.indptr))
+    return A, constraints.b[rows] / norms
+
+
 @SETTINGS
 @given(balanced_mixtures())
 def test_reduced_rows_hold_on_mixtures_of_balanced_lifts(case):
@@ -258,6 +277,63 @@ def test_reduced_rows_imply_every_row(case, seed):
     gram = P @ block.reshape(len(red), len(red)) @ P.T
     ops = program.constraints
     assert np.abs(ops.A @ gram.reshape(-1) - ops.b).max() <= 1e-9
+
+
+@st.composite
+def projection_cases(draw):
+    """An instance as in ``small_instances`` but with vertex weights that
+    may be zero, its reduced basis, and a random symmetric block."""
+    q = draw(st.sampled_from([2, 3]))
+    level = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(level, 4 if level == 2 else 3))
+    parts = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)
+                 .filter(lambda ps: sum(ps) > 0))
+    base = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    program = build_relaxation(
+        _instance(q, parts, _target_met_by(parts, base, q)), level)
+    red, P = _reduced_basis(program.indices, n, q)
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = scale * rng.standard_normal((len(red), len(red)))
+    return program, red, P, (y + y.T) / 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(projection_cases())
+def test_projection_is_the_least_squares_projection(case):
+    program, red, _, y = case
+    project = _affine_projection(program.constraints, program.dim, red)
+    A, b = _reduced_rows(program.constraints, program.dim, red)
+    A = A.toarray()
+    v = y.reshape(-1)
+    expected = v - np.linalg.lstsq(A, A @ v - b, rcond=None)[0]
+    scale = max(1.0, np.abs(y).max())
+    assert np.abs(project(y).reshape(-1) - expected).max() <= 1e-10 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(projection_cases())
+def test_projection_is_idempotent_and_keeps_symmetry(case):
+    program, red, _, y = case
+    project = _affine_projection(program.constraints, program.dim, red)
+    once = project(y)
+    assert np.array_equal(once, once.T)
+    scale = max(1.0, np.abs(y).max())
+    assert np.abs(project(once) - once).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(projection_cases())
+def test_projection_meets_the_reduced_and_the_full_rows(case):
+    program, red, P, y = case
+    project = _affine_projection(program.constraints, program.dim, red)
+    A, b = _reduced_rows(program.constraints, program.dim, red)
+    block = project(y)
+    scale = max(1.0, np.abs(y).max())
+    assert np.abs(A @ block.reshape(-1) - b).max() <= 1e-12 * scale
+    gram = P @ block @ P.T
+    ops = program.constraints
+    assert np.abs(ops.A @ gram.reshape(-1) - ops.b).max() <= 1e-9 * scale
 
 
 @st.composite

@@ -17,6 +17,17 @@ def test_config_validation():
         SolverConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rho", -0.05), ("rho", 0.0), ("rho", float("nan")), ("rho", float("inf")),
+    ("check_every", 0), ("check_every", -25),
+    ("primal_tolerance", float("nan")), ("dual_tolerance", float("nan")),
+    ("primal_tolerance", float("inf")), ("dual_tolerance", -1e-6),
+])
+def test_config_rejects_values_that_break_the_solve(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
+
+
 def test_project_psd():
     m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     p = project_psd(m)
