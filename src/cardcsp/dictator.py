@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, CardCspError
 from .instance import CspInstance, CUT_TABLE
-from .lasserre import MomentSolution, local_distribution
+from .lasserre import MomentSolution, local_distributions
 from .rounding import BiasProfile, RoundedAssignment, bias_decompose
 
 R_CAP = 12
@@ -79,16 +79,17 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
         raise CardCspError("gadget construction supports q = 2 only")
     size = 1 << R
     edge = np.zeros((size, size))
-    marginals = np.array([local_distribution(solution, (i,)).probabilities[0]
-                          for i in range(instance.n)])
+    n = instance.n
+    marginals = local_distributions(solution, 1)[:, 0]
+    # pair (i, j), i < j, is row rank[i, j] of the size-2 distributions
+    rank = np.zeros((n, n), dtype=int)
+    rank[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    pairs = local_distributions(solution, 2).reshape(-1, 2, 2)
     for term in instance.payoffs:
         if len(term.scope) != 2 or tuple(term.table) != CUT_TABLE:
             raise CardCspError("gadget construction needs cut payoff terms")
-        i, j = term.scope
-        mu_e = local_distribution(solution, (i, j)).probabilities.reshape(2, 2)
-        if i > j:
-            mu_e = mu_e.T
-            i, j = j, i
+        i, j = sorted(term.scope)
+        mu_e = pairs[rank[i, j]]
         # noise kernel K(a' -> a) = (1-eps) [a = a'] + eps mu(a)
         K_i = (1 - eps) * np.eye(2) + eps * np.tile([marginals[i],
                                                      1 - marginals[i]], (2, 1))

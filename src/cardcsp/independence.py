@@ -6,42 +6,47 @@ All entropies and mutual informations are measured in bits.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CardCspError
 from .instance import CspInstance
-from .lasserre import (MomentSolution, build_index_set, local_distribution,
-                       merge_assignments, solution_objective, PROB_FLOOR)
+from .lasserre import (MomentSolution, _offsets, _positions, _value_table,
+                       local_distribution, local_distributions, PROB_FLOOR)
 
 
-def entropy(dist) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
+def entropy(dist):
+    """Shannon entropy in bits over the last axis, with 0 log 0 = 0."""
     p = np.asarray(dist, dtype=float)
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    h = -(p * logs).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
-def mutual_information(joint) -> float:
-    """Mutual information in bits of a joint distribution (2-D array).
+def mutual_information(joint):
+    """Mutual information in bits of joint distributions over the last two
+    axes.
 
     Computed directly from the definition; the entropy identity
     H(X) + H(Y) - H(X,Y) is evaluated as a cross-check.
     """
-    j = np.asarray(joint, dtype=float)
-    j = np.clip(j, 0.0, None)
-    px = j.sum(axis=1)
-    py = j.sum(axis=0)
-    mask = j > 0
-    outer = np.outer(px, py)
-    direct = float((j[mask] * np.log2(j[mask] / outer[mask])).sum())
-    via_entropy = entropy(px) + entropy(py) - entropy(j.reshape(-1))
-    if abs(direct - via_entropy) > 1e-10:
+    j = np.clip(np.asarray(joint, dtype=float), 0.0, None)
+    px = j.sum(axis=-1)
+    py = j.sum(axis=-2)
+    outer = px[..., :, None] * py[..., None, :]
+    ratio = np.divide(j, outer, out=np.ones_like(j), where=j > 0)
+    direct = (j * np.log2(ratio)).sum(axis=(-2, -1))
+    via_entropy = entropy(px) + entropy(py) - entropy(
+        j.reshape(j.shape[:-2] + (-1,)))
+    gap = np.abs(direct - via_entropy)
+    if np.any(gap > 1e-10):
+        k = int(np.argmax(gap))
         raise CardCspError(
-            f"mutual information paths disagree: {direct} vs {via_entropy}")
-    return max(0.0, direct)
+            f"mutual information paths disagree: {np.ravel(direct)[k]} vs "
+            f"{np.ravel(via_entropy)[k]}")
+    mi = np.maximum(0.0, direct)
+    return float(mi) if mi.ndim == 0 else mi
 
 
 def pair_joint(solution: MomentSolution, i: int, j: int) -> np.ndarray:
@@ -67,16 +72,12 @@ def alpha_independence(solution: MomentSolution, instance: CspInstance,
     alpha-independence).  The i = j terms contribute H(X_i)."""
     if solution.level < 2:
         raise CardCspError("alpha_independence needs a level >= 2 solution")
-    n = solution.n
+    n, q = solution.n, solution.q
     w = instance.weights_array
-    table = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                mi = entropy(local_distribution(solution, (i,)).probabilities)
-            else:
-                mi = mutual_information(pair_joint(solution, i, j))
-            table[i, j] = table[j, i] = mi
+    table = np.diag(entropy(local_distributions(solution, 1)))
+    i, j = np.triu_indices(n, 1)
+    table[i, j] = table[j, i] = mutual_information(
+        local_distributions(solution, 2).reshape(-1, q, q))
     mask = np.ones((n, n), dtype=bool)
     if not include_diagonal:
         np.fill_diagonal(mask, False)
@@ -95,14 +96,6 @@ class ConditioningStep:
     marginal_probability: float
 
 
-def steps_to_json(steps) -> str:
-    return json.dumps([asdict(s) for s in steps])
-
-
-def steps_from_json(text) -> list[ConditioningStep]:
-    return [ConditioningStep(**d) for d in json.loads(text)]
-
-
 def condition(solution: MomentSolution, pivot: int, value: int,
               prob_floor: float = PROB_FLOOR) -> MomentSolution:
     """Condition the solution on x_pivot = value; drops one level.
@@ -119,20 +112,16 @@ def condition(solution: MomentSolution, pivot: int, value: int,
             f"cannot condition on null event x_{pivot}={value} "
             f"(probability {p_pivot:.3g})")
     new_level = solution.level - 1
-    indices = build_index_set(solution.n, solution.q, new_level)
-    rows = []
-    for subset, alpha in indices:
-        lifted = merge_assignments(subset, alpha, (pivot,), (value,))
-        if lifted is None:
-            rows.append(-1)  # incompatible with the conditioning event
-        else:
-            rows.append(solution.pos[lifted])
-    d = len(indices)
-    gram = np.zeros((d, d))
-    live = [r for r, src in enumerate(rows) if src >= 0]
-    src = [rows[r] for r in live]
-    sub = solution.gram[np.ix_(src, src)] / p_pivot
-    gram[np.ix_(live, live)] = sub
+    # the level-(k-1) index set is a prefix of the level-k one: set the
+    # pivot on its value table and read each lifted index off its position
+    indices = solution.indices[:_offsets(solution.n, solution.q, new_level)[-1]]
+    values = _value_table(indices, solution.n)
+    clash = (values[:, pivot] >= 0) & (values[:, pivot] != value)
+    values[:, pivot] = value
+    rows = _positions(values, solution.q, solution.level)
+    gram = solution.gram[np.ix_(rows, rows)] / p_pivot
+    gram[clash] = 0.0
+    gram[:, clash] = 0.0
     return MomentSolution(new_level, solution.n, solution.q, indices, gram)
 
 
@@ -146,9 +135,7 @@ def conditional_entropy_after(solution: MomentSolution, instance: CspInstance,
         if p < PROB_FLOOR:
             continue
         conditioned = condition(solution, pivot, value)
-        avg_h = sum(w[j] * entropy(local_distribution(conditioned, (j,)).probabilities)
-                    for j in range(solution.n))
-        total += p * avg_h
+        total += p * float(w @ entropy(local_distributions(conditioned, 1)))
     return total
 
 
@@ -161,15 +148,13 @@ class DecorrelateResult:
 
 
 def decorrelate(solution: MomentSolution, instance: CspInstance,
-                alpha: float, strategy: str = "sampled", seed: int = 0,
-                depth: int | None = None,
+                alpha: float, seed: int = 0, depth: int | None = None,
                 include_diagonal: bool = True) -> DecorrelateResult:
     """Condition until the solution is alpha-independent (or budget ends).
 
-    ``sampled`` draws pivots from W and values from current marginals;
-    ``exhaustive`` searches all (pivot, value) sequences up to the depth,
-    lexicographically, and returns the first that reaches independence with
-    objective loss at most alpha.
+    Pivots are drawn from W and values from the current marginals.  The
+    first solution that reaches alpha is returned, or else the least
+    correlated one seen.
     """
     if depth is None:
         depth = min(4, solution.level - 2)
@@ -178,60 +163,22 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
     if current <= alpha or depth <= 0:
         return DecorrelateResult(solution, [], current, current <= alpha)
 
-    if strategy == "sampled":
-        rng = np.random.default_rng(seed)
-        sol = solution
-        steps: list[ConditioningStep] = []
-        best = (current, sol, list(steps))
-        w = instance.weights_array
-        for _ in range(depth):
-            pivot = int(rng.choice(sol.n, p=w))
-            marg = local_distribution(sol, (pivot,)).probabilities
-            value = int(rng.choice(sol.q, p=marg))
-            if marg[value] < PROB_FLOOR:
-                continue
-            sol = condition(sol, pivot, value)
-            steps.append(ConditioningStep(pivot, value, float(marg[value])))
-            current = alpha_independence(sol, instance, include_diagonal).average_mi
-            if current < best[0]:
-                best = (current, sol, list(steps))
-            if current <= alpha:
-                return DecorrelateResult(sol, steps, current, True)
-        return DecorrelateResult(best[1], best[2], best[0], False)
-
-    if strategy == "exhaustive":
-        base_obj = solution_objective(solution, instance)
-        best = (current, solution, [])
-        # depth-first, lexicographic by (pivot, value); first success wins
-        def search(sol, steps, mi):
-            nonlocal best
-            if mi < best[0]:
-                best = (mi, sol, list(steps))
-            if mi <= alpha:
-                obj = solution_objective(sol, instance)
-                if base_obj - obj <= alpha + 1e-9:
-                    return (sol, steps, mi)
-                return None
-            if len(steps) >= depth:
-                return None
-            for pivot in range(sol.n):
-                marg = local_distribution(sol, (pivot,)).probabilities
-                for value in range(sol.q):
-                    if marg[value] < PROB_FLOOR:
-                        continue
-                    nxt = condition(sol, pivot, value)
-                    nxt_mi = alpha_independence(nxt, instance,
-                                                include_diagonal).average_mi
-                    hit = search(nxt, steps + [ConditioningStep(
-                        pivot, value, float(marg[value]))], nxt_mi)
-                    if hit is not None:
-                        return hit
-            return None
-
-        hit = search(solution, [], current)
-        if hit is not None:
-            sol, steps, mi = hit
-            return DecorrelateResult(sol, steps, mi, True)
-        return DecorrelateResult(best[1], best[2], best[0], False)
-
-    raise CardCspError(f"unknown strategy {strategy!r}")
+    rng = np.random.default_rng(seed)
+    sol = solution
+    steps: list[ConditioningStep] = []
+    best = (current, sol, list(steps))
+    w = instance.weights_array
+    for _ in range(depth):
+        pivot = int(rng.choice(sol.n, p=w))
+        marg = local_distributions(sol, 1)[pivot]
+        value = int(rng.choice(sol.q, p=marg))
+        if marg[value] < PROB_FLOOR:
+            continue
+        sol = condition(sol, pivot, value)
+        steps.append(ConditioningStep(pivot, value, float(marg[value])))
+        current = alpha_independence(sol, instance, include_diagonal).average_mi
+        if current < best[0]:
+            best = (current, sol, list(steps))
+        if current <= alpha:
+            return DecorrelateResult(sol, steps, current, True)
+    return DecorrelateResult(best[1], best[2], best[0], False)

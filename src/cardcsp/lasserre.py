@@ -10,13 +10,19 @@ and enforce the cardinality constraint on every conditioning event.
 points are exactly the moment solutions: G is PSD and A vec(G) = b.
 ``check_feasibility`` reads the consistency and cardinality violations off
 the residual A vec(G) - b of the same operator.
+
+Indices run by subset size, then subset in ``combinations`` order, then
+assignment in row-major order, so the level-(k-1) index set is a prefix of
+the level-k one.  ``_positions`` is the only map from an index to its
+position.  The size-s local distributions are one slice of row 0 of G,
+which ``local_distributions`` reads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -41,19 +47,13 @@ def build_index_set(n: int, q: int, level: int) -> list[MomentIndex]:
     return indices
 
 
-def merge_assignments(s, alpha, t, beta):
-    """Merged (subset, assignment) of two compatible indexed events, or None."""
-    merged = dict(zip(s, alpha))
-    for var, val in zip(t, beta):
-        if merged.setdefault(var, val) != val:
-            return None
-    subset = tuple(sorted(merged))
-    return subset, tuple(merged[v] for v in subset)
-
-
 @dataclass
 class MomentSolution:
-    """A candidate solution to the level-k relaxation."""
+    """A candidate solution to the level-k relaxation.
+
+    ``indices`` must be ``build_index_set(n, q, level)``: every reader finds
+    an index (S, alpha) at its closed-form position in that order.
+    """
 
     level: int
     n: int
@@ -63,23 +63,45 @@ class MomentSolution:
     objective_value: float = float("nan")
 
     def __post_init__(self):
-        self.pos = {idx: r for r, idx in enumerate(self.indices)}
+        d = len(self.indices)
+        if self.indices != build_index_set(self.n, self.q, self.level):
+            raise CardCspError("moment indices must be build_index_set(n, q, "
+                               "level), in that order")
+        if np.shape(self.gram) != (d, d):
+            raise CardCspError(f"gram has shape {np.shape(self.gram)}, "
+                               f"expected ({d}, {d})")
+
+    def _position(self, subset, assignment) -> int:
+        """Position of the index of the event x_S = alpha, S in any order."""
+        subset = [int(v) for v in subset]
+        alpha = [int(a) for a in assignment]
+        n, q = self.n, self.q
+        if len(set(subset)) != len(subset) or not all(0 <= v < n for v in subset):
+            raise CardCspError(
+                f"vertices {tuple(subset)} must be distinct and in 0..{n - 1}")
+        if len(alpha) != len(subset) or not all(0 <= a < q for a in alpha):
+            raise CardCspError(
+                f"assignment {tuple(alpha)} must give each vertex of "
+                f"{tuple(subset)} a value in 0..{q - 1}")
+        if len(subset) > self.level:
+            raise CardCspError(
+                f"subset size {len(subset)} exceeds level {self.level}")
+        values = np.full((1, n), -1, dtype=np.int8)
+        values[0, subset] = alpha
+        return int(_positions(values, q, self.level)[0])
 
     def prob(self, subset, assignment) -> float:
         """P(X_S = alpha) read off the canonical gram entry."""
-        subset = tuple(subset)
-        assignment = tuple(assignment)
-        if not subset:
-            return float(self.gram[0, 0])
-        return float(self.gram[0, self.pos[(subset, assignment)]])
+        return float(self.gram[0, self._position(subset, assignment)])
 
     def copy(self):
         return MomentSolution(self.level, self.n, self.q, list(self.indices),
                               self.gram.copy(), self.objective_value)
 
     def to_json(self) -> str:
-        tril = [[float(self.gram[r, c]) for c in range(r + 1)]
-                for r in range(len(self.indices))]
+        d = len(self.indices)
+        flat = self.gram[np.tril_indices(d)].tolist()
+        tril = [flat[r * (r + 1) // 2:(r + 1) * (r + 2) // 2] for r in range(d)]
         doc = {
             "schema": "cardcsp.moment_solution/1",
             "level": self.level,
@@ -96,10 +118,13 @@ class MomentSolution:
         doc = json.loads(text)
         indices = [(tuple(s), tuple(a)) for s, a in doc["indices"]]
         d = len(indices)
+        rows = doc["gram_lower"]
+        if [len(row) for row in rows] != list(range(1, d + 1)):
+            raise CardCspError("gram_lower must hold rows of length 1 to d")
+        r, c = np.tril_indices(d)
         gram = np.zeros((d, d))
-        for r, row in enumerate(doc["gram_lower"]):
-            for c, v in enumerate(row):
-                gram[r, c] = gram[c, r] = v
+        gram[r, c] = gram[c, r] = np.fromiter(chain.from_iterable(rows),
+                                              float, count=len(r))
         return cls(doc["level"], doc["n"], doc["q"], indices, gram,
                    doc["objective_value"])
 
@@ -110,21 +135,39 @@ class LocalDistribution:
     probabilities: np.ndarray  # row-major over [q]^subset
 
 
-def local_distribution(solution: MomentSolution, subset, tol=1e-5) -> LocalDistribution:
-    """Read mu_S off the canonical gram entries, clip and renormalize."""
-    subset = tuple(sorted(subset))
-    if len(subset) > solution.level:
-        raise CardCspError(f"subset size {len(subset)} exceeds level {solution.level}")
-    if not subset:
-        return LocalDistribution((), np.array([1.0]))
-    probs = np.array([solution.prob(subset, a)
-                      for a in product(range(solution.q), repeat=len(subset))])
-    drift = max(0.0, -probs.min()) + abs(probs.sum() - 1.0)
-    if drift > tol:
+def local_distributions(solution: MomentSolution, size: int,
+                        tol=1e-5) -> np.ndarray:
+    """mu_S of every subset S of ``size`` vertices, one per row of a
+    (C(n, size), q^size) array.
+
+    The rows are one slice of row 0 of G: subsets in ``combinations`` order
+    (pairs in ``np.triu_indices`` order), assignments row-major.  Each row
+    must sum to 1 and stay nonnegative within ``tol``; it is then clipped
+    and renormalized.
+    """
+    n, q, level = solution.n, solution.q, solution.level
+    if not 0 <= size <= level:
+        raise CardCspError(f"subset size {size} exceeds level {level}")
+    lo, hi = _offsets(n, q, size)[-2:]
+    probs = solution.gram[0, lo:hi].reshape(comb(n, size), q ** size)
+    drift = np.maximum(0.0, -probs.min(axis=1)) + np.abs(probs.sum(axis=1) - 1.0)
+    if (drift > tol).any():
+        worst = int(drift.argmax())
+        subset = next(islice(combinations(range(n), size), worst, None))
         raise InconsistentSolutionError(
-            f"inconsistent solution: local distribution on {subset} drifts by {drift:.3g}")
+            f"inconsistent solution: local distribution on {subset} drifts "
+            f"by {drift[worst]:.3g}")
     probs = np.clip(probs, 0.0, 1.0)
-    return LocalDistribution(subset, probs / probs.sum())
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def local_distribution(solution: MomentSolution, subset, tol=1e-5) -> LocalDistribution:
+    """mu_S: the row of ``local_distributions`` that holds S."""
+    subset = tuple(sorted(subset))
+    size, q = len(subset), solution.q
+    rank = (solution._position(subset, (0,) * size)
+            - _offsets(solution.n, q, size)[-2]) // q ** size
+    return LocalDistribution(subset, local_distributions(solution, size, tol)[rank])
 
 
 # -- conic program ---------------------------------------------------------
@@ -172,6 +215,20 @@ def _value_table(indices, n):
     return values
 
 
+def _offsets(n, q, level):
+    """Start of each subset size's block in ``build_index_set`` order, for
+    sizes 0 to level + 1; the last entry is the dimension."""
+    return np.cumsum([0] + [comb(n, s) * q ** s for s in range(level + 1)])
+
+
+def _lift_vectors(indices, n, assignments):
+    """Row k: the indicator over the index set of the events that
+    assignment k satisfies."""
+    values = _value_table(indices, n)
+    x = np.asarray(assignments)[:, None, :]
+    return ((values < 0) | (values == x)).all(axis=2).astype(float)
+
+
 def _positions(values, q, level):
     """Position in ``build_index_set`` order of each row of a value table.
 
@@ -189,8 +246,7 @@ def _positions(values, q, level):
     later = ~inside & (below < size[:, None])
     rank = np.where(later, binom[n - 1 - np.arange(n), rest], 0).sum(axis=1)
     code = np.where(inside, values * q ** rest, 0).sum(axis=1)
-    offset = np.cumsum([0] + [comb(n, s) * q ** s for s in range(level)])
-    return offset[size] + rank * q ** size + code
+    return _offsets(n, q, level)[size] + rank * q ** size + code
 
 
 def _reduced_basis(indices, n, q):
@@ -256,7 +312,7 @@ def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
     r, c, fits = (np.concatenate(x) for x in zip(*pairs))
     canon = _positions(np.maximum(values[r[fits]], values[c[fits]]), q, level)
 
-    n_events = sum(comb(n, s) * q ** s for s in range(level))
+    n_events = _offsets(n, q, level)[level]
     ev, j = np.nonzero(values[:n_events] < 0)
     ext = np.empty((len(ev), q), dtype=np.int64)
     for a in range(q):
@@ -298,7 +354,7 @@ def build_relaxation(instance: CspInstance, level: int = 2,
     if level < 2:
         raise CardCspError("level must be at least 2")
     n, q = instance.n, instance.q
-    d = sum(q ** s * comb(n, s) for s in range(level + 1))
+    d = int(_offsets(n, q, level)[-1])
     if d > index_cap:
         raise CapacityError(
             f"level {level} too high for n={n}: index set size {d} exceeds "
@@ -308,7 +364,7 @@ def build_relaxation(instance: CspInstance, level: int = 2,
                                        instance.cardinality.as_floats())
 
     # objective <C, G> = c . G[0, :], halves on (0, p) and (p, 0)
-    c = _payoff_vector(instance, {idx: r for r, idx in enumerate(indices)})
+    c = _payoff_vector(instance, level)
     C = np.zeros((d, d))
     C[0] = c / 2
     C[:, 0] += c / 2
@@ -364,42 +420,28 @@ def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSo
     """Moment matrix of a deterministic assignment."""
     assignment = tuple(int(a) for a in assignment)
     indices = build_index_set(instance.n, instance.q, level)
-    d = len(indices)
-    vec = np.array([1.0 if all(assignment[v] == a for v, a in zip(s, al)) else 0.0
-                    for s, al in indices])
-    gram = np.outer(vec, vec)
-    return MomentSolution(level, instance.n, instance.q, indices, gram,
+    vec = _lift_vectors(indices, instance.n, [assignment])[0]
+    return MomentSolution(level, instance.n, instance.q, indices,
+                          np.outer(vec, vec),
                           objective_value=instance.evaluate(assignment))
 
 
-def _payoff_vector(instance: CspInstance, pos) -> np.ndarray:
-    """c over an index set (``pos`` maps index to position) with
+def _payoff_vector(instance: CspInstance, level: int) -> np.ndarray:
+    """c over the level's index set with
     E_{S ~ W} sum_beta P_S(beta) mu_S(beta) = c . G[0, :]: entry (S, beta)
     sums weight * payoff over the terms on S."""
-    c = np.zeros(len(pos))
+    n, q = instance.n, instance.q
+    values, coefs = [], []
     for term in instance.payoffs:
-        scope = tuple(sorted(term.scope))
-        for beta in product(range(instance.q), repeat=len(scope)):
-            local = tuple(beta[scope.index(v)] for v in term.scope)
-            c[pos[(scope, beta)]] += term.weight * term.value(local)
-    return c
+        rows = np.full((q ** len(term.scope), n), -1, dtype=np.int8)
+        rows[:, term.scope] = list(product(range(q), repeat=len(term.scope)))
+        values.append(rows)
+        coefs.append(term.weight * np.asarray(term.table, dtype=float))
+    return np.bincount(_positions(np.concatenate(values), q, level),
+                       weights=np.concatenate(coefs),
+                       minlength=_offsets(n, q, level)[-1])
 
 
 def solution_objective(solution: MomentSolution, instance: CspInstance) -> float:
     """Instance objective evaluated on the solution's local distributions."""
-    return float(_payoff_vector(instance, solution.pos) @ solution.gram[0])
-
-
-def pair_correlation(solution: MomentSolution, i: int, j: int) -> float:
-    """E[x_i x_j] in +-1 convention (value 0 -> +1), from pair marginals."""
-    if i == j:
-        return 1.0
-    a, b = min(i, j), max(i, j)
-    mu = local_distribution(solution, (a, b)).probabilities
-    return float(mu[0] + mu[3] - mu[1] - mu[2])
-
-
-def bias(solution: MomentSolution, i: int) -> float:
-    """E[x_i] in +-1 convention."""
-    mu = local_distribution(solution, (i,)).probabilities
-    return float(mu[0] - mu[1])
+    return float(_payoff_vector(instance, solution.level) @ solution.gram[0])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CapacityError, CardCspError
 from .instance import CspInstance
-from .lasserre import MomentSolution, build_index_set
+from .lasserre import MomentSolution, _lift_vectors, build_index_set
 
 
 @dataclass
@@ -124,12 +124,10 @@ def exact_mixture_moments(instance: CspInstance, assignments, probabilities,
     indices = build_index_set(instance.n, instance.q, level)
     d = len(indices)
     gram = np.zeros((d, d))
-    for x, p in zip(assignments, probabilities):
-        if p == 0:
-            continue
-        vec = np.array([1.0 if all(x[v] == a for v, a in zip(s, al)) else 0.0
-                        for s, al in indices])
-        gram += p * np.outer(vec, vec)
+    for vec, p in zip(_lift_vectors(indices, instance.n, assignments),
+                      probabilities):
+        if p > 0:
+            gram += p * np.outer(vec, vec)
     objective = float(sum(p * instance.evaluate(x)
                           for x, p in zip(assignments, probabilities)))
     return MomentSolution(level, instance.n, instance.q, indices, gram, objective)

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .errors import CardCspError
 from .instance import CspInstance
-from .lasserre import (MomentSolution, bias, pair_correlation,
+from .lasserre import (MomentSolution, _positions, local_distributions,
                        solution_objective)
 from .sdp_solver import SolveReport
 
@@ -67,11 +67,13 @@ def threshold(mu):
 def bias_decompose(solution: MomentSolution, psd_tol: float = 1e-5) -> BiasProfile:
     """Factor the I-orthogonal correlation matrix into explicit coordinates."""
     n = solution.n
-    mu = np.array([bias(solution, i) for i in range(n)])
+    # +-1 convention, value 0 -> +1: E[x_i] and E[x_i x_j]
+    mu1 = local_distributions(solution, 1)
+    mu2 = local_distributions(solution, 2)
+    mu = mu1[:, 0] - mu1[:, 1]
     second = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            second[i, j] = second[j, i] = pair_correlation(solution, i, j)
+    i, j = np.triu_indices(n, 1)
+    second[i, j] = second[j, i] = mu2[:, 0] + mu2[:, 3] - mu2[:, 1] - mu2[:, 2]
     cov = second - np.outer(mu, mu)  # <w_i, w_j> matrix
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2)
     if eigvals.min() < -psd_tol * max(1.0, eigvals.max()):
@@ -93,22 +95,28 @@ def separation_identity_gap(solution: MomentSolution,
     off the vector geometry (the off-diagonal gram block), so the identity
     only holds up to the solution's consistency error.
     """
-    pos = solution.pos
-    worst = 0.0
-    for term in instance.payoffs:
-        if len(term.scope) != 2:
-            continue
-        i, j = sorted(term.scope)
-        # raw canonical entries: clipping/renormalizing would mask the
-        # geometric identity with the sanitation error
-        p_neq = (solution.prob((i, j), (0, 1))
-                 + solution.prob((i, j), (1, 0)))
-        # v_i - v_j in gram coordinates, with v_k = [x_k = 0] - [x_k = 1]
-        a = np.zeros(len(pos))
-        a[[pos[((i,), (0,))], pos[((j,), (1,))]]] = 1.0
-        a[[pos[((i,), (1,))], pos[((j,), (0,))]]] = -1.0
-        worst = max(worst, abs(p_neq - a @ solution.gram @ a / 4.0))
-    return worst
+    pairs = np.array([t.scope for t in instance.payoffs
+                      if len(t.scope) == 2]).reshape(-1, 2)
+    terms = np.arange(len(pairs))
+
+    def at(a, b):
+        """Positions of the events x_i = a, x_j = b per pair term; -1
+        leaves a vertex out."""
+        values = np.full((len(pairs), solution.n), -1, dtype=np.int8)
+        values[terms, pairs[:, 0]] = a
+        values[terms, pairs[:, 1]] = b
+        return _positions(values, solution.q, solution.level)
+
+    gram = solution.gram
+    # raw canonical entries: clipping/renormalizing would mask the
+    # geometric identity with the sanitation error
+    p_neq = gram[0, at(0, 1)] + gram[0, at(1, 0)]
+    # v_i - v_j over the 4 x 4 block of the events x_i = 0, x_i = 1,
+    # x_j = 0, x_j = 1, with v_k = [x_k = 0] - [x_k = 1]
+    block = np.stack([at(0, -1), at(1, -1), at(-1, 0), at(-1, 1)], axis=1)
+    a = np.array([1.0, -1.0, -1.0, 1.0])
+    geometric = a @ gram[block[:, :, None], block[:, None, :]] @ a / 4.0
+    return float(np.abs(p_neq - geometric).max(initial=0.0))
 
 
 @dataclass
@@ -244,8 +252,7 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     if solution is None:
         program = build_relaxation(instance, level)
         solution, report = sdp_solver.solve(program, solver_config)
-    dec = decorrelate(solution, instance, alpha_target, strategy="sampled",
-                      seed=seed, depth=depth)
+    dec = decorrelate(solution, instance, alpha_target, seed=seed, depth=depth)
     sol = dec.solution
     profile = bias_decompose(sol)
     sub_seeds = [int(s.generate_state(1)[0])

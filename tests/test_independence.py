@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp.errors import CardCspError
 from cardcsp.independence import (alpha_independence, condition,
                                   conditional_entropy_after, decorrelate,
-                                  entropy, mutual_information, pair_joint,
-                                  steps_from_json, steps_to_json,
-                                  ConditioningStep)
+                                  entropy, mutual_information, pair_joint)
 from cardcsp.instance import generate
 from cardcsp.lasserre import (check_feasibility, integral_lift,
-                              local_distribution, solution_objective)
+                              local_distribution)
 from cardcsp.oracle import exact_mixture_moments
 
 # hand-computed entropy of (3/4, 1/4): 2 - (3/4) log2 3
@@ -88,57 +88,44 @@ def test_conditioning_on_null_event_is_rejected():
         condition(conditioned, 1, 0)
 
 
-def test_chain_rule_on_mixture():
-    rng = np.random.default_rng(7)
-    inst = generate("cycle", 6)
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([4, 6, 8]), level=st.sampled_from([3, 4]),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4))
+def test_chain_rule_on_mixture(n, level, seed, k):
+    rng = np.random.default_rng(seed)
+    inst = generate("cycle", n)
     w = inst.weights_array
-    base = np.array([0, 0, 0, 1, 1, 1])
-    for _ in range(10):
-        k = int(rng.integers(2, 5))
-        assigns = []
-        for _ in range(k):
-            x = base.copy()
-            rng.shuffle(x)
-            assigns.append(tuple(x))
-        sol = exact_mixture_moments(inst, assigns, rng.dirichlet(np.ones(k)),
-                                    level=3)
-        pivot = int(rng.integers(6))
-        marginal_entropy = sum(
-            w[j] * entropy(local_distribution(sol, (j,)).probabilities)
-            for j in range(6))
-        lhs = marginal_entropy - conditional_entropy_after(sol, inst, pivot)
-        rhs = sum(w[j] * mutual_information(pair_joint(sol, pivot, j))
-                  for j in range(6) if j != pivot)
-        rhs += w[pivot] * entropy(
-            local_distribution(sol, (pivot,)).probabilities)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+    base = np.array([0] * (n // 2) + [1] * (n // 2))
+    assigns = []
+    for _ in range(k):
+        x = base.copy()
+        rng.shuffle(x)
+        assigns.append(tuple(x))
+    sol = exact_mixture_moments(inst, assigns, rng.dirichlet(np.ones(k)),
+                                level=level)
+    pivot = int(rng.integers(n))
+    marginal_entropy = sum(
+        w[j] * entropy(local_distribution(sol, (j,)).probabilities)
+        for j in range(n))
+    lhs = marginal_entropy - conditional_entropy_after(sol, inst, pivot)
+    rhs = sum(w[j] * mutual_information(pair_joint(sol, pivot, j))
+              for j in range(n) if j != pivot)
+    rhs += w[pivot] * entropy(
+        local_distribution(sol, (pivot,)).probabilities)
+    assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_decorrelate_sampled_reaches_target():
     inst, sol = _two_bisection_mixture(level=3)
-    result = decorrelate(sol, inst, alpha=1e-9, strategy="sampled", seed=0,
-                         depth=1)
+    result = decorrelate(sol, inst, alpha=1e-9, seed=0, depth=1)
     assert result.reached_target
     assert result.achieved_alpha <= 1e-9
     assert len(result.steps) == 1
 
 
-def test_decorrelate_exhaustive_matches():
-    inst, sol = _two_bisection_mixture(level=3)
-    result = decorrelate(sol, inst, alpha=1e-9, strategy="exhaustive")
-    assert result.reached_target
-    # objective is preserved by symmetry of the mixture
-    assert solution_objective(result.solution, inst) == pytest.approx(1.0)
-
-
 def test_decorrelate_respects_depth_budget():
     inst, sol = _two_bisection_mixture(level=2)
-    result = decorrelate(sol, inst, alpha=1e-9, strategy="sampled", seed=0)
+    result = decorrelate(sol, inst, alpha=1e-9, seed=0)
     # level 2 leaves no conditioning budget
     assert result.steps == []
     assert not result.reached_target
-
-
-def test_steps_json_round_trip():
-    steps = [ConditioningStep(3, 1, 0.25), ConditioningStep(0, 0, 0.5)]
-    assert steps_from_json(steps_to_json(steps)) == steps

@@ -16,8 +16,7 @@ from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
 from cardcsp.lasserre import (MomentSolution, _reduced_basis,
                               build_index_set, build_relaxation,
-                              check_feasibility, integral_lift,
-                              merge_assignments)
+                              check_feasibility, integral_lift)
 from cardcsp.sdp_solver import _affine_projection
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -90,6 +89,16 @@ def single_lifts(draw):
     inst = _instance(q, parts, target)
     assignment = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
     return inst, level, assignment
+
+
+def merge_assignments(s, alpha, t, beta):
+    """Merged (subset, assignment) of two compatible indexed events, or None."""
+    merged = dict(zip(s, alpha))
+    for var, val in zip(t, beta):
+        if merged.setdefault(var, val) != val:
+            return None
+    subset = tuple(sorted(merged))
+    return subset, tuple(merged[v] for v in subset)
 
 
 def _reference_rows(inst, level):
