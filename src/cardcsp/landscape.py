@@ -90,7 +90,10 @@ def bvn_cdf_grid(t1, t2, rho):
     integrand += b * b
     integrand /= -2.0 * c2
     np.exp(integrand, out=integrand)
-    integral = 0.5 * upper * (integrand @ _GL_WEIGHTS)
+    # a row-by-row dot product in einsum's own loop, not BLAS (whose order
+    # for a row depends on where it falls in its blocks of rows), so a
+    # cell's value does not depend on its place in the batch
+    integral = 0.5 * upper * np.einsum("...k,k->...", integrand, _GL_WEIGHTS)
     out = ndtr(t1) * ndtr(t2) + integral / (2.0 * np.pi)
     # finite-threshold formula is wrong at infinities; patch those entries
     inf_mask = ~np.isfinite(t1) | ~np.isfinite(t2)

@@ -1,11 +1,21 @@
+import logging
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardcsp import sdp_solver
-from cardcsp.instance import generate
+from cardcsp.instance import cut_instance, generate
 from cardcsp.lasserre import build_relaxation, check_feasibility
 from cardcsp.oracle import brute_force
 from cardcsp.sdp_solver import SolverConfig, project_psd
+from cardcsp.suite import default_suite
 
 
 def test_config_validation():
@@ -72,9 +82,12 @@ def test_determinism():
     inst = generate("cycle", 6)
     program = build_relaxation(inst, 2)
     sol_a, rep_a = sdp_solver.solve(program)
-    sol_b, rep_b = sdp_solver.solve(program)
-    assert rep_a.iterations == rep_b.iterations
+    sol_b, rep_b = sdp_solver.solve(program, keep_history=True)
+    sol_c, rep_c = sdp_solver.solve(program, keep_history=True)
+    assert rep_a.iterations == rep_b.iterations == rep_c.iterations
     assert np.array_equal(sol_a.gram, sol_b.gram)
+    assert np.array_equal(sol_b.gram, sol_c.gram)
+    assert rep_b.residual_history == rep_c.residual_history
 
 
 def test_mincut_sense():
@@ -94,3 +107,156 @@ def test_history_recording():
     _, report = sdp_solver.solve(program, keep_history=True)
     assert report.residual_history
     assert report.residual_history[-1][0] == report.iterations
+
+
+# -- Anderson acceleration once rho settles -----------------------------------
+
+def test_accelerated_level3_cycle8():
+    program = build_relaxation(generate("cycle", 8), 3)
+    _, report = sdp_solver.solve(program)
+    assert report.status == "optimal"
+    assert report.iterations <= 500  # 1,825 with plain steps throughout
+
+
+def test_accelerated_planted10_e01():
+    program = build_relaxation(dict(default_suite())["planted10_e01"], 2)
+    _, report = sdp_solver.solve(program)
+    assert report.status == "optimal"
+    assert report.iterations <= 1000  # 3,550 with plain steps throughout
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 7), level=st.integers(2, 3),
+       kind=st.sampled_from(["maxcut-bisection", "mincut-bisection"]),
+       p=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 2**16))
+def test_accelerated_solve_is_feasible_and_bounds_the_optimum(n, level, kind,
+                                                               p, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(i, j, 1.0) for i, j in combinations(range(n), 2)
+             if rng.random() < p] or [(0, 1, 1.0)]
+    # odd n: vertex 0 weighs double, so an exact bisection exists
+    weights = np.ones(n)
+    weights[0] += n % 2
+    inst = cut_instance(n, edges, kind=kind,
+                        vertex_weights=list(weights / weights.sum()))
+    sol, report = sdp_solver.solve(build_relaxation(inst, level))
+    assert report.status == "optimal"
+    feas = check_feasibility(sol, inst)
+    assert feas.psd_violation <= 1e-5
+    assert feas.consistency_violation <= 1e-5
+    assert feas.cardinality_violation <= 1e-5
+    optimum = brute_force(inst).optimum
+    if kind == "maxcut-bisection":
+        assert sol.objective_value >= optimum - 1e-5
+    else:
+        assert sol.objective_value <= optimum + 1e-5
+
+
+def test_anderson_step_is_the_least_squares_extrapolation(monkeypatch):
+    rng = np.random.default_rng(0)
+    fs, gs = rng.standard_normal((13, 30)), rng.standard_normal((13, 30))
+    accel = sdp_solver._Anderson(30)
+    for f, g in zip(fs, gs):
+        accel.push(f, g)
+    # only the last 10 differences are kept; the ridge is negligible here
+    dF, dG = np.diff(fs, axis=0)[-10:], np.diff(gs, axis=0)[-10:]
+    theta = np.linalg.lstsq(dG.T, gs[-1], rcond=None)[0]
+    np.testing.assert_allclose(accel.step(), fs[-1] - theta @ dF, atol=1e-6)
+    monkeypatch.setattr(sdp_solver, "dposv", lambda a, b: (a, b, 1))
+    assert accel.step() is None
+    assert accel.filled == 0
+    # after a reset the first push records no difference: a plain step
+    accel.push(fs[0], gs[0])
+    np.testing.assert_array_equal(accel.step(), fs[0])
+
+
+def test_check_iterations_take_the_plain_step(monkeypatch, caplog):
+    events = []
+    for name in ("push", "step"):
+        def spy(self, *args, _original=getattr(sdp_solver._Anderson, name),
+                _name=name):
+            events.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(sdp_solver._Anderson, name, spy)
+    caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
+    _, report = sdp_solver.solve(build_relaxation(generate("cycle", 8), 3),
+                                 SolverConfig(check_every=10))
+    start = next(int(m.split()[1].rstrip(":")) for m in _solver_messages(caplog)
+                 if "settled" in m)
+    # one push per iteration after the start, then a step unless a check
+    pushes = [i for i, e in enumerate(events) if e == "push"]
+    assert len(pushes) == report.iterations - start
+    plain = {start + 1 + k for k, i in enumerate(pushes)
+             if events[i + 1:i + 2] != ["step"]}
+    assert plain == set(range(start + 10, report.iterations + 1, 10))
+
+
+# -- logging --------------------------------------------------------------------
+
+def _solver_messages(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "cardcsp.sdp_solver"]
+
+
+def test_solver_logs_rho_changes_acceleration_and_result(caplog):
+    caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
+    _, report = sdp_solver.solve(build_relaxation(generate("cycle", 6), 2))
+    messages = _solver_messages(caplog)
+    # cycle 6: rho doubles three times, then settles
+    assert messages[:3] == [
+        "iteration 25: rho 0.05 -> 0.1 (primal 0.213, dual 0.00672)",
+        "iteration 50: rho 0.1 -> 0.2 (primal 0.00984, dual 0.000455)",
+        "iteration 75: rho 0.2 -> 0.4 (primal 0.00248, dual 0.000199)"]
+    assert messages[3] == ("iteration 100: rho settled at 0.4 (primal "
+                           "0.00075, dual 0.000306); Anderson acceleration "
+                           "on (memory 10)")
+    assert messages[-1].startswith(
+        f"optimal after {report.iterations} iterations: primal ")
+    assert messages[-1].endswith(", rho 0.4")
+    assert report.rho == 0.4
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_failed_small_solve_resets_the_memory(monkeypatch, caplog, failure):
+    def failing(a, b):
+        if failure == "singular":
+            return a, b, 1
+        return a, np.full_like(b, np.nan), 0
+
+    monkeypatch.setattr(sdp_solver, "dposv", failing)
+    caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
+    _, report = sdp_solver.solve(build_relaxation(generate("cycle", 6), 2))
+    resets = [m for m in _solver_messages(caplog) if "memory reset" in m]
+    # every extrapolation fails, so the solve takes plain steps at the
+    # frozen rho and still converges
+    assert resets
+    assert report.status == "optimal"
+    assert report.rho == 0.4
+
+
+def test_solver_logs_a_stall(caplog):
+    program = build_relaxation(generate("cycle", 4), 2)
+    # a cardinality target above 1 meets no PSD matrix with unit corner
+    cardinality = program.constraints.event >= 0
+    program.constraints.b[cardinality] = 1.5
+    caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
+    _, report = sdp_solver.solve(program, SolverConfig(check_every=1))
+    assert report.status == "infeasible-suspected"
+    messages = _solver_messages(caplog)
+    assert any("residuals stalled for 2001 checks" in m for m in messages)
+    assert messages[-1].startswith(
+        f"infeasible-suspected after {report.iterations} iterations")
+
+
+def test_default_solve_writes_nothing_to_stderr(tmp_path):
+    path = tmp_path / "c6.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+    src = str(Path(sdp_solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys; from cardcsp.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", "solve", str(path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stderr == ""
+    assert '"status": "optimal"' in run.stdout
