@@ -260,7 +260,12 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                           it, rho, pri, dual, _MEMORY)
                 accel = _Anderson(d * d)
 
-    gram = P @ ((X + X.T) / 2) @ P.T
+    # The last projection corrected a violation of order |U| + |C|/rho and
+    # left rounding errors near 1e-14 in the rows, which the conditional
+    # cardinality check divides by event probabilities down to 1e-9.  From
+    # the nearly feasible X, one more projection is exact to about 1e-17.
+    X = project_affine((X + X.T) / 2)
+    gram = P @ X @ P.T
     objective = float(np.tensordot(program.C, gram))
     solution = MomentSolution(program.level, program.n, program.q,
                               list(program.indices), gram, objective)

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardcsp import sdp_solver
-from cardcsp.instance import cut_instance, generate
+from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
+                              cut_instance, generate)
 from cardcsp.lasserre import build_relaxation, check_feasibility
 from cardcsp.oracle import brute_force
 from cardcsp.sdp_solver import SolverConfig, project_psd
@@ -69,6 +71,23 @@ def test_solver_output_is_feasible():
     assert rep.psd_violation <= 1e-5
     assert rep.consistency_violation <= 1e-5
     assert rep.cardinality_violation <= 1e-5
+
+
+def test_returned_gram_meets_the_rows_to_rounding():
+    """Events of probability 2.9e-9 stay live here, and the conditional
+    cardinality check divides each row's error by that probability: rows
+    that hold only to 5e-14 read 1.7e-5."""
+    inst = CspInstance(
+        4, 3, (PayoffTerm((2, 0), (0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                          1.0, 3),),
+        (3 / 12, 4 / 12, 1 / 12, 4 / 12),
+        CardinalityFunction((Fraction(1, 3), Fraction(5, 12), Fraction(1, 4))))
+    program = build_relaxation(inst, 2)
+    sol, report = sdp_solver.solve(program)
+    assert report.status == "optimal"
+    ops = program.constraints
+    assert np.abs(ops.A @ sol.gram.reshape(-1) - ops.b).max() <= 1e-15
+    assert check_feasibility(sol, inst).cardinality_violation <= 1e-6
 
 
 def test_relaxation_upper_bounds_optimum():
