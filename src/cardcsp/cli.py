@@ -129,13 +129,15 @@ def cmd_dict(args):
 
     instance = _read_instance(args.input)
     program = build_relaxation(instance, args.level)
-    solution, _report = sdp_solver.solve(program, _solver_config(args))
+    solution, report = sdp_solver.solve(program, _solver_config(args))
     gadget = build_gadget(solution, instance, args.eps, args.R,
                           provenance={"input": args.input, "level": args.level})
     value = solution_objective(solution, instance)
     comp = completeness(gadget, value, balance_tol=args.balance_tol)
     doc = {
         "schema": "cardcsp.dict/1",
+        "status": report.status,
+        "iterations": report.iterations,
         "R": args.R,
         "eps": args.eps,
         "sdp_value": value,
@@ -154,6 +156,8 @@ def cmd_dict(args):
         with open(args.gadget_out, "w") as fh:
             fh.write(gadget.to_json())
     _emit(json.dumps(doc, indent=2), args.out)
+    if report.status == "infeasible-suspected":
+        raise NumericalError("solver did not reach a feasible point")
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ from .lasserre import MomentSolution, local_distributions
 from .rounding import BiasProfile, RoundedAssignment, bias_decompose
 
 R_CAP = 12
+VALUE_SLACK = 1e-9  # rounding slack on the completeness bound val - 2 eps
 
 
 def hypercube_labels(R: int) -> np.ndarray:
@@ -138,13 +139,13 @@ class CompletenessReport:
     ok: bool
     worst_dictator: int
 
-    def check(self, value_slack=1e-9, balance_tol=1e-9):
-        return (self.min_dictator_value >= self.sdp_value - 2 * self.eps - value_slack
+    def check(self, balance_tol):
+        return (self.min_dictator_value >= self.sdp_value - 2 * self.eps - VALUE_SLACK
                 and self.max_abs_balance <= balance_tol)
 
 
 def completeness(gadget: DictGadget, sdp_value: float,
-                 value_slack=1e-9, balance_tol=1e-9) -> CompletenessReport:
+                 balance_tol=1e-9) -> CompletenessReport:
     """Min dictator value and max dictator balance, checked against
     val - 2 eps and exact balance."""
     values = []
@@ -162,7 +163,7 @@ def completeness(gadget: DictGadget, sdp_value: float,
         ok=True,
         worst_dictator=worst,
     )
-    report.ok = report.check(value_slack, balance_tol)
+    report.ok = report.check(balance_tol)
     return report
 
 

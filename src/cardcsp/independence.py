@@ -96,8 +96,7 @@ class ConditioningStep:
     marginal_probability: float
 
 
-def condition(solution: MomentSolution, pivot: int, value: int,
-              prob_floor: float = PROB_FLOOR) -> MomentSolution:
+def condition(solution: MomentSolution, pivot: int, value: int) -> MomentSolution:
     """Condition the solution on x_pivot = value; drops one level.
 
     The new gram is the principal submatrix on indices lifted by the pivot
@@ -107,7 +106,7 @@ def condition(solution: MomentSolution, pivot: int, value: int,
     if solution.level < 2:
         raise CardCspError("conditioning needs level >= 2")
     p_pivot = solution.prob((pivot,), (value,))
-    if p_pivot < prob_floor:
+    if p_pivot < PROB_FLOOR:
         raise CardCspError(
             f"cannot condition on null event x_{pivot}={value} "
             f"(probability {p_pivot:.3g})")
@@ -148,8 +147,8 @@ class DecorrelateResult:
 
 
 def decorrelate(solution: MomentSolution, instance: CspInstance,
-                alpha: float, seed: int = 0, depth: int | None = None,
-                include_diagonal: bool = True) -> DecorrelateResult:
+                alpha: float, seed: int = 0,
+                depth: int | None = None) -> DecorrelateResult:
     """Condition until the solution is alpha-independent (or budget ends).
 
     Pivots are drawn from W and values from the current marginals.  The
@@ -159,7 +158,7 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
     if depth is None:
         depth = min(4, solution.level - 2)
     depth = min(depth, solution.level - 2)
-    current = alpha_independence(solution, instance, include_diagonal).average_mi
+    current = alpha_independence(solution, instance).average_mi
     if current <= alpha or depth <= 0:
         return DecorrelateResult(solution, [], current, current <= alpha)
 
@@ -176,7 +175,7 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
             continue
         sol = condition(sol, pivot, value)
         steps.append(ConditioningStep(pivot, value, float(marg[value])))
-        current = alpha_independence(sol, instance, include_diagonal).average_mi
+        current = alpha_independence(sol, instance).average_mi
         if current < best[0]:
             best = (current, sol, list(steps))
         if current <= alpha:

@@ -2,14 +2,15 @@
 
 The relaxation is a conic program over a single symmetric moment matrix G
 indexed by (subset, local assignment) pairs, with the empty index housing
-the constant vector.  Its affine part is one sparse operator: rows
-A vec(G) = b that fix G[0,0] = 1, tie every entry to its canonical local
-probability (or to zero for clashing assignments), impose marginalization,
-and enforce the cardinality constraint on every conditioning event.
-``_constraint_operator`` is the only place these rows are written.  Feasible
-points are exactly the moment solutions: G is PSD and A vec(G) = b.
-``check_feasibility`` reads the consistency and cardinality violations off
-the residual A vec(G) - b of the same operator.
+the constant vector.  Its rows say one thing per entry with |S u T| <= k:
+G[S, T] equals the moment G[0, S u T], or 0 on clashing assignments
+(Laurent 2003).  Every other row is a linear form on row 0 of G:
+G[0, 0] = 1, marginalization, and the cardinality constraint on every
+conditioning event.  The objective is c . G[0, :] with c the payoff
+vector.  ``_constraint_operator`` is the only place these rows are written.
+Feasible points are exactly the moment solutions: G is PSD and meets every
+row.  ``check_feasibility`` reads the consistency and cardinality
+violations off the residuals of the same rows.
 
 Indices run by subset size, then subset in ``combinations`` order, then
 assignment in row-major order, so the level-(k-1) index set is a prefix of
@@ -33,6 +34,7 @@ from .errors import CapacityError, CardCspError, InconsistentSolutionError
 from .instance import CspInstance
 
 PROB_FLOOR = 1e-9  # probabilities below this are treated as zero events
+DRIFT_TOL = 1e-5   # largest sum or sign error a local distribution may carry
 
 MomentIndex = tuple[tuple[int, ...], tuple[int, ...]]  # (sorted subset, assignment)
 
@@ -135,14 +137,13 @@ class LocalDistribution:
     probabilities: np.ndarray  # row-major over [q]^subset
 
 
-def local_distributions(solution: MomentSolution, size: int,
-                        tol=1e-5) -> np.ndarray:
+def local_distributions(solution: MomentSolution, size: int) -> np.ndarray:
     """mu_S of every subset S of ``size`` vertices, one per row of a
     (C(n, size), q^size) array.
 
     The rows are one slice of row 0 of G: subsets in ``combinations`` order
     (pairs in ``np.triu_indices`` order), assignments row-major.  Each row
-    must sum to 1 and stay nonnegative within ``tol``; it is then clipped
+    must sum to 1 and stay nonnegative within ``DRIFT_TOL``; it is then clipped
     and renormalized.
     """
     n, q, level = solution.n, solution.q, solution.level
@@ -151,7 +152,7 @@ def local_distributions(solution: MomentSolution, size: int,
     lo, hi = _offsets(n, q, size)[-2:]
     probs = solution.gram[0, lo:hi].reshape(comb(n, size), q ** size)
     drift = np.maximum(0.0, -probs.min(axis=1)) + np.abs(probs.sum(axis=1) - 1.0)
-    if (drift > tol).any():
+    if (drift > DRIFT_TOL).any():
         worst = int(drift.argmax())
         subset = next(islice(combinations(range(n), size), worst, None))
         raise InconsistentSolutionError(
@@ -161,50 +162,64 @@ def local_distributions(solution: MomentSolution, size: int,
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def local_distribution(solution: MomentSolution, subset, tol=1e-5) -> LocalDistribution:
+def local_distribution(solution: MomentSolution, subset) -> LocalDistribution:
     """mu_S: the row of ``local_distributions`` that holds S."""
     subset = tuple(sorted(subset))
     size, q = len(subset), solution.q
     rank = (solution._position(subset, (0,) * size)
             - _offsets(solution.n, q, size)[-2]) // q ** size
-    return LocalDistribution(subset, local_distributions(solution, size, tol)[rank])
+    return LocalDistribution(subset, local_distributions(solution, size)[rank])
 
 
 # -- conic program ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConstraintOperator:
-    """The affine rows A vec(G) = b of the relaxation.
+    """The affine rows of the relaxation, in order: the unit row, the
+    consistency rows, marginalization and cardinality.
 
-    ``A`` is unnormalized; a coefficient on an off-diagonal entry of G is
-    split in halves over the entry and its mirror.  ``event`` holds, for
-    each cardinality row, the gram column of its conditioning event, and -1
-    on every other row.
+    Consistency row 1 + i reads G[r[i], c[i]] - G[0, tie[i]] = 0, with
+    1 <= r <= c, and tie[i] = -1 where the two assignments clash and the
+    entry is 0.  Every other row is a linear form on row 0 of G: row i of
+    ``forms`` (d columns; empty on the consistency rows).  ``event`` holds,
+    for each cardinality row, the gram column of its conditioning event, and
+    -1 on every other row.
     """
 
-    A: sp.csr_matrix
+    r: np.ndarray
+    c: np.ndarray
+    tie: np.ndarray
+    forms: sp.csr_matrix
     b: np.ndarray
     event: np.ndarray
 
     def __len__(self):
-        return self.A.shape[0]
+        return len(self.b)
+
+    def residual(self, gram) -> np.ndarray:
+        """Each row's value on a symmetric G, minus b."""
+        out = self.forms @ gram[0] - self.b
+        # a clash reads the appended 0
+        out[1:1 + len(self.r)] += (gram[self.r, self.c]
+                                   - np.append(gram[0], 0.0)[self.tie])
+        return out
 
 
 @dataclass
 class ConicProgram:
-    """Maximize (or minimize) <C, G> over PSD G with A vec(G) = b."""
+    """Maximize (or minimize) c . G[0, :] over PSD G meeting the rows."""
 
     dim: int
     indices: list[MomentIndex]
     constraints: ConstraintOperator
-    C: np.ndarray  # dense symmetric objective
+    c: np.ndarray  # payoff vector over the index set
     level: int
     n: int
     q: int
     sense: str = "max"
 
 
-DEFAULT_INDEX_CAP = 6000
+INDEX_CAP = 6000  # largest index set build_relaxation accepts
 
 
 def _value_table(indices, n):
@@ -271,16 +286,6 @@ def _reduced_basis(indices, n, q):
     return red, np.where(fits, 1.0 - 2.0 * (flips % 2), 0.0)
 
 
-def _split(row, r, c, coef, d):
-    """Triplets over vec(G) of coefficients on entries (r, c) of G."""
-    row, r, c, coef = (x.ravel() for x in np.broadcast_arrays(
-        row, r, c, np.asarray(coef, dtype=float)))
-    off = r != c
-    return (np.concatenate([row, row[off]]),
-            np.concatenate([r * d + c, c[off] * d + r[off]]),
-            np.concatenate([np.where(off, coef / 2, coef), coef[off] / 2]))
-
-
 def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
     """All rows of the level-``level`` program over the index set.
 
@@ -323,54 +328,44 @@ def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
     base = (onehot[:n_events].reshape(n_events, n, q) * w[:, None]).sum(axis=1) \
         - np.asarray(target, dtype=float)
 
-    cons = 1 + np.arange(len(r))
+    tie = np.full(len(r), -1)
+    tie[fits] = canon
     marg = 1 + len(r) + np.arange(len(ev))
     card = 1 + len(r) + len(ev) + np.arange(n_events * q).reshape(n_events, q)
-    m = card[-1, -1] + 1
     events = np.arange(n_events)
-    parts = [
-        _split(0, 0, 0, 1.0, d),
-        _split(cons, r, c, 1.0, d),
-        _split(cons[fits], 0, canon, -1.0, d),
-        _split(marg, 0, ev, -1.0, d),
-        _split(card, 0, events[:, None], base, d),
-    ]
-    for a in range(q):
-        parts.append(_split(marg, 0, ext[:, a], 1.0, d))
-        parts.append(_split(card[ev, a], 0, ext[:, a], w[j], d))
-    rows, cols, coefs = (np.concatenate(x) for x in zip(*parts))
-    A = sp.csr_matrix((coefs, (rows, cols)), shape=(m, d * d))
-    A.eliminate_zeros()
+    # the forms on row 0: unit, marginalization and cardinality
+    rows = np.concatenate([[0], marg, np.repeat(marg, q), card.ravel(),
+                           card[ev].ravel()])
+    cols = np.concatenate([[0], ev, ext.ravel(), np.repeat(events, q),
+                           ext.ravel()])
+    coefs = np.concatenate([[1.0], np.full(len(ev), -1.0), np.ones(ext.size),
+                            base.ravel(), np.repeat(w[j], q)])
+    m = card[-1, -1] + 1
+    forms = sp.csr_matrix((coefs, (rows, cols)), shape=(m, d))
+    forms.eliminate_zeros()
     b = np.zeros(m)
     b[0] = 1.0
     event = np.full(m, -1)
     event[card] = events[:, None]
-    return ConstraintOperator(A, b, event)
+    return ConstraintOperator(r, c, tie, forms, b, event)
 
 
-def build_relaxation(instance: CspInstance, level: int = 2,
-                     index_cap: int = DEFAULT_INDEX_CAP) -> ConicProgram:
+def build_relaxation(instance: CspInstance, level: int = 2) -> ConicProgram:
     """Build the level-k relaxation of an instance as a conic program."""
     if level < 2:
         raise CardCspError("level must be at least 2")
     n, q = instance.n, instance.q
     d = int(_offsets(n, q, level)[-1])
-    if d > index_cap:
+    if d > INDEX_CAP:
         raise CapacityError(
             f"level {level} too high for n={n}: index set size {d} exceeds "
-            f"cap {index_cap}")
-    indices = build_index_set(n, q, level)
+            f"cap {INDEX_CAP}")
     constraints = _constraint_operator(n, q, level, instance.weights_array,
                                        instance.cardinality.as_floats())
-
-    # objective <C, G> = c . G[0, :], halves on (0, p) and (p, 0)
-    c = _payoff_vector(instance, level)
-    C = np.zeros((d, d))
-    C[0] = c / 2
-    C[:, 0] += c / 2
-
-    return ConicProgram(dim=d, indices=indices, constraints=constraints,
-                        C=C, level=level, n=n, q=q, sense=instance.sense)
+    return ConicProgram(dim=d, indices=build_index_set(n, q, level),
+                        constraints=constraints,
+                        c=_payoff_vector(instance, level), level=level, n=n,
+                        q=q, sense=instance.sense)
 
 
 # -- feasibility checking --------------------------------------------------
@@ -387,28 +382,28 @@ class FeasibilityReport:
                 and self.cardinality_violation <= tol)
 
 
-def check_feasibility(solution: MomentSolution, instance: CspInstance,
-                      prob_floor=PROB_FLOOR) -> FeasibilityReport:
-    """Report the largest PSD / consistency / cardinality violations.
+def check_feasibility(solution: MomentSolution,
+                      instance: CspInstance) -> FeasibilityReport:
+    """Report the largest PSD / consistency / cardinality violations of the
+    symmetric part of G.
 
     Consistency is the largest residual of the unit, consistency and
     marginalization rows.  Cardinality is checked in conditional form: each
     cardinality residual over the probability of its event, on events above
-    ``prob_floor``.
+    ``PROB_FLOOR``.
     """
-    gram = solution.gram
+    sym = solution.gram + solution.gram.T
+    sym /= 2
     ops = _constraint_operator(solution.n, solution.q, solution.level,
                                instance.weights_array,
                                instance.cardinality.as_floats())
-    resid = np.abs(ops.A @ gram.reshape(-1) - ops.b)
+    resid = np.abs(ops.residual(sym))
     card = ops.event >= 0
     consistency = float(resid[~card].max())
-    p_event = gram[0, ops.event[card]]
-    live = p_event > prob_floor
+    p_event = sym[0, ops.event[card]]
+    live = p_event > PROB_FLOOR
     cardinality = float((resid[card][live] / p_event[live]).max(initial=0.0))
 
-    sym = gram + gram.T
-    sym /= 2
     # sym.T is the Fortran-ordered view of the same symmetric matrix, so
     # LAPACK works in place instead of on a second d x d copy
     eigs = scipy.linalg.eigvalsh(sym.T, overwrite_a=True, driver="evd")

@@ -23,6 +23,7 @@ from .lasserre import (MomentSolution, _positions, local_distributions,
 from .sdp_solver import SolveReport
 
 DEGENERATE_TOL = 1e-12
+PSD_TOL = 1e-5  # relative eigenvalue slack bias_decompose accepts
 
 
 @dataclass
@@ -64,7 +65,7 @@ def threshold(mu):
     return float(t[0]) if scalar else t
 
 
-def bias_decompose(solution: MomentSolution, psd_tol: float = 1e-5) -> BiasProfile:
+def bias_decompose(solution: MomentSolution) -> BiasProfile:
     """Factor the I-orthogonal correlation matrix into explicit coordinates."""
     n = solution.n
     # +-1 convention, value 0 -> +1: E[x_i] and E[x_i x_j]
@@ -76,7 +77,7 @@ def bias_decompose(solution: MomentSolution, psd_tol: float = 1e-5) -> BiasProfi
     second[i, j] = second[j, i] = mu2[:, 0] + mu2[:, 3] - mu2[:, 1] - mu2[:, 2]
     cov = second - np.outer(mu, mu)  # <w_i, w_j> matrix
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2)
-    if eigvals.min() < -psd_tol * max(1.0, eigvals.max()):
+    if eigvals.min() < -PSD_TOL * max(1.0, eigvals.max()):
         raise CardCspError(
             f"gram not PSD within tolerance (min eigenvalue {eigvals.min():.3g}); "
             "factorization undefined")
@@ -157,13 +158,6 @@ def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
     labels[..., profile.degenerate] = np.where(
         profile.mu[profile.degenerate] >= 0, 1, -1)
     return labels
-
-
-def round_many(profile: BiasProfile, trials: int, seed: int) -> np.ndarray:
-    """Label matrix (trials x n) for a batch of independent trials."""
-    rng = np.random.default_rng(seed)
-    return labels_from_gaussian(
-        profile, rng.standard_normal((trials, profile.w.shape[1])))
 
 
 @dataclass

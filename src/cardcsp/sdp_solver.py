@@ -5,11 +5,14 @@ principal block on R, the indices whose values all lie below q - 1 (the
 inclusion-exclusion lift of ``lasserre._reduced_basis``).  P has full column
 rank, so G is PSD exactly when the block is, and the program's rows whose
 support lies inside R x R constrain the block exactly as the full rows
-constrain G.  The method runs on that block: it alternates a closed-form
-projection onto the affine constraint subspace (class averaging plus one
-small cardinality system, no factorization) with a PSD-cone projection via
-dense symmetric eigendecomposition, with over-relaxation.  Residuals are
-measured on the lifted matrices.  Deterministic; no external solver.
+constrain G: the consistency pairs (r, c, tie) inside R x R, and the row-0
+forms whose support lies in R.  The objective c . G[0] is <C, G'> on the
+block with C = sym(outer(P[0], P^T c)).  The method runs on that block: it
+alternates a closed-form projection onto the affine constraint subspace
+(class averaging plus one small cardinality system, no factorization) with
+a PSD-cone projection via dense symmetric eigendecomposition, with
+over-relaxation.  Residuals are measured on the lifted matrices.
+Deterministic; no external solver.
 
 One iteration is one fixed-point map F on v = X_hat + U, the input of the
 PSD projection: Z = Pi_PSD(v), U = v - Z, X = Pi_A(Z - U + C/rho) and
@@ -97,32 +100,28 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 def _affine_projection(constraints, d, red):
     """Orthogonal projection of a symmetric block G' = G[R, R] onto the
     program's rows inside R x R.  A consistency row ties an entry pair to
-    its canonical pair (0, m), or pins it to 0 on a clash; entries no row
-    names are free.  The unit and cardinality rows touch only row and
-    column 0: B y = e on the canonical values.  So the projection is the
-    class means, corrected by y = mean - N^-1/2 pinv(B N^-1/2) (B mean - e)
-    with N the class sizes (a pseudo-inverse: q = 3 rows are dependent)."""
-    k, m = len(red), constraints.A.shape[0]
+    its canonical entry (0, tie), or pins it to 0 on a clash; entries no row
+    names are free.  The other rows are forms on row 0: B y = e on the
+    canonical values.  So the projection is the class means, corrected by
+    y = mean - N^-1/2 pinv(B N^-1/2) (B mean - e) with N the class sizes
+    (a pseudo-inverse: q = 3 rows are dependent)."""
+    k = len(red)
     where = np.full(d, -1)
     where[red] = np.arange(k)
-    A = constraints.A.tocoo()
-    r, c = where[A.col // d], where[A.col % d]
-    inside = np.bincount(A.row, weights=(r < 0) | (c < 0), minlength=m)[A.row] == 0
-    row, r, c, coef = A.row[inside], r[inside], c[inside], A.data[inside]
-    border = np.bincount(row, weights=(r > 0) & (c > 0), minlength=m)[row] == 0
+    r, c = where[constraints.r], where[constraints.c]
+    inside = (r >= 0) & (c >= 0)  # then S u T, and so tie, lies in R too
+    r, c, tie = r[inside], c[inside], constraints.tie[inside]
     # class of each entry: its canonical position, k on a clash, k + 1 if free
-    canon = np.full(m, k)
-    tie = ~border & (coef < 0)
-    canon[row[tie]] = r[tie] + c[tie]
-    cls = np.full(k * k, k + 1)
-    cls[:k] = cls[::k] = np.arange(k)
-    pair = ~border & (coef > 0)
-    cls[r[pair] * k + c[pair]] = canon[row[pair]]
+    cls = np.full((k, k), k + 1)
+    cls[0] = cls[:, 0] = np.arange(k)
+    cls[r, c] = cls[c, r] = np.where(tie < 0, k, where[tie])
+    cls = cls.reshape(-1)
     free = cls == k + 1
     size = np.bincount(cls, minlength=k + 2)[:k]
-    rows, at = np.unique(row[border], return_inverse=True)
-    B = np.zeros((len(rows), k))
-    np.add.at(B, (at, r[border] + c[border]), coef[border])
+    forms = constraints.forms
+    spill = abs(forms) @ (where < 0).astype(float)
+    rows = np.flatnonzero((spill == 0) & (np.diff(forms.indptr) > 0))
+    B = forms[rows][:, red].toarray()
     e = constraints.b[rows]
     # equal to N^-1 B^T pinv(B N^-1 B^T), without squaring the condition number
     M = np.linalg.pinv(B / np.sqrt(size)) / np.sqrt(size)[:, None]
@@ -187,8 +186,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     red, P = _reduced_basis(program.indices, program.n, program.q)
     d = len(red)
     project_affine = _affine_projection(program.constraints, program.dim, red)
-    sign = 1.0 if program.sense == "max" else -1.0
-    Cs = sign * (P.T @ program.C @ P)
+    # the objective on the block, negated for a minimization
+    pc = (1.0 if program.sense == "max" else -1.0) * (P.T @ program.c)
+    Cs = (np.outer(P[0], pc) + np.outer(pc, P[0])) / 2
     # ||P D P^T|| = ||T D T^T|| for P = Q T: residuals measured on the
     # lifted matrix at the cost of the reduced one
     T = np.linalg.qr(P, mode="r")
@@ -266,7 +266,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     # the nearly feasible X, one more projection is exact to about 1e-17.
     X = project_affine((X + X.T) / 2)
     gram = P @ X @ P.T
-    objective = float(np.tensordot(program.C, gram))
+    objective = float(program.c @ gram[0])
     solution = MomentSolution(program.level, program.n, program.q,
                               list(program.indices), gram, objective)
     log.debug("%s after %d iterations: primal %.3g, dual %.3g, rho %.4g",

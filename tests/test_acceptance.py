@@ -18,7 +18,7 @@ from cardcsp.lasserre import (build_relaxation, check_feasibility,
                               local_distribution, solution_objective)
 from cardcsp.dictator import (build_gadget, completeness, soundness_enumerate)
 from cardcsp.oracle import brute_force, exact_mixture_moments, mc_bvn
-from cardcsp.rounding import (BiasProfile, pipeline, round_many,
+from cardcsp.rounding import (BiasProfile, labels_from_gaussian, pipeline,
                               separation_identity_gap, threshold)
 from cardcsp.suite import default_suite
 
@@ -180,7 +180,9 @@ def test_criterion_9_bias_preservation_and_correlation_bound():
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         profile = BiasProfile(mu=mu, w=u * np.sqrt(1 - mu**2)[:, None],
                               degenerate=np.zeros(n, dtype=bool))
-        labels = round_many(profile, trials, seed=int(rng.integers(2**31)))
+        g = np.random.default_rng(int(rng.integers(2**31))).standard_normal(
+            (trials, n))
+        labels = labels_from_gaussian(profile, g)
         emp = (labels == 1).mean(axis=0)
         target = (1 + mu) / 2
         sigma = np.sqrt(target * (1 - target) / trials)

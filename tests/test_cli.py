@@ -47,16 +47,21 @@ def test_round_subcommand(c4_file, tmp_path):
     assert doc["iterations"] > 0
 
 
-def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
-                                                           monkeypatch):
+@pytest.fixture
+def suspicious_solve(monkeypatch):
+    """``sdp_solver.solve`` reporting every solve as infeasible-suspected."""
     real_solve = sdp_solver.solve
 
-    def suspicious_solve(program, config=None, keep_history=False):
+    def solve(program, config=None, keep_history=False):
         solution, report = real_solve(program, config, keep_history)
         report.status = "infeasible-suspected"
         return solution, report
 
-    monkeypatch.setattr(sdp_solver, "solve", suspicious_solve)
+    monkeypatch.setattr(sdp_solver, "solve", solve)
+
+
+def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
+                                                           suspicious_solve):
     out = tmp_path / "round.json"
     assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 4
     assert json.loads(out.read_text())["status"] == "infeasible-suspected"
@@ -186,6 +191,17 @@ def test_dict_subcommand(c4_file, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["completeness_ok"]
     assert doc["soundness"]["candidates"] > 0
+    assert doc["status"] == "optimal"
+    assert doc["iterations"] > 0
+
+
+def test_dict_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
+                                                          suspicious_solve):
+    out = tmp_path / "dict.json"
+    assert main(["dict", c4_file, "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "infeasible-suspected"
+    assert doc["iterations"] > 0
 
 
 def test_bench_with_config(tmp_path):

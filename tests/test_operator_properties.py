@@ -3,11 +3,13 @@ reduced basis and closed-form affine projection the solver runs on, over
 random instances: domain size 2 or 3, levels 2 and 3, random vertex
 weights."""
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +136,27 @@ def _reference_rows(inst, level):
     return len(indices), rows
 
 
+def _vec_rows(constraints, d):
+    """The rows as one sparse operator over vec(G), with every coefficient
+    on an off-diagonal entry split in halves over the entry and its mirror:
+    A vec(G) - b is the residual on a symmetric G, and the least-squares
+    correction of a symmetric matrix stays symmetric."""
+    forms = constraints.forms.tocoo()
+    cons = 1 + np.arange(len(constraints.r))
+    tied = constraints.tie >= 0
+    row = np.concatenate([forms.row, cons, cons[tied]])
+    r = np.concatenate([np.zeros_like(forms.col), constraints.r,
+                        np.zeros(tied.sum(), dtype=int)])
+    c = np.concatenate([forms.col, constraints.c, constraints.tie[tied]])
+    coef = np.concatenate([forms.data, np.ones(len(cons)), -np.ones(tied.sum())])
+    off = r != c
+    return sp.csr_matrix(
+        (np.concatenate([np.where(off, coef / 2, coef), coef[off] / 2]),
+         (np.concatenate([row, row[off]]),
+          np.concatenate([r * d + c, c[off] * d + r[off]]))),
+        shape=(len(constraints), d * d))
+
+
 @settings(max_examples=15, deadline=None)
 @given(single_lifts())
 def test_operator_matches_rows_written_one_at_a_time(case):
@@ -143,16 +166,24 @@ def test_operator_matches_rows_written_one_at_a_time(case):
     assert len(ops) == len(rows)
     assert ops.event.tolist() == [event for _, event in rows]
     assert ops.b.tolist() == [1.0] + [0.0] * (len(rows) - 1)
+    consistency = range(1, 1 + len(ops.r))
     for i, (row, _) in enumerate(rows):
         expected = {}
-        for r, c, v in row:
-            halves = [(r * d + c, v)] if r == c else \
-                [(r * d + c, v / 2), (c * d + r, v / 2)]
-            for col, part in halves:
-                expected[col] = expected.get(col, 0.0) + part
-        got = ops.A.getrow(i)
+        if i in consistency:
+            (r, c, one), *tie = row
+            assert (ops.r[i - 1], ops.c[i - 1], one) == (r, c, 1.0)
+            assert ops.tie[i - 1] == (tie[0][1] if tie else -1)
+        else:
+            for r, c, v in row:
+                assert r == 0
+                expected[c] = expected.get(c, 0.0) + v
+        got = ops.forms.getrow(i)
         assert dict(zip(got.indices.tolist(), got.data.tolist())) == \
             {col: v for col, v in expected.items() if v != 0.0}
+    y = np.random.default_rng(len(rows)).standard_normal((d, d))
+    y += y.T
+    assert np.abs(ops.residual(y) - (_vec_rows(ops, d) @ y.reshape(-1) - ops.b)
+                  ).max() <= 1e-12
 
 
 @SETTINGS
@@ -160,8 +191,23 @@ def test_operator_matches_rows_written_one_at_a_time(case):
 def test_every_row_holds_on_mixtures_of_balanced_lifts(case):
     inst, level, mixture = case
     ops = build_relaxation(inst, level).constraints
-    assert np.abs(ops.A @ mixture.gram.reshape(-1) - ops.b).max() <= 1e-12
+    assert np.abs(ops.residual(mixture.gram)).max() <= 1e-12
     assert check_feasibility(mixture, inst).passes(1e-12)
+
+
+@SETTINGS
+@given(balanced_mixtures(), st.integers(0, 2 ** 32 - 1))
+def test_feasibility_of_an_asymmetric_gram_is_that_of_its_symmetric_part(
+        case, seed):
+    inst, level, mixture = case
+    d = len(mixture.indices)
+    noise = 1e-3 * np.random.default_rng(seed).standard_normal((d, d))
+    asymmetric = MomentSolution(level, inst.n, inst.q, mixture.indices,
+                                mixture.gram + noise)
+    symmetric = MomentSolution(level, inst.n, inst.q, mixture.indices,
+                               (asymmetric.gram + asymmetric.gram.T) / 2)
+    assert check_feasibility(asymmetric, inst) == \
+        check_feasibility(symmetric, inst)
 
 
 @SETTINGS
@@ -200,6 +246,28 @@ def test_row_counts(n, level, rows):
     assert len(program.constraints) == rows
 
 
+def _held_arrays(obj):
+    """(shape, stored entries) of every array a dataclass holds, at any
+    depth; a sparse matrix counts its stored entries."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from _held_arrays(getattr(obj, f.name))
+    elif sp.issparse(obj):
+        yield obj.shape, obj.nnz
+    elif isinstance(obj, np.ndarray):
+        yield obj.shape, obj.size
+
+
+def test_program_holds_no_array_of_d_squared_entries():
+    program = build_relaxation(generate("gnp", 12, seed=1, p=0.5), 3)
+    d = program.dim
+    assert d == 2049
+    held = list(_held_arrays(program))
+    for shape, entries in held:
+        assert max(shape) < d * d and entries < d * d
+    assert len(held) == 7  # c, and the six arrays of the rows
+
+
 # -- the reduced basis G' = G[R, R] the solver runs on ----------------------
 
 @st.composite
@@ -234,7 +302,7 @@ def _reduced_rows(constraints, d, red):
     inside = np.zeros(d, dtype=bool)
     inside[red] = True
     cols = (red[:, None] * d + red).ravel()
-    A = constraints.A
+    A = _vec_rows(constraints, d)
     outside = ~(inside[A.indices // d] & inside[A.indices % d])
     row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     spill = np.bincount(row_of, weights=outside, minlength=A.shape[0])
@@ -284,8 +352,7 @@ def test_reduced_rows_imply_every_row(case, seed):
     block = y - np.linalg.lstsq(A, A @ y - b, rcond=None)[0]
     assert np.abs(A @ block - b).max() <= 1e-9
     gram = P @ block.reshape(len(red), len(red)) @ P.T
-    ops = program.constraints
-    assert np.abs(ops.A @ gram.reshape(-1) - ops.b).max() <= 1e-9
+    assert np.abs(program.constraints.residual(gram)).max() <= 1e-9
 
 
 @st.composite
@@ -341,8 +408,7 @@ def test_projection_meets_the_reduced_and_the_full_rows(case):
     scale = max(1.0, np.abs(y).max())
     assert np.abs(A @ block.reshape(-1) - b).max() <= 1e-12 * scale
     gram = P @ block @ P.T
-    ops = program.constraints
-    assert np.abs(ops.A @ gram.reshape(-1) - ops.b).max() <= 1e-9 * scale
+    assert np.abs(program.constraints.residual(gram)).max() <= 1e-9 * scale
 
 
 @st.composite

@@ -16,7 +16,7 @@ from cardcsp.lasserre import integral_lift
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import (BiasProfile, RoundedAssignment, bias_decompose,
                               labels_from_gaussian, pipeline, repair_many,
-                              round_many, separation_identity_gap, threshold)
+                              separation_identity_gap, threshold)
 
 
 def _phi_inverse_bisection(p, tol=1e-12):
@@ -63,7 +63,8 @@ def test_bias_decompose_degenerate_vertices():
     sol = integral_lift(inst, (0, 1, 0, 1))
     profile = bias_decompose(sol)
     assert profile.degenerate.all()
-    labels = round_many(profile, 3, seed=0)
+    g = np.random.default_rng(0).standard_normal((3, profile.w.shape[1]))
+    labels = labels_from_gaussian(profile, g)
     assert labels.tolist() == [[1, -1, 1, -1]] * 3
     assert inst.evaluate((1 - labels) // 2).tolist() == [1.0] * 3
 
@@ -77,7 +78,8 @@ def test_rounding_marginals_track_bias():
     w = u * np.sqrt(1.0 - mu**2)[:, None]
     profile = BiasProfile(mu=mu, w=w, degenerate=np.zeros(n, dtype=bool))
     trials = 200_000
-    labels = round_many(profile, trials, seed=11)
+    labels = labels_from_gaussian(
+        profile, np.random.default_rng(11).standard_normal((trials, r)))
     emp = (labels == 1).mean(axis=0)
     target = (1.0 + mu) / 2.0
     sigma = np.sqrt(target * (1 - target) / trials)
@@ -88,7 +90,8 @@ def test_anticorrelated_pair_always_separates():
     profile = BiasProfile(mu=np.zeros(2),
                           w=np.array([[1.0], [-1.0]]),
                           degenerate=np.zeros(2, dtype=bool))
-    labels = round_many(profile, 500, seed=2)
+    labels = labels_from_gaussian(
+        profile, np.random.default_rng(2).standard_normal((500, 1)))
     assert np.all(labels[:, 0] == -labels[:, 1])
 
 
@@ -191,14 +194,14 @@ def test_pipeline_picks_among_repaired_trials(monkeypatch):
     assert result.best.value == pytest.approx(1.0)
 
 
-def test_round_many_matches_single_trials():
+def test_labels_from_gaussian_batch_matches_single_draws():
     inst = generate("cycle", 6)
     sol = exact_mixture_moments(
         inst, [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0), (0, 0, 1, 1, 0, 1)],
         [0.4, 0.4, 0.2], level=2)
     profile = bias_decompose(sol)
-    batch = round_many(profile, 5, seed=4)
     g = np.random.default_rng(4).standard_normal((5, profile.w.shape[1]))
+    batch = labels_from_gaussian(profile, g)
     for row, draw in zip(batch, g):
         assert np.array_equal(row, labels_from_gaussian(profile, draw))
 

@@ -85,8 +85,7 @@ def test_returned_gram_meets_the_rows_to_rounding():
     program = build_relaxation(inst, 2)
     sol, report = sdp_solver.solve(program)
     assert report.status == "optimal"
-    ops = program.constraints
-    assert np.abs(ops.A @ sol.gram.reshape(-1) - ops.b).max() <= 1e-15
+    assert np.abs(program.constraints.residual(sol.gram)).max() <= 1e-15
     assert check_feasibility(sol, inst).cardinality_violation <= 1e-6
 
 
