@@ -42,6 +42,15 @@ def _emit(text: str, out_path: str | None):
             sys.stdout.write("\n")
 
 
+def _emit_solved(text: str, out_path: str | None, statuses):
+    """Write a command's JSON, then fail with exit 4 if any of its solves
+    ended ``infeasible-suspected``."""
+    _emit(text, out_path)
+    if "infeasible-suspected" in statuses:
+        raise NumericalError("solver did not reach a feasible point")
+    return EXIT_OK
+
+
 def _solver_config(args):
     from .sdp_solver import SolverConfig
 
@@ -75,10 +84,7 @@ def cmd_solve(args):
     }
     if args.full:
         doc["solution"] = json.loads(solution.to_json())
-    _emit(json.dumps(doc, indent=2), args.out)
-    if report.status == "infeasible-suspected":
-        raise NumericalError("solver did not reach a feasible point")
-    return EXIT_OK
+    return _emit_solved(json.dumps(doc, indent=2), args.out, [report.status])
 
 
 def cmd_round(args):
@@ -102,10 +108,7 @@ def cmd_round(args):
         "trials": result.trials,
         "seed": args.seed,
     }
-    _emit(json.dumps(doc, indent=2), args.out)
-    if report.status == "infeasible-suspected":
-        raise NumericalError("solver did not reach a feasible point")
-    return EXIT_OK
+    return _emit_solved(json.dumps(doc, indent=2), args.out, [report.status])
 
 
 def cmd_landscape(args):
@@ -155,10 +158,7 @@ def cmd_dict(args):
     if args.gadget_out:
         with open(args.gadget_out, "w") as fh:
             fh.write(gadget.to_json())
-    _emit(json.dumps(doc, indent=2), args.out)
-    if report.status == "infeasible-suspected":
-        raise NumericalError("solver did not reach a feasible point")
-    return EXIT_OK
+    return _emit_solved(json.dumps(doc, indent=2), args.out, [report.status])
 
 
 def cmd_bench(args):
@@ -173,10 +173,8 @@ def cmd_bench(args):
     report = run_bench(entries, level=args.level, trials=args.trials,
                        seed=args.seed, alpha_target=args.alpha,
                        solver_config=_solver_config(args))
-    _emit(report.to_json(), args.out)
-    if any(row.status == "infeasible-suspected" for row in report.rows):
-        raise NumericalError("solver did not reach a feasible point")
-    return EXIT_OK
+    return _emit_solved(report.to_json(), args.out,
+                        [row.status for row in report.rows])
 
 
 def cmd_oracle(args):

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -97,33 +98,34 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
         K_j = (1 - eps) * np.eye(2) + eps * np.tile([marginals[j],
                                                      1 - marginals[j]], (2, 1))
         nu = K_i.T @ mu_e @ K_j  # perturbed pair distribution over values
-        tensor = np.array([[1.0]])
-        for _ in range(R):
-            tensor = np.kron(tensor, nu)
-        edge += term.weight * tensor
+        edge += term.weight * reduce(np.kron, [nu] * R)
     edge = (edge + edge.T) / 2  # cut payoffs are symmetric
     vertex = np.zeros(size)
     w = instance.weights_array
     for i in range(instance.n):
         mu_i = np.array([marginals[i], 1 - marginals[i]])
-        prod = np.array([1.0])
-        for _ in range(R):
-            prod = np.kron(prod, mu_i)
-        vertex += w[i] * prod
+        vertex += w[i] * reduce(np.kron, [mu_i] * R)
     return DictGadget(R=R, eps=eps, vertex_weights=vertex, edge_weights=edge,
                       vertex_marginals=marginals, source_weights=w,
                       provenance=provenance or {})
 
 
-def dict_value(gadget: DictGadget, F) -> float:
-    """0.5 E[1 - F(z) F(z')] over the gadget edge distribution."""
-    F = np.asarray(F, dtype=float)
-    return float(0.5 * (1.0 - F @ gadget.edge_weights @ F))
+def _per_function(x):
+    """A float for one function, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def gadget_balance(gadget: DictGadget, F) -> float:
+def dict_value(gadget: DictGadget, F):
+    """0.5 E[1 - F(z) F(z')] over the gadget edge distribution, for
+    functions F (..., 2^R): a float for one function, an array over the
+    leading axes for a stack."""
     F = np.asarray(F, dtype=float)
-    return float(gadget.vertex_weights @ F)
+    return _per_function(0.5 * (1.0 - ((F @ gadget.edge_weights) * F).sum(axis=-1)))
+
+
+def gadget_balance(gadget: DictGadget, F):
+    """E[F] under the gadget vertex distribution, for functions F (..., 2^R)."""
+    return _per_function(np.asarray(F, dtype=float) @ gadget.vertex_weights)
 
 
 def dictator(R: int, ell: int) -> np.ndarray:
@@ -148,16 +150,13 @@ def completeness(gadget: DictGadget, sdp_value: float,
                  balance_tol=1e-9) -> CompletenessReport:
     """Min dictator value and max dictator balance, checked against
     val - 2 eps and exact balance."""
-    values = []
-    balances = []
-    for ell in range(gadget.R):
-        F = dictator(gadget.R, ell)
-        values.append(dict_value(gadget, F))
-        balances.append(abs(gadget_balance(gadget, F)))
+    dictators = hypercube_labels(gadget.R).T.astype(float)  # row ell: F = z_ell
+    values = dict_value(gadget, dictators)
+    balances = np.abs(gadget_balance(gadget, dictators))
     worst = int(np.argmin(values))
     report = CompletenessReport(
-        min_dictator_value=float(min(values)),
-        max_abs_balance=float(max(balances)),
+        min_dictator_value=float(values[worst]),
+        max_abs_balance=float(balances.max()),
         sdp_value=float(sdp_value),
         eps=gadget.eps,
         ok=True,
@@ -167,14 +166,15 @@ def completeness(gadget: DictGadget, sdp_value: float,
     return report
 
 
-def _coordinate_split(R: int, ell: int, p0: float):
-    """The cube points with coordinate ell at value 0 (a mask), and at each
-    of them the product-measure weight of the other coordinates, with
-    P(value 0) = p0 per coordinate."""
+def _influence(F, ell: int, p0: float, R: int):
+    """Influence of coordinate ell on each function of a stack F (..., 2^R):
+    the expected squared difference across ell, weighted by the product
+    measure with P(value 0) = p0 on the other coordinates, times p0 (1 - p0)."""
     labels = hypercube_labels(R)
     side0 = labels[:, ell] == 1
     rest = np.delete(labels[side0], ell, axis=1)
-    return side0, np.prod(np.where(rest == 1, p0, 1 - p0), axis=1)
+    weights = np.prod(np.where(rest == 1, p0, 1 - p0), axis=1)
+    return p0 * (1 - p0) * ((F[..., side0] - F[..., ~side0]) ** 2 @ weights)
 
 
 def influence(F, ell: int, marginal: float, R: int | None = None) -> float:
@@ -183,10 +183,7 @@ def influence(F, ell: int, marginal: float, R: int | None = None) -> float:
     F = np.asarray(F, dtype=float)
     if R is None:
         R = int(round(np.log2(F.size)))
-    p0 = marginal
-    side0, weights = _coordinate_split(R, ell, p0)
-    var = p0 * (1 - p0) * (F[side0] - F[~side0]) ** 2
-    return float(weights @ var)
+    return float(_influence(F, ell, marginal, R))
 
 
 @dataclass
@@ -235,7 +232,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     else:
         raise CardCspError(f"unknown mode {mode!r}")
 
-    balances = F_all @ gadget.vertex_weights
+    balances = gadget_balance(gadget, F_all)
     balanced = np.flatnonzero(np.abs(balances) <= balance_tol)
     F = F_all[balanced]
     # influence filter under every distinct vertex measure
@@ -243,10 +240,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     max_inf = np.zeros(balanced.size)
     for p0 in distinct:
         for ell in range(R):
-            side0, weights = _coordinate_split(R, ell, p0)
-            diff = F[:, side0] - F[:, ~side0]
-            inf_here = p0 * (1 - p0) * (diff ** 2 @ weights)
-            np.maximum(max_inf, inf_here, out=max_inf)
+            np.maximum(max_inf, _influence(F, ell, p0, R), out=max_inf)
     low = max_inf <= tau + 1e-12
 
     if not low.any():
@@ -254,7 +248,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
                                candidates=0, empty=True, rows=[])
     kept = balanced[low]
     F = F[low]
-    values = 0.5 * (1.0 - ((F @ gadget.edge_weights) * F).sum(axis=1))
+    values = dict_value(gadget, F)
     best = int(np.argmax(values))
     rows = list(zip(kept.tolist(), balances[kept].tolist(),
                     max_inf[low].tolist(), values.tolist()))
@@ -289,19 +283,13 @@ def biased_coefficients(F, mu: float, R: int) -> np.ndarray:
 
 def evaluate_noisy_polynomial(coeffs, gauss_chi, eps: float, R: int) -> float:
     """Evaluate T_{1-eps} of the polynomial at standardized Gaussian inputs:
-    degree-d coefficients are scaled by (1-eps)^d."""
-    total = 0.0
-    for mask in range(1 << R):
-        c = coeffs[mask]
-        if c == 0.0:
-            continue
-        deg = bin(mask).count("1")
-        term = c * (1 - eps) ** deg
-        for ell in range(R):
-            if mask & (1 << (R - 1 - ell)):
-                term *= gauss_chi[ell]
-        total += term
-    return total
+    degree-d coefficients are scaled by (1-eps)^d.  Coordinate ell is axis
+    ell of the coefficients as a (2,)*R array; each axis contracts against
+    (1, (1-eps) chi_ell), the last one first."""
+    value = np.asarray(coeffs, dtype=float).reshape((2,) * R)
+    for ell in reversed(range(R)):
+        value = value @ np.array([1.0, (1 - eps) * gauss_chi[ell]])
+    return float(value)
 
 
 def round_with_function(solution: MomentSolution, instance: CspInstance,
@@ -337,9 +325,7 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
         p = evaluate_noisy_polynomial(coeffs, gauss_chi, eps, R)
         p_star[i] = clamp(p)
     labels = np.where(rng.random(profile.n) < (1 + p_star) / 2, 1, -1)
-    out = RoundedAssignment(labels=labels,
-                            value=instance.evaluate((1 - labels) // 2),
-                            balance=float(instance.weights_array @ labels),
-                            seed=seed)
-    out.p_star = p_star
-    return out
+    return RoundedAssignment(labels=labels,
+                             value=instance.evaluate((1 - labels) // 2),
+                             balance=float(instance.weights_array @ labels),
+                             seed=seed)

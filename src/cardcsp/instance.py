@@ -91,6 +91,8 @@ class CspInstance:
     kind: str = "maxcut-bisection"
 
     def __post_init__(self):
+        if self.kind not in KNOWN_KINDS:
+            raise CardCspError(f"unknown problem kind {self.kind!r}")
         if not self.payoffs:
             raise CardCspError("no payoff terms")
         total = sum(t.weight for t in self.payoffs)
@@ -169,25 +171,40 @@ class CspInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "CspInstance":
-        doc = json.loads(text)
-        q = doc["q"]
-        payoffs = tuple(
-            PayoffTerm(
-                scope=tuple(t["scope"]),
-                table=tuple(float(v) for v in t["table"]),
-                weight=float(t["weight"]),
-                q=q,
+        """Parse a ``cardcsp.instance/1`` document; a malformed or invalid
+        one raises ``ParseError``."""
+        try:
+            doc = json.loads(text)
+            q = _integer(doc["q"])
+            payoffs = tuple(
+                PayoffTerm(
+                    scope=tuple(_integer(v) for v in t["scope"]),
+                    table=tuple(float(v) for v in t["table"]),
+                    weight=float(t["weight"]),
+                    q=q,
+                )
+                for t in doc["payoffs"]
             )
-            for t in doc["payoffs"]
-        )
-        return cls(
-            n=doc["n"],
-            q=q,
-            payoffs=payoffs,
-            vertex_weights=tuple(float(w) for w in doc["vertex_weights"]),
-            cardinality=CardinalityFunction(tuple(Fraction(p) for p in doc["cardinality"])),
-            kind=doc["kind"],
-        )
+            return cls(
+                n=_integer(doc["n"]),
+                q=q,
+                payoffs=payoffs,
+                vertex_weights=tuple(float(w) for w in doc["vertex_weights"]),
+                cardinality=CardinalityFunction(tuple(Fraction(p) for p in doc["cardinality"])),
+                kind=doc["kind"],
+            )
+        except KeyError as exc:
+            raise ParseError(f"instance document lacks {exc}") from None
+        except (CardCspError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
+            raise ParseError(f"bad instance document: {exc}") from None
+
+
+def _integer(value):
+    """An int from a JSON document; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # -- payoff tables ---------------------------------------------------------

@@ -120,47 +120,25 @@ class EdgeConfig:
     mu2: float
     rhobar: float  # <wbar_i, wbar_j>
 
-    @property
-    def m(self):
-        """Second moment E[x_i x_j]."""
-        return (self.mu1 * self.mu2
-                + self.rhobar * np.sqrt((1 - self.mu1**2) * (1 - self.mu2**2)))
-
-    def pair_probabilities(self):
-        """p_ab = (1 + a mu1 + b mu2 + ab m)/4 for a, b in {+1, -1}."""
-        m = self.m
-        return {(a, b): (1 + a * self.mu1 + b * self.mu2 + a * b * m) / 4
-                for a in (1, -1) for b in (1, -1)}
-
     def is_valid(self, tol=1e-9):
-        return (abs(self.rhobar) <= 1 + tol
-                and all(p >= -tol for p in self.pair_probabilities().values()))
+        return bool(config_valid_mask(self.mu1, self.mu2, self.rhobar, tol))
 
 
 def config_m(mu1, mu2, rhobar):
+    """Second moment E[x_i x_j]."""
     return mu1 * mu2 + rhobar * np.sqrt(
         np.clip((1 - mu1**2) * (1 - mu2**2), 0.0, None))
 
 
 def config_valid_mask(mu1, mu2, rhobar, tol=1e-9):
+    """|rhobar| <= 1 and p_ab = (1 + a mu1 + b mu2 + ab m)/4 >= 0 for a, b
+    in {+1, -1}, up to tol."""
     m = config_m(mu1, mu2, rhobar)
     ok = np.abs(rhobar) <= 1 + tol
     for a in (1, -1):
         for b in (1, -1):
             ok = ok & ((1 + a * mu1 + b * mu2 + a * b * m) / 4 >= -tol)
     return ok
-
-
-def separation_prob(config: EdgeConfig) -> float:
-    """Probability the rounding labels the two endpoints differently."""
-    t1, t2 = threshold(config.mu1), threshold(config.mu2)
-    return float(ndtr(t1) + ndtr(t2) - 2.0 * bvn_cdf(t1, t2, config.rhobar))
-
-
-def separation_prob_grid(mu1, mu2, rhobar):
-    t1, t2 = threshold(mu1), threshold(mu2)
-    sep = ndtr(t1) + ndtr(t2) - 2.0 * bvn_cdf_grid(t1, t2, rhobar)
-    return np.clip(sep, 0.0, 1.0)
 
 
 def edge_sdp_value(kind: str, config: EdgeConfig) -> float:
@@ -181,27 +159,35 @@ def edge_sdp_value_grid(kind, mu1, mu2, rhobar):
     raise CardCspError(f"unknown payoff kind {kind!r}")
 
 
+def _rounded(kind, mu1, mu2, rhobar, orthant):
+    """Expected payoff of the rounded labels for one term, with ``orthant``
+    the kernel for P(Z1 <= t1, Z2 <= t2): the separation probability for a
+    cut, one minus the both-false probability for a clause."""
+    t1, t2 = threshold(mu1), threshold(mu2)
+    if kind in _CUT_KINDS:
+        value = ndtr(t1) + ndtr(t2) - 2.0 * orthant(t1, t2, rhobar)
+    elif kind in _SAT_KINDS:
+        value = 1.0 - (1.0 - ndtr(t1) - ndtr(t2) + orthant(t1, t2, rhobar))
+    else:
+        raise CardCspError(f"unknown payoff kind {kind!r}")
+    return np.clip(value, 0.0, 1.0)
+
+
 def rounded_value(kind: str, config: EdgeConfig) -> float:
     """Expected payoff of the rounded labels for one term, with the
     adaptive-quadrature kernel."""
-    if kind in _CUT_KINDS:
-        return separation_prob(config)
-    if kind in _SAT_KINDS:
-        t1, t2 = threshold(config.mu1), threshold(config.mu2)
-        p_both_false = 1.0 - ndtr(t1) - ndtr(t2) + bvn_cdf(t1, t2, config.rhobar)
-        return float(np.clip(1.0 - p_both_false, 0.0, 1.0))
-    raise CardCspError(f"unknown payoff kind {kind!r}")
+    return float(_rounded(kind, config.mu1, config.mu2, config.rhobar,
+                          bvn_cdf))
 
 
 def rounded_value_grid(kind, mu1, mu2, rhobar):
-    """Expected payoff of the rounded labels for one term."""
-    if kind in _CUT_KINDS:
-        return separation_prob_grid(mu1, mu2, rhobar)
-    if kind in _SAT_KINDS:
-        t1, t2 = threshold(mu1), threshold(mu2)
-        p_both_false = 1.0 - ndtr(t1) - ndtr(t2) + bvn_cdf_grid(t1, t2, rhobar)
-        return np.clip(1.0 - p_both_false, 0.0, 1.0)
-    raise CardCspError(f"unknown payoff kind {kind!r}")
+    """Expected payoff of the rounded labels for one term, on a grid."""
+    return _rounded(kind, mu1, mu2, rhobar, bvn_cdf_grid)
+
+
+def separation_prob(config: EdgeConfig) -> float:
+    """Probability the rounding labels the two endpoints differently."""
+    return rounded_value("cut", config)
 
 
 # -- ratio certificate -----------------------------------------------------
@@ -359,7 +345,8 @@ def worst_separation(eps: float, resolution: int = 200,
         rho = np.clip(rho, -1.0, 1.0)
         valid = config_valid_mask(M1, M2, rho) & feasible
         sep = np.full(valid.shape, -np.inf)
-        sep[valid] = separation_prob_grid(M1[valid], M2[valid], rho[valid])
+        sep[valid] = rounded_value_grid("cut", M1[valid], M2[valid],
+                                        rho[valid])
         return M1, M2, rho, sep
 
     g = np.linspace(-0.999, 0.999, resolution)

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from . import sdp_solver
 from .errors import CardCspError
+from .independence import decorrelate
 from .instance import CspInstance
-from .lasserre import (MomentSolution, _positions, local_distributions,
-                       solution_objective)
+from .lasserre import (MomentSolution, _positions, build_relaxation,
+                       local_distributions, solution_objective)
 from .sdp_solver import SolveReport
 
 DEGENERATE_TOL = 1e-12
@@ -236,10 +238,6 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     numpy's SeedSequence splitting rule.  ``solution`` may be supplied to
     skip the solve.
     """
-    from . import sdp_solver
-    from .independence import decorrelate
-    from .lasserre import build_relaxation
-
     if trials < 1:
         raise CardCspError(f"trials must be at least 1, got {trials}")
     report = None

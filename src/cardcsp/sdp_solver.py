@@ -50,6 +50,8 @@ log = logging.getLogger(__name__)
 
 _MEMORY = 10    # Anderson memory: differences kept
 _RIDGE = 1e-10  # Tikhonov ridge on the small Gram matrix, relative to its trace
+_RHO = 0.05     # initial penalty; residual balancing moves it
+_OVER_RELAXATION = 1.85  # gamma, the weight of the affine step, in [1, 2)
 
 
 @dataclass
@@ -57,19 +59,15 @@ class SolverConfig:
     max_iterations: int = 200_000
     primal_tolerance: float = 1e-6
     dual_tolerance: float = 1e-6
-    rho: float = 0.05
-    over_relaxation: float = 1.85
     check_every: int = 25
 
     def __post_init__(self):
         # written so that NaN fails the test
         if not all(0 < x < np.inf for x in (self.primal_tolerance,
-                                            self.dual_tolerance, self.rho)):
-            raise ValueError("tolerances and rho must be positive and finite")
+                                            self.dual_tolerance)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iterations < 1 or self.check_every < 1:
             raise ValueError("max_iterations and check_every must be at least 1")
-        if not 1.0 <= self.over_relaxation < 2.0:
-            raise ValueError("over_relaxation must lie in [1, 2)")
 
 
 @dataclass
@@ -196,7 +194,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     def lifted_norm(mat):
         return np.linalg.norm(T @ mat @ T.T)
 
-    rho, gamma = config.rho, config.over_relaxation
+    rho, gamma = _RHO, _OVER_RELAXATION
     X = project_affine(np.zeros((d, d)))
     Z = project_psd(X)
     U = np.zeros((d, d))

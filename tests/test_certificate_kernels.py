@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from cardcsp.dictator import (build_gadget, dict_value, gadget_balance,
-                              influence, soundness_enumerate)
+from cardcsp.dictator import (build_gadget, dict_value, hypercube_labels,
+                              soundness_enumerate)
 from cardcsp.instance import generate
 from cardcsp.landscape import (SDP_FLOOR, EdgeConfig, _ratio_on_grid,
                                bvn_cdf_grid,
@@ -269,19 +269,28 @@ def _grid_functions(R, points):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _influence_by_flips(F, ell, p0, R):
+    """p0 (1 - p0) E[(F(z) - F(z with coordinate ell flipped))^2] under the
+    product measure on the whole cube."""
+    mu = np.prod(np.where(hypercube_labels(R) == 1, p0, 1 - p0), axis=1)
+    flipped = np.arange(1 << R) ^ (1 << (R - 1 - ell))
+    return p0 * (1 - p0) * (mu @ (F - F[flipped]) ** 2)
+
+
 def _soundness_by_loop(gadget, tau, functions, balance_tol=1e-9):
     """(function id, balance, max influence, value) per admitted function,
     one function at a time."""
     marginals = np.unique(np.round(gadget.vertex_marginals, 12))
     rows = []
     for k, F in enumerate(functions):
-        balance = gadget_balance(gadget, F)
+        balance = gadget.vertex_weights @ F
         if abs(balance) > balance_tol:
             continue
-        top = max(influence(F, ell, p0, gadget.R)
+        top = max(_influence_by_flips(F, ell, p0, gadget.R)
                   for p0 in marginals for ell in range(gadget.R))
         if top <= tau + 1e-12:
-            rows.append((k, balance, top, dict_value(gadget, F)))
+            rows.append((k, balance, top,
+                         0.5 * (1.0 - F @ gadget.edge_weights @ F)))
     return rows
 
 

@@ -231,6 +231,20 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["bench", "--config", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("edit", [
+    {"kind": "mincut_bisection"},
+    {"payoffs": [{"scope": [0, 1], "table": ["x", 1, 1, 0], "weight": 1.0}]},
+    {"payoffs": [{"scope": [0, "1"], "table": [0, 1, 1, 0], "weight": 1.0}]},
+    {"n": 4.0},
+])
+def test_bad_json_instances_exit_2(tmp_path, capsys, edit):
+    doc = json.loads(generate("cycle", 4).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc | edit))
+    assert main(["oracle", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad instance document")
+
+
 @pytest.mark.parametrize("text, line", [
     ("0 1 nan\n", 1),
     ("0 1\n1 2 1e400\n", 2),

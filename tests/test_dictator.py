@@ -62,6 +62,21 @@ def test_dict_value_of_constant_functions():
     assert abs(gadget_balance(g, np.ones(4))) == pytest.approx(1.0)
 
 
+def test_dict_value_and_balance_of_a_stack_match_each_function():
+    inst, sol = _mixture_solution()
+    g = build_gadget(sol, inst, 0.1, R=3)
+    F = np.random.default_rng(5).uniform(-1, 1, (2, 3, 8))
+    values, balances = dict_value(g, F), gadget_balance(g, F)
+    assert values.shape == balances.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        f = F[idx]
+        assert values[idx] == pytest.approx(
+            0.5 * (1 - f @ g.edge_weights @ f), abs=1e-15)
+        assert balances[idx] == pytest.approx(g.vertex_weights @ f, abs=1e-15)
+    assert isinstance(dict_value(g, F[0, 0]), float)
+    assert isinstance(gadget_balance(g, F[0, 0]), float)
+
+
 def test_influence_of_dictators():
     F = dictator(3, 1)
     assert influence(F, 1, 0.5) == pytest.approx(1.0)
@@ -130,6 +145,28 @@ def test_biased_coefficients_reconstruct_function():
             chi = (labels[point] - mu) / sigma
             rebuilt = evaluate_noisy_polynomial(coeffs, chi, 0.0, R)
             assert rebuilt == pytest.approx(F[point], abs=1e-10)
+
+
+def _noisy_polynomial_by_masks(coeffs, chi, eps, R):
+    """Sum over subset masks S of c_S (1-eps)^|S| prod_{ell in S} chi_ell,
+    with bit R-1-ell of the mask for coordinate ell."""
+    total = 0.0
+    for mask in range(1 << R):
+        term = coeffs[mask] * (1 - eps) ** bin(mask).count("1")
+        for ell in range(R):
+            if mask & (1 << (R - 1 - ell)):
+                term *= chi[ell]
+        total += term
+    return total
+
+
+def test_noisy_polynomial_equals_the_sum_over_masks():
+    rng = np.random.default_rng(4)
+    for R in (1, 2, 3, 5):
+        for eps in (0.0, 0.1, 0.5):
+            coeffs, chi = rng.standard_normal(1 << R), rng.standard_normal(R)
+            assert evaluate_noisy_polynomial(coeffs, chi, eps, R) == pytest.approx(
+                _noisy_polynomial_by_masks(coeffs, chi, eps, R), abs=1e-13)
 
 
 def test_clamp():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,3 +201,58 @@ def test_edge_list_fuzz_raises_only_parse_errors(text):
         return
     assert all(np.isfinite(t.weight) for t in inst.payoffs)
     assert np.isfinite(inst.weights_array).all()
+
+
+def test_unknown_kind_is_rejected():
+    with pytest.raises(CardCspError, match="unknown problem kind"):
+        cut_instance(4, [(0, 1, 1.0)], kind="mincut_bisection")
+
+
+# JSON instance documents with one value replaced, a key dropped or the
+# text cut short
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10**30),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from(["x", "1", "1/0", "nan", "mincut_bisection"]
+                              + list(KNOWN_KINDS))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(["scope", "table",
+                                                             "weight"]),
+                                            inner, max_size=3)),
+    max_leaves=6)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["cycle", "max2sat"]),
+       how=st.sampled_from(["replace", "drop", "truncate"]))
+def test_json_fuzz_raises_only_parse_errors(data, family, how):
+    inst = (generate("cycle", 4) if family == "cycle" else
+            max2sat_instance(3, [(0, 1, 1, -1, 1.0), (1, 2, -1, -1, 2.0)]))
+    text = inst.to_json()
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if how == "replace":
+        owner[path[-1]] = data.draw(JSON_VALUES)
+    elif how == "drop":
+        del owner[path[-1]]
+    text = (text[:data.draw(st.integers(0, len(text) - 1))]
+            if how == "truncate" else json.dumps(doc))
+    try:
+        back = CspInstance.from_json(text)
+    except ParseError:
+        return
+    assert back.kind in KNOWN_KINDS
+    assert np.isfinite(back.weights_array).all()
