@@ -54,8 +54,7 @@ def _emit_solved(text: str, out_path: str | None, statuses):
 def _solver_config(args):
     from .sdp_solver import SolverConfig
 
-    flags = {"max_iterations": args.max_iterations,
-             "primal_tolerance": args.tolerance, "dual_tolerance": args.tolerance}
+    flags = {"max_iterations": args.max_iterations, "tolerance": args.tolerance}
     try:
         return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
     except ValueError as exc:  # a flag outside the solver's range

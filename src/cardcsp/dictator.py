@@ -20,10 +20,16 @@ import numpy as np
 from .errors import CapacityError, CardCspError
 from .instance import CspInstance, CUT_TABLE
 from .lasserre import MomentSolution, local_distributions
-from .rounding import BiasProfile, RoundedAssignment, bias_decompose
+from .rounding import RoundedAssignment, bias_decompose
 
 R_CAP = 12
 VALUE_SLACK = 1e-9  # rounding slack on the completeness bound val - 2 eps
+_GRID_POINTS = 5    # values per cube point in the grid soundness mode
+
+
+def _dimension(F) -> int:
+    """R of functions F (..., 2^R) on the cube."""
+    return np.shape(F)[-1].bit_length() - 1
 
 
 def hypercube_labels(R: int) -> np.ndarray:
@@ -73,6 +79,10 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
     independently resampled from the endpoint marginal with probability
     eps; the R-fold product is an exact tensor power.
     """
+    if R < 1:
+        raise CardCspError(f"R must be at least 1, got {R}")
+    if not 0 <= eps <= 1:
+        raise CardCspError(f"eps must lie in [0, 1], got {eps}")
     if R > R_CAP:
         need = (4 ** R) * 8
         raise CapacityError(f"R={R} over cap {R_CAP} (edge table would need "
@@ -141,10 +151,6 @@ class CompletenessReport:
     ok: bool
     worst_dictator: int
 
-    def check(self, balance_tol):
-        return (self.min_dictator_value >= self.sdp_value - 2 * self.eps - VALUE_SLACK
-                and self.max_abs_balance <= balance_tol)
-
 
 def completeness(gadget: DictGadget, sdp_value: float,
                  balance_tol=1e-9) -> CompletenessReport:
@@ -154,36 +160,32 @@ def completeness(gadget: DictGadget, sdp_value: float,
     values = dict_value(gadget, dictators)
     balances = np.abs(gadget_balance(gadget, dictators))
     worst = int(np.argmin(values))
-    report = CompletenessReport(
-        min_dictator_value=float(values[worst]),
-        max_abs_balance=float(balances.max()),
-        sdp_value=float(sdp_value),
+    low, spread, sdp_value = float(values[worst]), float(balances.max()), float(sdp_value)
+    return CompletenessReport(
+        min_dictator_value=low,
+        max_abs_balance=spread,
+        sdp_value=sdp_value,
         eps=gadget.eps,
-        ok=True,
+        ok=low >= sdp_value - 2 * gadget.eps - VALUE_SLACK and spread <= balance_tol,
         worst_dictator=worst,
     )
-    report.ok = report.check(balance_tol)
-    return report
 
 
-def _influence(F, ell: int, p0: float, R: int):
+def _influence(F, ell: int, p0: float):
     """Influence of coordinate ell on each function of a stack F (..., 2^R):
     the expected squared difference across ell, weighted by the product
     measure with P(value 0) = p0 on the other coordinates, times p0 (1 - p0)."""
-    labels = hypercube_labels(R)
+    labels = hypercube_labels(_dimension(F))
     side0 = labels[:, ell] == 1
     rest = np.delete(labels[side0], ell, axis=1)
     weights = np.prod(np.where(rest == 1, p0, 1 - p0), axis=1)
     return p0 * (1 - p0) * ((F[..., side0] - F[..., ~side0]) ** 2 @ weights)
 
 
-def influence(F, ell: int, marginal: float, R: int | None = None) -> float:
+def influence(F, ell: int, marginal: float) -> float:
     """E over the other coordinates of the variance along coordinate ell,
     under the product measure with P(value 0) = marginal per coordinate."""
-    F = np.asarray(F, dtype=float)
-    if R is None:
-        R = int(round(np.log2(F.size)))
-    return float(_influence(F, ell, marginal, R))
+    return float(_influence(np.asarray(F, dtype=float), ell, marginal))
 
 
 @dataclass
@@ -207,8 +209,7 @@ class SoundnessReport:
 
 def soundness_enumerate(gadget: DictGadget, tau: float,
                         mode: str = "boolean_exhaustive",
-                        balance_tol: float = 1e-9,
-                        grid_points: int = 5) -> SoundnessReport:
+                        balance_tol: float = 1e-9) -> SoundnessReport:
     """Max gadget value over balanced functions with all influences <= tau
     under every source-vertex measure.
 
@@ -227,7 +228,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     elif mode == "grid":
         if R > 2:
             raise CapacityError("grid mode requires R <= 2")
-        mesh = np.linspace(-1.0, 1.0, grid_points)
+        mesh = np.linspace(-1.0, 1.0, _GRID_POINTS)
         F_all = np.array(list(product(mesh, repeat=size)))
     else:
         raise CardCspError(f"unknown mode {mode!r}")
@@ -240,7 +241,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     max_inf = np.zeros(balanced.size)
     for p0 in distinct:
         for ell in range(R):
-            np.maximum(max_inf, _influence(F, ell, p0, R), out=max_inf)
+            np.maximum(max_inf, _influence(F, ell, p0), out=max_inf)
     low = max_inf <= tau + 1e-12
 
     if not low.any():
@@ -264,28 +265,29 @@ def clamp(x):
     return np.clip(x, -1.0, 1.0)
 
 
-def biased_coefficients(F, mu: float, R: int) -> np.ndarray:
+def biased_coefficients(F, mu: float) -> np.ndarray:
     """Coefficients of F in the orthonormal basis chi(x) = (x - mu)/sigma
     of the biased product measure; returned indexed by subset bitmask."""
     sigma = np.sqrt(max(0.0, 1.0 - mu * mu))
     p0 = (1 + mu) / 2
-    coeffs = np.asarray(F, dtype=float).copy()
+    R = _dimension(F)
     labels = np.array([1.0, -1.0])
     chi = (labels - mu) / sigma if sigma > 0 else np.zeros(2)
     basis = np.array([[p0, 1 - p0],                       # E[. ]
                       [p0 * chi[0], (1 - p0) * chi[1]]])  # E[. chi]
-    coeffs = coeffs.reshape((2,) * R)
+    coeffs = np.asarray(F, dtype=float).reshape((2,) * R)
     for axis in range(R):
         coeffs = np.tensordot(basis, coeffs, axes=([1], [axis]))
         coeffs = np.moveaxis(coeffs, 0, axis)
     return coeffs.reshape(-1)
 
 
-def evaluate_noisy_polynomial(coeffs, gauss_chi, eps: float, R: int) -> float:
+def evaluate_noisy_polynomial(coeffs, gauss_chi, eps: float) -> float:
     """Evaluate T_{1-eps} of the polynomial at standardized Gaussian inputs:
     degree-d coefficients are scaled by (1-eps)^d.  Coordinate ell is axis
     ell of the coefficients as a (2,)*R array; each axis contracts against
     (1, (1-eps) chi_ell), the last one first."""
+    R = _dimension(coeffs)
     value = np.asarray(coeffs, dtype=float).reshape((2,) * R)
     for ell in reversed(range(R)):
         value = value @ np.array([1.0, (1 - eps) * gauss_chi[ell]])
@@ -293,8 +295,7 @@ def evaluate_noisy_polynomial(coeffs, gauss_chi, eps: float, R: int) -> float:
 
 
 def round_with_function(solution: MomentSolution, instance: CspInstance,
-                        F, eps: float, seed: int, R: int | None = None,
-                        profile: BiasProfile | None = None):
+                        F, eps: float, seed: int):
     """Round an SDP solution with a cut function on the hypercube.
 
     Per vertex: expand F in that vertex's biased basis, damp degree-d terms
@@ -302,12 +303,10 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
     to [-1, 1], then draw the +-1 label with the matching bias.
     """
     F = np.asarray(F, dtype=float)
-    if R is None:
-        R = int(round(np.log2(F.size)))
+    R = _dimension(F)
     if R > R_CAP:
         raise CapacityError(f"R={R} over cap {R_CAP}")
-    if profile is None:
-        profile = bias_decompose(solution)
+    profile = bias_decompose(solution)
     rng = np.random.default_rng(seed)
     r = profile.w.shape[1]
     zeta = rng.standard_normal((R, r))
@@ -320,9 +319,9 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
             point = 0 if mu_i >= 0 else (1 << R) - 1
             p_star[i] = clamp(F[point])
             continue
-        coeffs = biased_coefficients(F, mu_i, R)
+        coeffs = biased_coefficients(F, mu_i)
         gauss_chi = zeta @ wbar[i]  # standardized surrogates per coordinate
-        p = evaluate_noisy_polynomial(coeffs, gauss_chi, eps, R)
+        p = evaluate_noisy_polynomial(coeffs, gauss_chi, eps)
         p_star[i] = clamp(p)
     labels = np.where(rng.random(profile.n) < (1 + p_star) / 2, 1, -1)
     return RoundedAssignment(labels=labels,

@@ -66,10 +66,11 @@ class PairCorrelationSummary:
     max_mi: float
 
 
-def alpha_independence(solution: MomentSolution, instance: CspInstance,
-                       include_diagonal: bool = True) -> PairCorrelationSummary:
-    """Average pairwise mutual information under i, j ~ W (Def. of
-    alpha-independence).  The i = j terms contribute H(X_i)."""
+def alpha_independence(solution: MomentSolution,
+                       instance: CspInstance) -> PairCorrelationSummary:
+    """Average pairwise mutual information under i, j ~ W drawn
+    independently (Def. of alpha-independence).  The i = j terms contribute
+    H(X_i)."""
     if solution.level < 2:
         raise CardCspError("alpha_independence needs a level >= 2 solution")
     n, q = solution.n, solution.q
@@ -78,15 +79,10 @@ def alpha_independence(solution: MomentSolution, instance: CspInstance,
     i, j = np.triu_indices(n, 1)
     table[i, j] = table[j, i] = mutual_information(
         local_distributions(solution, 2).reshape(-1, q, q))
-    mask = np.ones((n, n), dtype=bool)
-    if not include_diagonal:
-        np.fill_diagonal(mask, False)
     weight = np.outer(w, w)
-    denom = weight[mask].sum()
-    average = float((weight * table)[mask].sum() / denom) if denom > 0 else 0.0
-    support = weight > 0
-    max_mi = float(table[mask & support].max()) if (mask & support).any() else 0.0
-    return PairCorrelationSummary(average_mi=average, max_mi=max_mi)
+    return PairCorrelationSummary(
+        average_mi=float((weight * table).sum() / weight.sum()),
+        max_mi=float(table[weight > 0].max()))
 
 
 @dataclass

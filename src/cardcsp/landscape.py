@@ -20,6 +20,9 @@ from .rounding import threshold
 SDP_FLOOR = 1e-6  # configs below this payoff value are excluded from ratios
 _CUT_KINDS = ("cut", "maxcut-bisection", "mincut-bisection", "alpha-cut")
 _SAT_KINDS = ("max2sat", "2sat")
+_TOP_K = 24             # cells the ratio search refines around
+_RATIO_ROUNDS = 3       # refinement rounds of the ratio search
+_SEPARATION_ROUNDS = 4  # refinement rounds of the worst-separation search
 
 
 # -- bivariate normal ------------------------------------------------------
@@ -240,8 +243,7 @@ def _ratio_on_grid(kind, mu1, mu2, rhobar):
     return ratio, sdp, rounded, valid
 
 
-def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
-                 top_k: int = 24) -> RatioCertificate:
+def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
     """Worst ratio (rounded value / SDP value) over valid edge configs.
 
     Full grid sweep followed by local shrinking searches around the best
@@ -255,19 +257,19 @@ def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
     M1, M2 = np.meshgrid(mus, mus, indexing="ij")
     for rho in rhos:
         ratio, _, _, _ = _ratio_on_grid(kind, M1, M2, rho)
-        flat = np.argsort(ratio, axis=None)[:max(1, top_k // 4)]
+        flat = np.argsort(ratio, axis=None)[:_TOP_K // 4]
         for f in flat:
             i, j = np.unravel_index(f, ratio.shape)
             if np.isfinite(ratio[i, j]):
                 best.append((float(ratio[i, j]), float(M1[i, j]),
                              float(M2[i, j]), float(rho)))
     best.sort()
-    best = best[:top_k]
+    best = best[:_TOP_K]
     trace = [{"stage": "grid", "min_ratio": best[0][0]}]
     step = np.array([mus[1] - mus[0], mus[1] - mus[0], rhos[1] - rhos[0]])
     local_res = 9
     lipschitz = 0.0
-    for round_idx in range(refinement_rounds):
+    for round_idx in range(_RATIO_ROUNDS):
         # one call for all local boxes: axes (box, mu1, mu2, rho)
         centers = np.array([b[1:] for b in best])
         lo = np.maximum(centers - step, -1.0)
@@ -290,7 +292,7 @@ def ratio_search(kind: str, resolution: int = 200, refinement_rounds: int = 3,
             new_best.append((float(box[i, j, k]), float(g[b, 0, i]),
                              float(g[b, 1, j]), float(g[b, 2, k])))
         new_best.sort()
-        best = new_best[:top_k]
+        best = new_best[:_TOP_K]
         step = step * 2.0 / (local_res - 1)
         trace.append({"stage": f"refine{round_idx}", "min_ratio": best[0][0]})
     ratio0, m1, m2, rh = best[0]
@@ -323,8 +325,7 @@ def landscape_csv(kind: str, resolution: int = 60) -> str:
 
 # -- sqrt(eps) law ---------------------------------------------------------
 
-def worst_separation(eps: float, resolution: int = 200,
-                     refinement_rounds: int = 4):
+def worst_separation(eps: float, resolution: int = 200):
     """max separation probability over valid configs with cut SDP value <=
     eps.
 
@@ -355,8 +356,8 @@ def worst_separation(eps: float, resolution: int = 200,
     i, j = np.unravel_index(f, sep.shape)
     best = (float(sep[i, j]), float(M1[i, j]), float(M2[i, j]), float(rho[i, j]))
     step = g[1] - g[0]
-    for _ in range(refinement_rounds):
-        _, m1, m2, _ = best[0], best[1], best[2], best[3]
+    for _ in range(_SEPARATION_ROUNDS):
+        m1, m2 = best[1], best[2]
         g1 = np.linspace(max(-0.999999, m1 - step), min(0.999999, m1 + step), 17)
         g2 = np.linspace(max(-0.999999, m2 - step), min(0.999999, m2 + step), 17)
         M1, M2, rho, sep = eval_grid(g1, g2)

@@ -14,6 +14,8 @@ from .errors import CapacityError, CardCspError
 from .instance import CspInstance
 from .lasserre import MomentSolution, _lift_vectors, build_index_set
 
+_BISECTION_CAP = 24  # largest n brute_force enumerates under the cardinality rule
+
 
 @dataclass
 class ExactResult:
@@ -55,7 +57,7 @@ def brute_force(instance: CspInstance, respect_cardinality: bool = True) -> Exac
     if instance.q != 2:
         raise CardCspError("brute force supports q = 2 only")
     n = instance.n
-    cap = 24 if respect_cardinality else 20
+    cap = _BISECTION_CAP if respect_cardinality else 20
     if n > cap:
         raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
     values = _all_values(instance)

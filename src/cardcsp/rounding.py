@@ -26,6 +26,7 @@ from .sdp_solver import SolveReport
 
 DEGENERATE_TOL = 1e-12
 PSD_TOL = 1e-5  # relative eigenvalue slack bias_decompose accepts
+_DELTA_CAP = 0.5  # largest total vertex weight one row's repair may move
 
 
 @dataclass
@@ -69,6 +70,8 @@ def threshold(mu):
 
 def bias_decompose(solution: MomentSolution) -> BiasProfile:
     """Factor the I-orthogonal correlation matrix into explicit coordinates."""
+    if solution.q != 2:
+        raise CardCspError(f"bias decomposition needs q = 2, got q = {solution.q}")
     n = solution.n
     # +-1 convention, value 0 -> +1: E[x_i] and E[x_i x_j]
     mu1 = local_distributions(solution, 1)
@@ -130,10 +133,6 @@ class RoundedAssignment:
     seed: int
     repair_moves: list = field(default_factory=list)
 
-    def domain_values(self):
-        """Map +-1 labels to domain values (value 0 <-> +1)."""
-        return ((1 - self.labels) // 2).astype(int)
-
     def to_json(self):
         return json.dumps({
             "schema": "cardcsp.assignment/1",
@@ -172,19 +171,18 @@ class Repair:
     failed: np.ndarray        # moved weight over the cap
 
 
-def repair_many(instance: CspInstance, labels, target_balance: float | None = None,
-                delta_cap: float = 0.5) -> Repair:
+def repair_many(instance: CspInstance, labels) -> Repair:
     """Move least-weighted-degree vertices off the heavy side of every row
-    until its balance matches the target to within one vertex weight.
+    until its balance matches the cardinality target to within one vertex
+    weight.
 
     Each step, every row still off target moves its first candidate in
     (weighted degree, index) order: a heavy-side vertex not moved yet whose
     move brings the balance strictly closer to the target.  A row whose
-    moved weight exceeds ``delta_cap`` fails and keeps its input labels.
+    moved weight exceeds ``_DELTA_CAP`` fails and keeps its input labels.
     """
-    if target_balance is None:
-        c = instance.cardinality.as_floats()
-        target_balance = float(c[0] - c[1])
+    c = instance.cardinality.as_floats()
+    target_balance = float(c[0] - c[1])
     start = np.atleast_2d(labels)
     out = start.copy()
     w = instance.weights_array
@@ -207,7 +205,7 @@ def repair_many(instance: CspInstance, labels, target_balance: float | None = No
         moved[live, best] = True
         moved_weight[live] += w[best]
         moves[live, step] = best
-    failed = moved_weight > delta_cap
+    failed = moved_weight > _DELTA_CAP
     out[failed] = start[failed]
     moves[failed] = -1
     return Repair(out, moves, moved_weight, failed)
@@ -240,6 +238,8 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     """
     if trials < 1:
         raise CardCspError(f"trials must be at least 1, got {trials}")
+    if instance.q != 2:
+        raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")
     report = None
     if solution is None:
         program = build_relaxation(instance, level)

@@ -19,7 +19,7 @@ PSD projection: Z = Pi_PSD(v), U = v - Z, X = Pi_A(Z - U + C/rho) and
 F(v) = gamma X + (1 - gamma) Z + U.  The solve has two phases:
 
 * plain steps v <- F(v) while residual balancing moves rho (x2 or /2 at a
-  10x residual imbalance, checked every ``check_every`` iterations);
+  10x residual imbalance, checked every 25 iterations);
 * from the first check that leaves rho alone, rho is frozen and the steps
   are type-II Anderson accelerated (Walker & Ni 2011; SCS 3 accelerates
   the same kind of map): v <- F(v) - (dV + dG) theta, where dV and dG
@@ -52,22 +52,20 @@ _MEMORY = 10    # Anderson memory: differences kept
 _RIDGE = 1e-10  # Tikhonov ridge on the small Gram matrix, relative to its trace
 _RHO = 0.05     # initial penalty; residual balancing moves it
 _OVER_RELAXATION = 1.85  # gamma, the weight of the affine step, in [1, 2)
+_CHECK_EVERY = 25  # iterations between residual checks
 
 
 @dataclass
 class SolverConfig:
     max_iterations: int = 200_000
-    primal_tolerance: float = 1e-6
-    dual_tolerance: float = 1e-6
-    check_every: int = 25
+    tolerance: float = 1e-6  # on the primal and the dual residual
 
     def __post_init__(self):
         # written so that NaN fails the test
-        if not all(0 < x < np.inf for x in (self.primal_tolerance,
-                                            self.dual_tolerance)):
+        if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iterations < 1 or self.check_every < 1:
-            raise ValueError("max_iterations and check_every must be at least 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -206,7 +204,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     for it in range(1, config.max_iterations + 1):
         X = project_affine(Z - U + Cs / rho)
         f = gamma * X + (1 - gamma) * Z + U  # F(v)
-        check = it % config.check_every == 0 or it == config.max_iterations
+        check = it % _CHECK_EVERY == 0 or it == config.max_iterations
         if accel is not None:
             accel.push(f.reshape(-1), (f - v).reshape(-1))
             if not check:
@@ -227,8 +225,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
             scale = max(1.0, np.linalg.norm(X))
             if keep_history:
                 history.append((it, pri, dual))
-            if (pri <= config.primal_tolerance * scale
-                    and dual <= config.dual_tolerance * scale):
+            if (pri <= config.tolerance * scale
+                    and dual <= config.tolerance * scale):
                 status = "optimal"
                 break
             combined = pri + dual

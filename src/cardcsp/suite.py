@@ -8,9 +8,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import CardCspError
-from .instance import CspInstance, generate
-from .oracle import brute_force
+from .errors import CapacityError, CardCspError, ParseError
+from .instance import CspInstance, _integer, generate
+from .oracle import _BISECTION_CAP, brute_force
 from .rounding import pipeline
 
 
@@ -94,15 +94,32 @@ def run_bench(entries=None, level: int = 2, trials: int = 32, seed: int = 0,
     return report
 
 
-def entries_from_config(doc: dict) -> list[tuple[str, CspInstance]]:
+def entries_from_config(doc) -> list[tuple[str, CspInstance]]:
     """Benchmark config: {"instances": [{"name", "family", "n", "seed",
-    "params"}, ...]}."""
-    items = doc.get("instances", [])
+    "params"}, ...]}.  A malformed one raises ``ParseError``; an n that
+    ``brute_force`` could not score raises ``CapacityError`` before the
+    instance is generated."""
+    items = doc.get("instances", []) if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise ParseError('benchmark config must be an object whose "instances" '
+                         "is a list")
     if not items:
         raise CardCspError("benchmark config lists no instances")
     entries = []
     for item in items:
-        instance = generate(item["family"], item["n"],
-                            seed=item.get("seed", 0), **item.get("params", {}))
-        entries.append((item.get("name", item["family"]), instance))
+        try:
+            family, n = item["family"], _integer(item["n"])
+            seed, params = _integer(item.get("seed", 0)), item.get("params", {})
+            name = item.get("name", family)
+            if not (isinstance(family, str) and isinstance(name, str)
+                    and isinstance(params, dict)):
+                raise TypeError("family and name must be strings, params an object")
+            if n > _BISECTION_CAP:
+                raise CapacityError(f"n={n} exceeds enumeration cap {_BISECTION_CAP}")
+            instance = generate(family, n, seed=seed, **params)
+        except KeyError as exc:
+            raise ParseError(f"benchmark entry lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad benchmark entry: {exc}") from None
+        entries.append((name, instance))
     return entries

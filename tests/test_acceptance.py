@@ -145,9 +145,8 @@ def test_criterion_7_conditioning_chain_rule():
     inst4 = generate("cycle", 4)
     mix = exact_mixture_moments(inst4, [(0, 1, 0, 1), (1, 0, 1, 0)],
                                 [0.5, 0.5], level=3)
-    before = alpha_independence(mix, inst4, include_diagonal=False).average_mi
-    after = alpha_independence(condition(mix, 0, 0), inst4,
-                               include_diagonal=False).average_mi
+    before = alpha_independence(mix, inst4).average_mi
+    after = alpha_independence(condition(mix, 0, 0), inst4).average_mi
     ok = worst <= 1e-9 and abs(before - 1.0) <= 1e-12 and after <= 1e-9
     _report(7, ok, f"chain-rule worst gap {worst:.2e} <= 1e-9; mixture MI "
                    f"{before:.3f} -> {after:.2e} after one conditioning")

@@ -220,9 +220,9 @@ def test_ratio_grid_equals_every_cell_reference(kind, resolution):
 @pytest.mark.parametrize("kind", ["cut", "max2sat"])
 @pytest.mark.parametrize("resolution", [50, 60])
 def test_ratio_search_equals_every_cell_reference(kind, resolution):
-    cert = ratio_search(kind, resolution=resolution, refinement_rounds=2)
+    cert = ratio_search(kind, resolution=resolution)
     minimum, argmin, trace, error_bar = _ratio_search_every_cell(kind,
-                                                                 resolution, 2)
+                                                                 resolution, 3)
     assert cert.argmin == argmin
     assert cert.refinement_trace == trace
     assert _bits(cert.minimum_ratio) == _bits(minimum)
@@ -334,5 +334,5 @@ def test_soundness_grid_mode_equals_loop_reference(name, R):
     functions = _grid_functions(R, 5)
     for tau in (1.0, 0.5):
         _assert_same_rows(
-            soundness_enumerate(gadget, tau, mode="grid", grid_points=5),
+            soundness_enumerate(gadget, tau, mode="grid"),
             _soundness_by_loop(gadget, tau, functions), gadget)

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from cardcsp import rounding, sdp_solver
 from cardcsp.cli import main
-from cardcsp.instance import generate
+from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
+                              generate)
 
 
 @pytest.fixture
@@ -107,6 +109,69 @@ def test_round_exits_2_when_every_repair_fails(c4_file, tmp_path, capsys,
     assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 2
     assert "weight fraction of 0.75" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_round_exits_2_on_a_ternary_instance(tmp_path, capsys, monkeypatch):
+    # a 3-cycle with "not equal" payoffs over three values, one per vertex:
+    # rounding reads +-1 labels, so it cannot meet this cardinality target
+    not_equal = tuple(float(a != b) for a in range(3) for b in range(3))
+    third = Fraction(1, 3)
+    inst = CspInstance(3, 3, tuple(PayoffTerm(e, not_equal, 1 / 3, 3)
+                                   for e in ((0, 1), (1, 2), (0, 2))),
+                       (1 / 3,) * 3, CardinalityFunction((third,) * 3))
+    path = tmp_path / "ternary.json"
+    path.write_text(inst.to_json())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the instance is rejected before the solve")
+
+    monkeypatch.setattr(sdp_solver, "solve", no_solve)
+    out = tmp_path / "round.json"
+    assert main(["round", str(path), "--trials", "4", "--out", str(out)]) == 2
+    assert "q = 2 only, got q = 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["-R", "0"], "R must be at least 1, got 0"),
+    (["-R", "-1"], "R must be at least 1, got -1"),
+    (["--eps", "-0.5"], "eps must lie in [0, 1], got -0.5"),
+    (["--eps", "1.5"], "eps must lie in [0, 1], got 1.5"),
+    (["--eps", "nan"], "eps must lie in [0, 1], got nan"),
+])
+def test_dict_rejects_meaningless_r_or_eps_with_exit_2(c4_file, tmp_path, capsys,
+                                                      flags, message):
+    out = tmp_path / "dict.json"
+    assert main(["dict", c4_file, "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"instances": [{"family": "cycle", "n": "6"}]},
+    [1],
+    {"instances": [{"family": "gnp", "n": 6, "params": [1]}]},
+    {"instances": [{"family": "gnp", "n": 6, "params": {"p": "x"}}]},
+    {"instances": [{"family": "gnp", "n": 6, "seed": -1}]},
+    {"instances": {"family": "cycle", "n": 6}},
+    {"instances": [{"n": 6}]},
+])
+def test_bench_rejects_badly_typed_configs_with_exit_2(tmp_path, capsys, doc):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "bench_out.json"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 2
+    assert "benchmark" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_rejects_instances_the_oracle_cannot_score_with_exit_3(tmp_path,
+                                                                     capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"family": "cycle", "n": 4}, {"family": "cycle", "n": 10**12}]}))
+    assert main(["bench", "--config", str(config)]) == 3
+    assert "exceeds enumeration cap 24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

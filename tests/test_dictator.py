@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cardcsp.errors import CapacityError
 from cardcsp.dictator import (DictGadget, biased_coefficients, build_gadget,
@@ -112,7 +115,7 @@ def test_soundness_enumeration():
 def test_soundness_grid_mode():
     inst, sol = _mixture_solution()
     g = build_gadget(sol, inst, 0.1, R=2)
-    rep = soundness_enumerate(g, tau=1.0, mode="grid", grid_points=5)
+    rep = soundness_enumerate(g, tau=1.0, mode="grid")
     assert not rep.empty
 
 
@@ -125,12 +128,39 @@ def test_capacity_caps():
         soundness_enumerate(g, tau=1.0, mode="grid")
 
 
-def test_gadget_json_round_trip():
-    inst, sol = _mixture_solution()
-    g = build_gadget(sol, inst, 0.1, R=2)
-    back = DictGadget.from_json(g.to_json())
-    assert np.allclose(back.edge_weights, g.edge_weights)
-    assert back.R == g.R and back.eps == g.eps
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FINITE,
+                         st.text(max_size=8))
+
+
+@st.composite
+def gadgets(draw):
+    """Tables of any finite floats for R = 1..3 and 1..6 source vertices,
+    and a provenance of JSON values."""
+    R, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    size = 1 << R
+    return DictGadget(
+        R=R, eps=draw(st.floats(0.0, 1.0)),
+        vertex_weights=draw(arrays(float, size, elements=FINITE)),
+        edge_weights=draw(arrays(float, (size, size), elements=FINITE)),
+        vertex_marginals=draw(arrays(float, n, elements=FINITE)),
+        source_weights=draw(arrays(float, n, elements=FINITE)),
+        provenance=draw(st.dictionaries(st.text(max_size=8), st.recursive(
+            JSON_SCALARS, lambda inner: st.lists(inner, max_size=3),
+            max_leaves=5), max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gadgets())
+def test_gadget_json_round_trip(g):
+    text = g.to_json()
+    back = DictGadget.from_json(text)
+    for name in ("vertex_weights", "edge_weights", "vertex_marginals",
+                 "source_weights"):
+        assert np.array_equal(getattr(back, name), getattr(g, name)), name
+        assert getattr(back, name).shape == getattr(g, name).shape, name
+    assert (back.R, back.eps, back.provenance) == (g.R, g.eps, g.provenance)
+    assert back.to_json() == text
 
 
 def test_biased_coefficients_reconstruct_function():
@@ -139,11 +169,11 @@ def test_biased_coefficients_reconstruct_function():
     labels = hypercube_labels(R)
     for mu in (0.0, 0.3, -0.6):
         F = rng.uniform(-1, 1, size=1 << R)
-        coeffs = biased_coefficients(F, mu, R)
+        coeffs = biased_coefficients(F, mu)
         sigma = np.sqrt(1 - mu * mu)
         for point in range(1 << R):
             chi = (labels[point] - mu) / sigma
-            rebuilt = evaluate_noisy_polynomial(coeffs, chi, 0.0, R)
+            rebuilt = evaluate_noisy_polynomial(coeffs, chi, 0.0)
             assert rebuilt == pytest.approx(F[point], abs=1e-10)
 
 
@@ -165,7 +195,7 @@ def test_noisy_polynomial_equals_the_sum_over_masks():
     for R in (1, 2, 3, 5):
         for eps in (0.0, 0.1, 0.5):
             coeffs, chi = rng.standard_normal(1 << R), rng.standard_normal(R)
-            assert evaluate_noisy_polynomial(coeffs, chi, eps, R) == pytest.approx(
+            assert evaluate_noisy_polynomial(coeffs, chi, eps) == pytest.approx(
                 _noisy_polynomial_by_masks(coeffs, chi, eps, R), abs=1e-13)
 
 

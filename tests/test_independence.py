@@ -47,24 +47,23 @@ def _two_bisection_mixture(level=3):
 
 def test_alpha_independence_of_mixture():
     inst, sol = _two_bisection_mixture()
-    summary = alpha_independence(sol, inst, include_diagonal=False)
+    summary = alpha_independence(sol, inst)
+    # pairs and diagonal terms alike: MI(X_i, X_j) = H(X_i) = 1
     assert summary.average_mi == pytest.approx(1.0, abs=1e-12)
     assert summary.max_mi == pytest.approx(1.0, abs=1e-12)
-    # with diagonal terms the H(X_i) = 1 contributions leave the average at 1
-    assert alpha_independence(sol, inst).average_mi == pytest.approx(1.0)
 
 
 def test_product_solution_is_zero_independent():
     inst = generate("cycle", 4)
     sol = integral_lift(inst, (0, 1, 0, 1), level=3)
-    summary = alpha_independence(sol, inst, include_diagonal=False)
+    summary = alpha_independence(sol, inst)
     assert summary.average_mi == 0.0
 
 
 def test_conditioning_kills_mixture_correlation():
     inst, sol = _two_bisection_mixture()
     conditioned = condition(sol, 0, 0)
-    summary = alpha_independence(conditioned, inst, include_diagonal=False)
+    summary = alpha_independence(conditioned, inst)
     assert summary.average_mi <= 1e-12
     assert conditioned.level == sol.level - 1
     # conditioned solution is deterministic at the planted bisection

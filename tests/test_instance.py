@@ -1,4 +1,6 @@
 import json
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cardcsp.instance import (CUT_TABLE, KNOWN_KINDS, CardinalityFunction,
                               CspInstance, PayoffTerm, bisection_cardinality,
                               clause_table, cut_instance, generate,
                               load_edge_list, max2sat_instance)
+from cardcsp.suite import entries_from_config
 
 
 def test_cardinality_sums_to_one():
@@ -44,10 +47,37 @@ def test_max2sat_evaluate():
     assert inst.evaluate([1, 1]) == 0.0
 
 
-def test_json_round_trip():
-    inst = generate("gnp", 6, seed=3, p=0.7)
-    back = CspInstance.from_json(inst.to_json())
-    assert back == inst
+@st.composite
+def instances(draw):
+    """Instances of every kind over q = 2 or 3: payoff terms on one or two
+    vertices with random tables, random term and vertex weights, and a
+    random cardinality target."""
+    q, n = draw(st.sampled_from([2, 3])), draw(st.integers(2, 6))
+    scopes = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=2, unique=True),
+                           min_size=1, max_size=4))
+    tables = [draw(st.lists(st.floats(0.0, 1.0), min_size=q ** len(s),
+                            max_size=q ** len(s))) for s in scopes]
+    mass = draw(st.lists(st.floats(0.01, 1.0), min_size=len(scopes),
+                         max_size=len(scopes)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    parts = draw(st.lists(st.integers(0, 5), min_size=q, max_size=q).filter(any))
+    return CspInstance(
+        n, q, tuple(PayoffTerm(tuple(s), tuple(t), m / sum(mass), q)
+                    for s, t, m in zip(scopes, tables, mass)),
+        tuple(w / sum(weights) for w in weights),
+        CardinalityFunction(tuple(Fraction(p, sum(parts)) for p in parts)),
+        draw(st.sampled_from(KNOWN_KINDS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_json_round_trip(inst):
+    text = inst.to_json()
+    back = CspInstance.from_json(text)
+    for f in fields(CspInstance):
+        assert getattr(back, f.name) == getattr(inst, f.name), f.name
+    assert back.to_json() == text
 
 
 def test_payoff_weights_must_normalize():
@@ -256,3 +286,46 @@ def test_json_fuzz_raises_only_parse_errors(data, family, how):
         return
     assert back.kind in KNOWN_KINDS
     assert np.isfinite(back.weights_array).all()
+
+
+# benchmark configs with one value replaced (the whole document included) or
+# a key dropped
+BENCH_CONFIG = {"instances": [
+    {"name": "c6", "family": "cycle", "n": 6},
+    {"family": "gnp", "n": 8, "seed": 3, "params": {"p": 0.5}},
+    {"family": "planted", "n": 6, "params": {"eps": 0.1}},
+]}
+CONFIG_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10**30),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from(["x", "6", "cycle", "gnp", "planted", "complete",
+                               "two_cliques"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(
+                                ["instances", "name", "family", "n", "seed",
+                                 "params", "p", "eps"]), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), how=st.sampled_from(["replace", "drop"]))
+def test_bench_config_fuzz_raises_only_cardcsp_errors(data, how):
+    doc = json.loads(json.dumps(BENCH_CONFIG))
+    paths = list(_paths(doc))
+    path = data.draw(st.sampled_from(paths if how == "replace" else paths[1:]))
+    if not path:
+        doc = data.draw(CONFIG_VALUES)
+    else:
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        if how == "replace":
+            owner[path[-1]] = data.draw(CONFIG_VALUES)
+        else:
+            del owner[path[-1]]
+    try:
+        entries = entries_from_config(doc)
+    except CardCspError:
+        return
+    assert all(isinstance(name, str) and isinstance(inst, CspInstance)
+               for name, inst in entries)

@@ -94,7 +94,7 @@ def test_unbiased_slice_reproduces_hyperplane_constant():
 
 
 def test_ratio_search_small_grid():
-    cert = ratio_search("cut", resolution=60, refinement_rounds=2)
+    cert = ratio_search("cut", resolution=60)
     assert 0.84 <= cert.minimum_ratio <= 0.87
     assert cert.argmin.is_valid(tol=1e-6)
     doc = cert.to_json()

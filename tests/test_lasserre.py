@@ -1,7 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cardcsp.errors import (CapacityError, CardCspError,
                             InconsistentSolutionError)
@@ -102,12 +106,31 @@ def _mixture(level=3):
     return inst, sol
 
 
-def test_solution_json_round_trip():
-    _, sol = _mixture()
+@st.composite
+def moment_solutions(draw):
+    """Solutions of any shape up to n = 3, q = 3, level 2 with arbitrary
+    finite symmetric grams; the objective is NaN (its default) or any float."""
+    n, q = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    level = draw(st.integers(1, 2))
+    indices = build_index_set(n, q, level)
+    d = len(indices)
+    lower = np.tril(draw(arrays(float, (d, d), elements=st.floats(
+        allow_nan=False, allow_infinity=False))))
+    objective = draw(st.one_of(st.just(math.nan), st.floats()))
+    return MomentSolution(level, n, q, indices, lower + np.tril(lower, -1).T,
+                          objective)
+
+
+@settings(max_examples=100, deadline=None)
+@given(moment_solutions())
+def test_solution_json_round_trip(sol):
     text = sol.to_json()
     back = MomentSolution.from_json(text)
-    assert np.array_equal(back.gram, sol.gram)
+    assert (back.level, back.n, back.q) == (sol.level, sol.n, sol.q)
     assert back.indices == sol.indices
+    assert np.array_equal(back.gram, sol.gram)
+    assert back.objective_value == sol.objective_value or (
+        math.isnan(back.objective_value) and math.isnan(sol.objective_value))
     assert back.to_json() == text
     # the lower triangle as the entry-by-entry writer spelled it
     doc = json.loads(text)

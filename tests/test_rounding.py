@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ def test_separation_identity_on_exact_solutions():
     assert separation_identity_gap(sol, inst) <= 1e-12
 
 
+def test_rounding_rejects_q_other_than_2():
+    # bias_decompose reads each pair row as the four +-1 events of q = 2
+    not_equal = tuple(float(a != b) for a in range(3) for b in range(3))
+    inst = CspInstance(3, 3, tuple(PayoffTerm(e, not_equal, 1 / 3, 3)
+                                   for e in ((0, 1), (1, 2), (0, 2))),
+                       (1 / 3,) * 3, CardinalityFunction((Fraction(1, 3),) * 3))
+    with pytest.raises(CardCspError, match="needs q = 2, got q = 3"):
+        bias_decompose(integral_lift(inst, (0, 1, 2)))
+    with pytest.raises(CardCspError, match="q = 2 only, got q = 3"):
+        pipeline(inst, trials=4, solution=integral_lift(inst, (0, 1, 2)))
+
+
 def test_repair_balance_restores_target():
     inst = generate("complete", 6)
     out = repair_many(inst, np.array([[1, 1, 1, 1, 1, -1]]))
@@ -119,10 +132,11 @@ def test_repair_balance_noop_when_balanced():
     assert out.moved_weight[0] == 0.0
 
 
-def test_repair_respects_move_cap():
+def test_repair_respects_move_cap(monkeypatch):
+    monkeypatch.setattr(rounding, "_DELTA_CAP", 0.2)
     inst = generate("complete", 6)
     bad = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, -1, -1]])
-    out = repair_many(inst, bad, delta_cap=0.2)
+    out = repair_many(inst, bad)
     # the first row would move half its weight, the second one sixth
     assert out.failed.tolist() == [True, False]
     assert np.array_equal(out.labels[0], bad[0])
@@ -131,13 +145,32 @@ def test_repair_respects_move_cap():
     assert out.labels[1] @ inst.weights_array == pytest.approx(0.0)
 
 
-def test_assignment_json_round_trip():
-    a = RoundedAssignment(labels=np.array([1, -1]), value=0.5, balance=0.0,
-                          seed=7, repair_moves=[1])
-    b = RoundedAssignment.from_json(a.to_json())
+@st.composite
+def assignments(draw):
+    """+-1 labels, a value and a balance that may be None or any float, a
+    64-bit seed and distinct repair moves."""
+    labels = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=12))
+    maybe_float = st.one_of(st.none(), st.floats())
+    return RoundedAssignment(
+        labels=np.array(labels), value=draw(maybe_float),
+        balance=draw(maybe_float), seed=draw(st.integers(0, 2**64 - 1)),
+        repair_moves=draw(st.lists(st.integers(0, len(labels) - 1), unique=True)))
+
+
+def _same_number(a, b):
+    return a == b or (a is not None and b is not None
+                      and math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(assignments())
+def test_assignment_json_round_trip(a):
+    text = a.to_json()
+    b = RoundedAssignment.from_json(text)
     assert np.array_equal(a.labels, b.labels)
-    assert (a.value, a.balance, a.seed, a.repair_moves) == \
-        (b.value, b.balance, b.seed, b.repair_moves)
+    assert _same_number(a.value, b.value) and _same_number(a.balance, b.balance)
+    assert (a.seed, a.repair_moves) == (b.seed, b.repair_moves)
+    assert b.to_json() == text
 
 
 def test_pipeline_on_exact_solution():
@@ -156,8 +189,7 @@ def test_pipeline_reports_its_solve():
     # the solver converges; 100 iterations are consistent enough to round
     result = pipeline(generate("cycle", 6),
                       solver_config=SolverConfig(max_iterations=100,
-                                                 primal_tolerance=1e-15,
-                                                 dual_tolerance=1e-15))
+                                                 tolerance=1e-15))
     assert result.solve_report.status == "max_iter"
     assert result.solve_report.iterations == 100
 
@@ -242,8 +274,8 @@ def _repair_moves_by_loop(instance, labels, target_balance):
 @st.composite
 def repair_cases(draw):
     """Random vertex weights (ties likely), payoff terms of equal weight on
-    random pairs (degree ties likely), a batch of random label rows and a
-    random target."""
+    random pairs (degree ties likely), a batch of random label rows, a
+    random cardinality target and a random move cap."""
     n = draw(st.integers(2, 12))
     parts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
                  .filter(lambda ps: sum(ps) > 0))
@@ -253,25 +285,25 @@ def repair_cases(draw):
                           min_size=1, max_size=2 * n))
     terms = tuple(PayoffTerm(e, (0.0, 1.0, 1.0, 0.0), 1.0 / len(pairs))
                   for e in pairs)
-    share = draw(st.integers(0, 8))
+    parts_of = draw(st.integers(1, 16))
+    share = draw(st.integers(0, parts_of))
     inst = CspInstance(n, 2, terms, tuple(p / sum(parts) for p in parts),
-                       CardinalityFunction((Fraction(share, 8),
-                                            Fraction(8 - share, 8))))
+                       CardinalityFunction((Fraction(share, parts_of),
+                                            Fraction(parts_of - share, parts_of))))
     row = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
     labels = np.array(draw(st.lists(row, min_size=1, max_size=6)))
-    target = draw(st.one_of(st.none(), st.floats(-1.0, 1.0)))
     cap = draw(st.sampled_from([0.25, 0.5, 2.0]))
-    return inst, labels, target, cap
+    return inst, labels, cap
 
 
 @settings(max_examples=200, deadline=None)
 @given(repair_cases())
 def test_repair_moves_match_the_loop_scan(case):
-    inst, labels, target, cap = case
-    out = repair_many(inst, labels, target_balance=target, delta_cap=cap)
-    if target is None:
-        c = inst.cardinality.as_floats()
-        target = float(c[0] - c[1])
+    inst, labels, cap = case
+    with patch.object(rounding, "_DELTA_CAP", cap):
+        out = repair_many(inst, labels)
+    c = inst.cardinality.as_floats()
+    target = float(c[0] - c[1])
     w = inst.weights_array
     for k, row in enumerate(labels):
         moves, expected = _repair_moves_by_loop(inst, row, target)

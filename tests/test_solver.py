@@ -22,15 +22,14 @@ from cardcsp.suite import default_suite
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(primal_tolerance=0.0)
+        SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("check_every", 0), ("check_every", -25),
-    ("primal_tolerance", float("nan")), ("dual_tolerance", float("nan")),
-    ("primal_tolerance", float("inf")), ("dual_tolerance", -1e-6),
+    ("tolerance", float("nan")), ("tolerance", float("inf")),
+    ("tolerance", -1e-6),
 ])
 def test_config_rejects_values_that_break_the_solve(field, value):
     with pytest.raises(ValueError):
@@ -194,9 +193,9 @@ def test_check_iterations_take_the_plain_step(monkeypatch, caplog):
             return _original(self, *args)
 
         monkeypatch.setattr(sdp_solver._Anderson, name, spy)
+    monkeypatch.setattr(sdp_solver, "_CHECK_EVERY", 10)
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
-    _, report = sdp_solver.solve(build_relaxation(generate("cycle", 8), 3),
-                                 SolverConfig(check_every=10))
+    _, report = sdp_solver.solve(build_relaxation(generate("cycle", 8), 3))
     start = next(int(m.split()[1].rstrip(":")) for m in _solver_messages(caplog)
                  if "settled" in m)
     # one push per iteration after the start, then a step unless a check
@@ -250,13 +249,14 @@ def test_failed_small_solve_resets_the_memory(monkeypatch, caplog, failure):
     assert report.rho == 0.4
 
 
-def test_solver_logs_a_stall(caplog):
+def test_solver_logs_a_stall(monkeypatch, caplog):
     program = build_relaxation(generate("cycle", 4), 2)
     # a cardinality target above 1 meets no PSD matrix with unit corner
     cardinality = program.constraints.event >= 0
     program.constraints.b[cardinality] = 1.5
+    monkeypatch.setattr(sdp_solver, "_CHECK_EVERY", 1)
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
-    _, report = sdp_solver.solve(program, SolverConfig(check_every=1))
+    _, report = sdp_solver.solve(program)
     assert report.status == "infeasible-suspected"
     messages = _solver_messages(caplog)
     assert any("residuals stalled for 2001 checks" in m for m in messages)
