@@ -28,8 +28,13 @@ _GRID_POINTS = 5    # values per cube point in the grid soundness mode
 
 
 def _dimension(F) -> int:
-    """R of functions F (..., 2^R) on the cube."""
-    return np.shape(F)[-1].bit_length() - 1
+    """R of functions F (..., 2^R) on the cube, R >= 1."""
+    size = np.shape(F)[-1] if np.ndim(F) else 0
+    R = size.bit_length() - 1
+    if R < 1 or size != 1 << R:
+        raise CardCspError(f"a function table needs 2^R entries with R >= 1, "
+                           f"got {size}")
+    return R
 
 
 def hypercube_labels(R: int) -> np.ndarray:
@@ -92,7 +97,9 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
     size = 1 << R
     edge = np.zeros((size, size))
     n = instance.n
-    marginals = local_distributions(solution, 1)[:, 0]
+    singles = local_distributions(solution, 1)
+    # noise kernel K_i(a' -> a) = (1-eps) [a = a'] + eps mu_i(a)
+    kernels = (1 - eps) * np.eye(2) + eps * singles[:, None, :]
     # pair (i, j), i < j, is row rank[i, j] of the size-2 distributions
     rank = np.zeros((n, n), dtype=int)
     rank[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
@@ -101,22 +108,16 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
         if len(term.scope) != 2 or tuple(term.table) != CUT_TABLE:
             raise CardCspError("gadget construction needs cut payoff terms")
         i, j = sorted(term.scope)
-        mu_e = pairs[rank[i, j]]
-        # noise kernel K(a' -> a) = (1-eps) [a = a'] + eps mu(a)
-        K_i = (1 - eps) * np.eye(2) + eps * np.tile([marginals[i],
-                                                     1 - marginals[i]], (2, 1))
-        K_j = (1 - eps) * np.eye(2) + eps * np.tile([marginals[j],
-                                                     1 - marginals[j]], (2, 1))
-        nu = K_i.T @ mu_e @ K_j  # perturbed pair distribution over values
+        # perturbed pair distribution over values
+        nu = kernels[i].T @ pairs[rank[i, j]] @ kernels[j]
         edge += term.weight * reduce(np.kron, [nu] * R)
     edge = (edge + edge.T) / 2  # cut payoffs are symmetric
     vertex = np.zeros(size)
     w = instance.weights_array
-    for i in range(instance.n):
-        mu_i = np.array([marginals[i], 1 - marginals[i]])
-        vertex += w[i] * reduce(np.kron, [mu_i] * R)
+    for i in range(n):
+        vertex += w[i] * reduce(np.kron, [singles[i]] * R)
     return DictGadget(R=R, eps=eps, vertex_weights=vertex, edge_weights=edge,
-                      vertex_marginals=marginals, source_weights=w,
+                      vertex_marginals=singles[:, 0], source_weights=w,
                       provenance=provenance or {})
 
 
@@ -125,17 +126,26 @@ def _per_function(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _on_cube(gadget: DictGadget, F) -> np.ndarray:
+    """F as float functions (..., 2^R) on the gadget's cube."""
+    F = np.asarray(F, dtype=float)
+    if np.shape(F)[-1:] != (1 << gadget.R,):
+        raise CardCspError(f"functions on the R={gadget.R} cube need "
+                           f"{1 << gadget.R} entries, got shape {np.shape(F)}")
+    return F
+
+
 def dict_value(gadget: DictGadget, F):
     """0.5 E[1 - F(z) F(z')] over the gadget edge distribution, for
     functions F (..., 2^R): a float for one function, an array over the
     leading axes for a stack."""
-    F = np.asarray(F, dtype=float)
+    F = _on_cube(gadget, F)
     return _per_function(0.5 * (1.0 - ((F @ gadget.edge_weights) * F).sum(axis=-1)))
 
 
 def gadget_balance(gadget: DictGadget, F):
     """E[F] under the gadget vertex distribution, for functions F (..., 2^R)."""
-    return _per_function(np.asarray(F, dtype=float) @ gadget.vertex_weights)
+    return _per_function(_on_cube(gadget, F) @ gadget.vertex_weights)
 
 
 def dictator(R: int, ell: int) -> np.ndarray:
@@ -185,7 +195,11 @@ def _influence(F, ell: int, p0: float):
 def influence(F, ell: int, marginal: float) -> float:
     """E over the other coordinates of the variance along coordinate ell,
     under the product measure with P(value 0) = marginal per coordinate."""
-    return float(_influence(np.asarray(F, dtype=float), ell, marginal))
+    F = np.asarray(F, dtype=float)
+    R = _dimension(F)
+    if not 0 <= ell < R:
+        raise CardCspError(f"coordinate {ell} outside 0..{R - 1}")
+    return float(_influence(F, ell, marginal))
 
 
 @dataclass
@@ -260,69 +274,34 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
 
 # -- function-driven rounding (Round_F) ------------------------------------
 
-def clamp(x):
-    """Piecewise-linear truncation to [-1, 1]; identity inside, Lipschitz 1."""
-    return np.clip(x, -1.0, 1.0)
-
-
-def biased_coefficients(F, mu: float) -> np.ndarray:
-    """Coefficients of F in the orthonormal basis chi(x) = (x - mu)/sigma
-    of the biased product measure; returned indexed by subset bitmask."""
-    sigma = np.sqrt(max(0.0, 1.0 - mu * mu))
-    p0 = (1 + mu) / 2
-    R = _dimension(F)
-    labels = np.array([1.0, -1.0])
-    chi = (labels - mu) / sigma if sigma > 0 else np.zeros(2)
-    basis = np.array([[p0, 1 - p0],                       # E[. ]
-                      [p0 * chi[0], (1 - p0) * chi[1]]])  # E[. chi]
-    coeffs = np.asarray(F, dtype=float).reshape((2,) * R)
-    for axis in range(R):
-        coeffs = np.tensordot(basis, coeffs, axes=([1], [axis]))
-        coeffs = np.moveaxis(coeffs, 0, axis)
-    return coeffs.reshape(-1)
-
-
-def evaluate_noisy_polynomial(coeffs, gauss_chi, eps: float) -> float:
-    """Evaluate T_{1-eps} of the polynomial at standardized Gaussian inputs:
-    degree-d coefficients are scaled by (1-eps)^d.  Coordinate ell is axis
-    ell of the coefficients as a (2,)*R array; each axis contracts against
-    (1, (1-eps) chi_ell), the last one first."""
-    R = _dimension(coeffs)
-    value = np.asarray(coeffs, dtype=float).reshape((2,) * R)
-    for ell in reversed(range(R)):
-        value = value @ np.array([1.0, (1 - eps) * gauss_chi[ell]])
-    return float(value)
-
-
 def round_with_function(solution: MomentSolution, instance: CspInstance,
                         F, eps: float, seed: int):
-    """Round an SDP solution with a cut function on the hypercube.
+    """Round an SDP solution with a cut function on the hypercube (Round_F).
 
-    Per vertex: expand F in that vertex's biased basis, damp degree-d terms
-    by (1-eps)^d, evaluate at shared Gaussian surrogate coordinates, clamp
-    to [-1, 1], then draw the +-1 label with the matching bias.
+    With shared Gaussian vectors zeta_ell, vertex i evaluates the multilinear
+    extension F~(y) = sum_z F(z) prod_ell (1 + z_ell y_ell)/2 at
+    y_i,ell = mu_i + (1-eps) <zeta_ell, w_i>, clips it to [-1, 1] and draws
+    label +1 with probability (1 + p*_i)/2.  This is T_{1-eps} of F's
+    expansion in vertex i's biased basis at its Gaussian surrogates; a
+    degenerate vertex (w_i = 0) reads F at its own corner.
     """
     F = np.asarray(F, dtype=float)
     R = _dimension(F)
     if R > R_CAP:
         raise CapacityError(f"R={R} over cap {R_CAP}")
+    if not 0 <= eps <= 1:
+        raise CardCspError(f"eps must lie in [0, 1], got {eps}")
     profile = bias_decompose(solution)
     rng = np.random.default_rng(seed)
-    r = profile.w.shape[1]
-    zeta = rng.standard_normal((R, r))
-    wbar = profile.wbar
-    p_star = np.zeros(profile.n)
-    for i in range(profile.n):
-        mu_i = profile.mu[i]
-        if profile.degenerate[i]:
-            # deterministic vertex: F restricted to its point-mass string
-            point = 0 if mu_i >= 0 else (1 << R) - 1
-            p_star[i] = clamp(F[point])
-            continue
-        coeffs = biased_coefficients(F, mu_i)
-        gauss_chi = zeta @ wbar[i]  # standardized surrogates per coordinate
-        p = evaluate_noisy_polynomial(coeffs, gauss_chi, eps)
-        p_star[i] = clamp(p)
+    zeta = rng.standard_normal((R, profile.w.shape[1]))
+    y = profile.mu[:, None] + (1 - eps) * (profile.w @ zeta.T)  # (n, R)
+    # weights[i, z] = prod_ell (1 + z_ell y_i,ell)/2, coordinate 0 the
+    # most significant bit of z
+    weights = np.ones((profile.n, 1))
+    for y_ell in y.T:
+        halves = np.stack([1 + y_ell, 1 - y_ell], axis=1) / 2  # z_ell = +1, -1
+        weights = (weights[:, :, None] * halves[:, None, :]).reshape(profile.n, -1)
+    p_star = np.clip(weights @ F, -1.0, 1.0)
     labels = np.where(rng.random(profile.n) < (1 + p_star) / 2, 1, -1)
     return RoundedAssignment(labels=labels,
                              value=instance.evaluate((1 - labels) // 2),

@@ -6,6 +6,7 @@ All entropies and mutual informations are measured in bits.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,8 @@ from .errors import CardCspError
 from .instance import CspInstance
 from .lasserre import (MomentSolution, _offsets, _positions, _value_table,
                        local_distribution, local_distributions, PROB_FLOOR)
+
+log = logging.getLogger(__name__)
 
 
 def entropy(dist):
@@ -142,6 +145,13 @@ class DecorrelateResult:
     reached_target: bool
 
 
+def _logged(result: DecorrelateResult) -> DecorrelateResult:
+    log.debug("decorrelate: %d steps, average MI %.6g, target %s",
+              len(result.steps), result.achieved_alpha,
+              "reached" if result.reached_target else "missed")
+    return result
+
+
 def decorrelate(solution: MomentSolution, instance: CspInstance,
                 alpha: float, seed: int = 0,
                 depth: int | None = None) -> DecorrelateResult:
@@ -156,7 +166,7 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
     depth = min(depth, solution.level - 2)
     current = alpha_independence(solution, instance).average_mi
     if current <= alpha or depth <= 0:
-        return DecorrelateResult(solution, [], current, current <= alpha)
+        return _logged(DecorrelateResult(solution, [], current, current <= alpha))
 
     rng = np.random.default_rng(seed)
     sol = solution
@@ -172,8 +182,10 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
         sol = condition(sol, pivot, value)
         steps.append(ConditioningStep(pivot, value, float(marg[value])))
         current = alpha_independence(sol, instance).average_mi
+        log.debug("condition on x_%d = %d (marginal %.6g): average MI %.6g",
+                  pivot, value, marg[value], current)
         if current < best[0]:
             best = (current, sol, list(steps))
         if current <= alpha:
-            return DecorrelateResult(sol, steps, current, True)
-    return DecorrelateResult(best[1], best[2], best[0], False)
+            return _logged(DecorrelateResult(sol, steps, current, True))
+    return _logged(DecorrelateResult(best[1], best[2], best[0], False))

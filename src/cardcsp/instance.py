@@ -376,12 +376,22 @@ def load_edge_list(text: str) -> CspInstance:
 # -- generators ------------------------------------------------------------
 
 def generate(family: str, n: int, seed: int = 0, **params) -> CspInstance:
-    """Deterministic instance generators: cycle, complete, gnp, two_cliques,
-    planted (near-bisectable with parameter eps)."""
+    """Deterministic instance generators: cycle, complete, gnp (edge
+    probability p), two_cliques, planted (near-bisectable with parameter
+    eps).  A ``params`` key the family does not read raises
+    ``CardCspError``."""
     if n < 2:
         raise CardCspError("n must be at least 2")
     if n % 2 != 0:
         raise CardCspError("bisection instances require an even number of vertices")
+    reads = {"cycle": (), "complete": (), "gnp": ("p",), "two_cliques": (),
+             "planted": ("eps",)}
+    if family not in reads:
+        raise CardCspError(f"unknown family {family!r}")
+    unread = sorted(set(params) - set(reads[family]))
+    if unread:
+        raise CardCspError(f"{family} does not read params {', '.join(unread)} "
+                           f"(it reads: {', '.join(reads[family]) or 'none'})")
     if family == "cycle":
         edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
     elif family == "complete":
@@ -425,6 +435,4 @@ def generate(family: str, n: int, seed: int = 0, **params) -> CspInstance:
         if in_sel:
             w_in = eps / len(in_sel)
             edges += [(u, v, w_in) for u, v in in_sel]
-    else:
-        raise CardCspError(f"unknown family {family!r}")
     return cut_instance(n, edges)

@@ -11,6 +11,7 @@ target.  ``pipeline`` rounds, repairs and scores all its trials as one
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ from .sdp_solver import SolveReport
 DEGENERATE_TOL = 1e-12
 PSD_TOL = 1e-5  # relative eigenvalue slack bias_decompose accepts
 _DELTA_CAP = 0.5  # largest total vertex weight one row's repair may move
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -254,6 +257,11 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     g = np.array([np.random.default_rng(s).standard_normal(profile.w.shape[1])
                   for s in sub_seeds])
     repair = repair_many(instance, labels_from_gaussian(profile, g))
+    # failed rows keep no moves, so a row with a first move was repaired
+    log.debug("repair: %d of %d rows repaired, %d failed; moved weight "
+              "max %.6g, mean %.6g", (repair.moves[:, 0] >= 0).sum(), trials,
+              repair.failed.sum(), repair.moved_weight.max(),
+              repair.moved_weight.mean())
     values = instance.evaluate((1 - repair.labels) // 2)
     balances = repair.labels @ instance.weights_array
     if repair.failed.all():

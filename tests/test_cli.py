@@ -165,6 +165,17 @@ def test_bench_rejects_badly_typed_configs_with_exit_2(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_bench_rejects_params_the_family_does_not_read_with_exit_2(tmp_path,
+                                                                 capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"family": "gnp", "n": 8, "params": {"prob": 0.9}}]}))
+    out = tmp_path / "bench_out.json"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 2
+    assert "gnp does not read params prob" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_instances_the_oracle_cannot_score_with_exit_3(tmp_path,
                                                                      capsys):
     config = tmp_path / "bench.json"

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cardcsp.errors import CapacityError
-from cardcsp.dictator import (DictGadget, biased_coefficients, build_gadget,
-                              clamp, completeness, dict_value, dictator,
-                              evaluate_noisy_polynomial, gadget_balance,
+from cardcsp.errors import CapacityError, CardCspError
+from cardcsp.dictator import (DictGadget, build_gadget, completeness,
+                              dict_value, dictator, gadget_balance,
                               hypercube_labels, influence,
                               round_with_function, soundness_enumerate)
 from cardcsp.instance import generate
-from cardcsp.lasserre import solution_objective
+from cardcsp.lasserre import integral_lift, solution_objective
 from cardcsp.oracle import exact_mixture_moments
+from cardcsp.rounding import bias_decompose
 
 
 def _mixture_solution(level=2):
@@ -163,18 +163,18 @@ def test_gadget_json_round_trip(g):
     assert back.to_json() == text
 
 
-def test_biased_coefficients_reconstruct_function():
-    rng = np.random.default_rng(2)
-    R = 3
+def _biased_coefficients(F, mu):
+    """c_S = E[F chi_S] with chi(z) = (z - mu)/sigma under the mu-biased
+    product measure; bit R-1-ell of the mask S stands for coordinate ell."""
+    R = len(F).bit_length() - 1
     labels = hypercube_labels(R)
-    for mu in (0.0, 0.3, -0.6):
-        F = rng.uniform(-1, 1, size=1 << R)
-        coeffs = biased_coefficients(F, mu)
-        sigma = np.sqrt(1 - mu * mu)
-        for point in range(1 << R):
-            chi = (labels[point] - mu) / sigma
-            rebuilt = evaluate_noisy_polynomial(coeffs, chi, 0.0)
-            assert rebuilt == pytest.approx(F[point], abs=1e-10)
+    chi = (labels - mu) / np.sqrt(1 - mu * mu)
+    weight = np.prod((1 + labels * mu) / 2, axis=1)
+    return np.array([
+        np.sum(weight * F * np.prod(chi[:, [ell for ell in range(R)
+                                             if mask & (1 << (R - 1 - ell))]],
+                                    axis=1))
+        for mask in range(1 << R)])
 
 
 def _noisy_polynomial_by_masks(coeffs, chi, eps, R):
@@ -190,23 +190,99 @@ def _noisy_polynomial_by_masks(coeffs, chi, eps, R):
     return total
 
 
-def test_noisy_polynomial_equals_the_sum_over_masks():
-    rng = np.random.default_rng(4)
-    for R in (1, 2, 3, 5):
-        for eps in (0.0, 0.1, 0.5):
-            coeffs, chi = rng.standard_normal(1 << R), rng.standard_normal(R)
-            assert evaluate_noisy_polynomial(coeffs, chi, eps) == pytest.approx(
-                _noisy_polynomial_by_masks(coeffs, chi, eps, R), abs=1e-13)
+def _biased_basis_labels(solution, F, eps, seed):
+    """Round_F the long way: per vertex, F in that vertex's biased basis,
+    degree d damped by (1-eps)^d, evaluated at the standardized Gaussian
+    surrogates; a degenerate vertex reads F at its point-mass corner."""
+    R = len(F).bit_length() - 1
+    profile = bias_decompose(solution)
+    rng = np.random.default_rng(seed)
+    zeta = rng.standard_normal((R, profile.w.shape[1]))
+    p_star = np.zeros(profile.n)
+    for i, mu in enumerate(profile.mu):
+        if profile.degenerate[i]:
+            p = F[0 if mu >= 0 else -1]
+        else:
+            p = _noisy_polynomial_by_masks(_biased_coefficients(F, mu),
+                                           zeta @ profile.wbar[i], eps, R)
+        p_star[i] = np.clip(p, -1.0, 1.0)
+    return np.where(rng.random(profile.n) < (1 + p_star) / 2, 1, -1)
 
 
-def test_clamp():
-    assert clamp(np.array([-3.0, 0.2, 1.7])).tolist() == [-1.0, 0.2, 1.0]
+def test_biased_basis_reference_reconstructs_the_function():
+    rng = np.random.default_rng(2)
+    R = 3
+    labels = hypercube_labels(R)
+    for mu in (0.0, 0.3, -0.6):
+        F = rng.uniform(-1, 1, size=1 << R)
+        coeffs = _biased_coefficients(F, mu)
+        for point in range(1 << R):
+            chi = (labels[point] - mu) / np.sqrt(1 - mu * mu)
+            assert _noisy_polynomial_by_masks(coeffs, chi, 0.0, R) == \
+                pytest.approx(F[point], abs=1e-10)
+
+
+def _rounding_inputs():
+    """Integral lifts, one-assignment mixtures, and mixtures of two and
+    three assignments (vertices they agree on are degenerate)."""
+    rng = np.random.default_rng(8)
+    for n in (4, 6):
+        inst = generate("gnp", n, seed=n, p=0.6)
+        draws = [rng.permutation([0] * (n // 2) + [1] * (n // 2))
+                 for _ in range(3)]
+        yield inst, integral_lift(inst, draws[0])
+        for k in (1, 2, 3):
+            yield inst, exact_mixture_moments(inst, draws[:k],
+                                              rng.dirichlet(np.ones(k)))
+
+
+def test_round_with_function_matches_the_biased_basis_expansion():
+    rng = np.random.default_rng(6)
+    for inst, sol in _rounding_inputs():
+        for R in (1, 2, 3, 4):
+            F = rng.uniform(-1.5, 1.5, 1 << R)  # also exercises the clip
+            for eps in (0.0, 0.1, 0.5):
+                for seed in range(3):
+                    out = round_with_function(sol, inst, F, eps, seed)
+                    assert out.labels.tolist() == _biased_basis_labels(
+                        sol, F, eps, seed).tolist()
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 6, 12])
+def test_function_tables_need_two_to_the_r_entries(size):
+    inst, sol = _mixture_solution()
+    with pytest.raises(CardCspError, match="2\\^R entries"):
+        round_with_function(sol, inst, np.ones(size), eps=0.1, seed=0)
+    with pytest.raises(CardCspError, match="2\\^R entries"):
+        influence(np.ones(size), 0, 0.5)
+
+
+def test_gadget_tables_reject_functions_on_another_cube():
+    inst, sol = _mixture_solution()
+    g = build_gadget(sol, inst, 0.1, R=2)
+    for F in (np.ones(8), np.ones((3, 2)), 1.0):
+        with pytest.raises(CardCspError, match="R=2 cube"):
+            dict_value(g, F)
+        with pytest.raises(CardCspError, match="R=2 cube"):
+            gadget_balance(g, F)
+
+
+@pytest.mark.parametrize("ell", [-1, 3, 7])
+def test_influence_rejects_a_coordinate_off_the_cube(ell):
+    with pytest.raises(CardCspError, match="outside 0..2"):
+        influence(dictator(3, 0), ell, 0.5)
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+def test_round_with_function_rejects_eps_outside_the_unit_interval(eps):
+    inst, sol = _mixture_solution()
+    with pytest.raises(CardCspError, match="eps must lie in"):
+        round_with_function(sol, inst, dictator(2, 0), eps=eps, seed=0)
 
 
 def test_round_with_function_dictator_recovers_cut():
     # on a deterministic (integral) solution the dictator polynomial
     # evaluates to the vertex's own label, so rounding is exact
-    from cardcsp.lasserre import integral_lift
     inst = generate("cycle", 4)
     sol = integral_lift(inst, (0, 1, 0, 1))
     out = round_with_function(sol, inst, dictator(3, 0), eps=0.0, seed=0)

@@ -179,6 +179,14 @@ def test_generate_families_deterministic():
         generate("moebius", 6)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("gnp", {"prob": 0.9}), ("gnp", {"p": 0.5, "eps": 0.1}),
+    ("planted", {"p": 0.5}), ("cycle", {"p": 0.5}), ("two_cliques", {"eps": 0})])
+def test_generate_rejects_params_its_family_does_not_read(family, params):
+    with pytest.raises(CardCspError, match=f"{family} does not read params"):
+        generate(family, 6, **params)
+
+
 def test_planted_has_high_bisection():
     inst = generate("planted", 8, seed=0, eps=0.05)
     planted = [0] * 4 + [1] * 4

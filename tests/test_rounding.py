@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest.mock import patch
@@ -7,13 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
-from cardcsp import rounding
+from cardcsp import rounding, sdp_solver
 from cardcsp.errors import CardCspError
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
+from cardcsp.independence import decorrelate
 from cardcsp.sdp_solver import SolverConfig
-from cardcsp.lasserre import integral_lift
+from cardcsp.lasserre import build_relaxation, integral_lift
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import (BiasProfile, RoundedAssignment, bias_decompose,
                               labels_from_gaussian, pipeline, repair_many,
@@ -68,6 +73,39 @@ def test_bias_decompose_degenerate_vertices():
     labels = labels_from_gaussian(profile, g)
     assert labels.tolist() == [[1, -1, 1, -1]] * 3
     assert inst.evaluate((1 - labels) // 2).tolist() == [1.0] * 3
+
+
+@st.composite
+def mixtures(draw):
+    """Exact moment matrices of 1-4 assignments on n = 4..8 vertices at
+    level 2 or 3, with weights of at least 1/37 each."""
+    n = draw(st.sampled_from([4, 6, 8]))
+    level = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 4))
+    X = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.integers(1, 10), min_size=k, max_size=k)))
+    return exact_mixture_moments(generate("cycle", n), X, weights / weights.sum(),
+                                 level=level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixtures(), st.data())
+def test_bias_decomposition_preserves_every_bias(sol, data):
+    profile = bias_decompose(sol)
+    n = sol.n
+    p0 = np.array([sol.prob((i,), (0,)) for i in range(n)])
+    assert np.allclose(profile.mu, 2 * p0 - 1, rtol=0, atol=1e-12)
+    live = ~profile.degenerate
+    assert np.allclose(np.linalg.norm(profile.wbar[live], axis=1), 1.0,
+                       rtol=0, atol=1e-9)
+    assert np.allclose(ndtr(profile.thresholds()), (1 + profile.mu) / 2,
+                       rtol=0, atol=1e-12)
+    g = data.draw(arrays(float, (3, profile.w.shape[1]),
+                         elements=st.floats(-1e6, 1e6)))
+    labels = labels_from_gaussian(profile, g)
+    assert (labels[:, profile.degenerate]
+            == np.where(profile.mu[profile.degenerate] >= 0, 1, -1)).all()
 
 
 def test_rounding_marginals_track_bias():
@@ -380,3 +418,35 @@ def test_pipeline_best_matches_trial_by_trial(kind):
     assert (best.labels.tolist(), best.value, best.seed,
             best.repair_moves) == _pipeline_best_by_trial(
                 inst, bias_decompose(sol), 64, 3)
+
+
+def _messages(caplog, module):
+    return [r.getMessage() for r in caplog.records
+            if r.name == f"cardcsp.{module}"]
+
+
+@pytest.mark.parametrize("family", ["two_cliques", "cycle"])
+def test_conditioning_and_repair_are_logged(family, caplog):
+    inst = generate(family, 6)
+    sol, _ = sdp_solver.solve(build_relaxation(inst, 3))
+    pipeline(inst, trials=8, seed=0, solution=sol)
+    assert caplog.records == []  # silent by default
+    caplog.set_level(logging.DEBUG, logger="cardcsp")
+    dec = decorrelate(sol, inst, 0.1, seed=0)
+    assert len(dec.steps) == 1  # level 3 allows one conditioning step
+    assert _messages(caplog, "independence") == [
+        f"condition on x_{s.pivot} = {s.value} (marginal "
+        f"{s.marginal_probability:.6g}): average MI {dec.achieved_alpha:.6g}"
+        for s in dec.steps] + [
+        f"decorrelate: {len(dec.steps)} steps, average MI "
+        f"{dec.achieved_alpha:.6g}, target "
+        f"{'reached' if dec.reached_target else 'missed'}"]
+    caplog.clear()
+    pipeline(inst, trials=8, seed=0, solution=sol)
+    (line,) = _messages(caplog, "rounding")
+    repaired, trials, failed, largest, mean = (
+        float(v) for v in re.fullmatch(
+            r"repair: (\d+) of (\d+) rows repaired, (\d+) failed; moved "
+            r"weight max (\S+), mean (\S+)", line).groups())
+    assert trials == 8 and repaired + failed <= trials
+    assert largest >= mean >= 0 and (largest > 0) == (repaired + failed > 0)
