@@ -10,7 +10,11 @@ conditioning event.  The objective is c . G[0, :] with c the payoff
 vector.  ``_constraint_operator`` is the only place these rows are written.
 Feasible points are exactly the moment solutions: G is PSD and meets every
 row.  ``check_feasibility`` reads the consistency and cardinality
-violations off the residuals of the same rows.
+violations off the residuals of the same rows.  It certifies PSD on the
+reduced block G[R, R] of ``_reduced_basis``: the block's eigenvalues, plus
+a Weyl bound from the residual of the lift G = P G[R, R] P^T, which is
+never below the exact violation; when that residual exceeds
+``_LIFT_TOL`` it takes the full d x d spectrum instead.
 
 Indices run by subset size, then subset in ``combinations`` order, then
 assignment in row-major order, so the level-(k-1) index set is a prefix of
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice, product
 from math import comb
 
@@ -34,6 +39,7 @@ from .errors import CapacityError, CardCspError, InconsistentSolutionError
 from .instance import CspInstance
 
 PROB_FLOOR = 1e-9  # probabilities below this are treated as zero events
+_LIFT_TOL = 1e-12   # largest lift residual the block PSD certificate accepts
 DRIFT_TOL = 1e-5   # largest sum or sign error a local distribution may carry
 
 MomentIndex = tuple[tuple[int, ...], tuple[int, ...]]  # (sorted subset, assignment)
@@ -283,9 +289,17 @@ def _reduced_basis(indices, n, q):
     matches = full.astype(float) @ sub.T.astype(float)
     fits = matches == (~top).sum(axis=1)[:, None]
     flips = top.astype(float) @ (values[red] >= 0).T.astype(float)
-    return red, np.where(fits, 1.0 - 2.0 * (flips % 2), 0.0)
+    return red, np.where(fits, 1.0 - 2.0 * (flips.astype(np.int64) & 1), 0.0)
 
 
+def _rows(instance: CspInstance, level: int) -> ConstraintOperator:
+    """The instance's rows at ``level``, from ``_constraint_operator``."""
+    return _constraint_operator(instance.n, instance.q, level,
+                                tuple(instance.vertex_weights),
+                                tuple(instance.cardinality.proportions))
+
+
+@lru_cache(maxsize=1)
 def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
     """All rows of the level-``level`` program over the index set.
 
@@ -294,6 +308,10 @@ def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
     variables, tied to its canonical entry (0, merged) or to zero when the
     assignments clash; marginalization by (event, j);
     cardinality by (event, v).  Events are the indices below full size.
+
+    ``weights`` and ``target`` are tuples: the last operator built is kept,
+    so ``check_feasibility`` right after ``build_relaxation`` reuses its
+    rows, and every array it holds is read-only.
     """
     indices = build_index_set(n, q, level)
     d = len(indices)
@@ -347,6 +365,8 @@ def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
     b[0] = 1.0
     event = np.full(m, -1)
     event[card] = events[:, None]
+    for a in (r, c, tie, forms.data, forms.indices, forms.indptr, b, event):
+        a.flags.writeable = False
     return ConstraintOperator(r, c, tie, forms, b, event)
 
 
@@ -360,10 +380,8 @@ def build_relaxation(instance: CspInstance, level: int = 2) -> ConicProgram:
         raise CapacityError(
             f"level {level} too high for n={n}: index set size {d} exceeds "
             f"cap {INDEX_CAP}")
-    constraints = _constraint_operator(n, q, level, instance.weights_array,
-                                       instance.cardinality.as_floats())
     return ConicProgram(dim=d, indices=build_index_set(n, q, level),
-                        constraints=constraints,
+                        constraints=_rows(instance, level),
                         c=_payoff_vector(instance, level), level=level, n=n,
                         q=q, sense=instance.sense)
 
@@ -390,25 +408,58 @@ def check_feasibility(solution: MomentSolution,
     Consistency is the largest residual of the unit, consistency and
     marginalization rows.  Cardinality is checked in conditional form: each
     cardinality residual over the probability of its event, on events above
-    ``PROB_FLOOR``.
+    ``PROB_FLOOR``.  The PSD violation is the reduced block's eigenvalues
+    plus a Weyl bound from the residual of the lift G = P G[R, R] P^T
+    (``_psd_violation``): never below the exact max(0, -lambda_min), and
+    within the residual of it.  When the residual exceeds ``_LIFT_TOL`` it
+    is the full d x d ``eigvalsh`` value.
     """
     sym = solution.gram + solution.gram.T
     sym /= 2
-    ops = _constraint_operator(solution.n, solution.q, solution.level,
-                               instance.weights_array,
-                               instance.cardinality.as_floats())
+    ops = _rows(instance, solution.level)
     resid = np.abs(ops.residual(sym))
     card = ops.event >= 0
     consistency = float(resid[~card].max())
     p_event = sym[0, ops.event[card]]
     live = p_event > PROB_FLOOR
     cardinality = float((resid[card][live] / p_event[live]).max(initial=0.0))
-
-    # sym.T is the Fortran-ordered view of the same symmetric matrix, so
-    # LAPACK works in place instead of on a second d x d copy
-    eigs = scipy.linalg.eigvalsh(sym.T, overwrite_a=True, driver="evd")
-    psd_violation = max(0.0, float(-eigs.min()))
+    psd_violation = _psd_violation(sym, solution.indices, solution.n,
+                                   solution.q)
     return FeasibilityReport(psd_violation, consistency, cardinality)
+
+
+def _psd_violation(sym, indices, n, q) -> float:
+    """max(0, -lambda_min(sym)) or, when sym is the lift of its block, an
+    upper bound on it within ``_LIFT_TOL``.  Overwrites sym.
+
+    With R and P from ``_reduced_basis`` and A = sym[R, R], write
+    sym = P A P^T + E.  P = Q T with orthonormal Q, so P A P^T has the
+    eigenvalues of T A T^T and zeros, and by Weyl lambda_min(sym) is at
+    least lambda_min(P A P^T) - eps, where eps, the largest absolute row
+    sum of the symmetric E, bounds ||E||_2.  This holds for any P: a G
+    outside the lift's image shows as a large eps.  When eps exceeds
+    ``_LIFT_TOL`` (noisy, inconsistent or external input) the full d x d
+    spectrum is computed instead.
+    """
+    red, P = _reduced_basis(indices, n, q)
+    A = sym[np.ix_(red, red)]
+    lift = sp.csr_matrix(P)  # a row with j values q - 1 holds 2^j entries
+    APt = np.ascontiguousarray((lift @ A).T)  # A P^T, as A is symmetric
+    # E in row blocks, so no second d x d array is formed
+    d = len(sym)
+    block = max(1, (1 << 18) // d)
+    eps = 0.0
+    for lo in range(0, d, block):
+        E = sym[lo:lo + block] - lift[lo:lo + block] @ APt
+        eps = max(eps, float(np.abs(E).sum(axis=1).max()))
+    if eps > _LIFT_TOL:
+        # sym.T is the Fortran-ordered view of the same symmetric matrix, so
+        # LAPACK works in place instead of on a second d x d copy
+        eigs = scipy.linalg.eigvalsh(sym.T, overwrite_a=True, driver="evd")
+        return max(0.0, float(-eigs.min()))
+    T = np.linalg.qr(P, mode="r")
+    low = float(np.linalg.eigvalsh(T @ A @ T.T)[0])
+    return max(0.0, eps - min(0.0, low))
 
 
 def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSolution:

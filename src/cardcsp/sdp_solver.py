@@ -38,6 +38,7 @@ is silent unless the caller configures logging.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,7 @@ class SolveReport:
     objective: float
     residual_history: list = None
     rho: float = None  # the penalty at the last iteration
+    seconds: float = None  # wall time of the solve
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -178,6 +180,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
           keep_history: bool = False) -> tuple[MomentSolution, SolveReport]:
     """Run the splitting method on the reduced block G' = G[R, R] and
     return the lifted moment matrix G = P G' P^T."""
+    start = time.perf_counter()
     config = config or SolverConfig()
     red, P = _reduced_basis(program.indices, program.n, program.q)
     d = len(red)
@@ -271,5 +274,5 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                          primal_residual=float(pri), dual_residual=float(dual),
                          objective=objective,
                          residual_history=history if keep_history else None,
-                         rho=rho)
+                         rho=rho, seconds=time.perf_counter() - start)
     return solution, report

@@ -47,6 +47,7 @@ class BenchRow:
     seed: int
     status: str
     iterations: int
+    solve_s: float  # wall time of the SDP solve
 
     def as_dict(self):
         return asdict(self)
@@ -89,16 +90,21 @@ def run_bench(entries=None, level: int = 2, trials: int = 32, seed: int = 0,
             balance=result.best.balance,
             achieved_alpha=result.achieved_alpha, seed=sub_seed,
             status=result.solve_report.status,
-            iterations=result.solve_report.iterations))
+            iterations=result.solve_report.iterations,
+            solve_s=result.solve_report.seconds))
         report.min_ratio = min(report.min_ratio, float(ratio))
     return report
+
+
+_ENTRY_KEYS = ("name", "family", "n", "seed", "params")
 
 
 def entries_from_config(doc) -> list[tuple[str, CspInstance]]:
     """Benchmark config: {"instances": [{"name", "family", "n", "seed",
     "params"}, ...]}.  A malformed one raises ``ParseError``; an n that
     ``brute_force`` could not score raises ``CapacityError`` before the
-    instance is generated."""
+    instance is generated.  Every error names the entry by its position
+    (from 1) and its name."""
     items = doc.get("instances", []) if isinstance(doc, dict) else None
     if not isinstance(items, list):
         raise ParseError('benchmark config must be an object whose "instances" '
@@ -106,20 +112,36 @@ def entries_from_config(doc) -> list[tuple[str, CspInstance]]:
     if not items:
         raise CardCspError("benchmark config lists no instances")
     entries = []
-    for item in items:
+    for position, item in enumerate(items, 1):
+        label = f"benchmark entry {position}"
+        if isinstance(item, dict) and "name" in item:
+            label += f" ({item['name']!r})"
         try:
-            family, n = item["family"], _integer(item["n"])
-            seed, params = _integer(item.get("seed", 0)), item.get("params", {})
-            name = item.get("name", family)
-            if not (isinstance(family, str) and isinstance(name, str)
-                    and isinstance(params, dict)):
-                raise TypeError("family and name must be strings, params an object")
-            if n > _BISECTION_CAP:
-                raise CapacityError(f"n={n} exceeds enumeration cap {_BISECTION_CAP}")
-            instance = generate(family, n, seed=seed, **params)
-        except KeyError as exc:
-            raise ParseError(f"benchmark entry lacks {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad benchmark entry: {exc}") from None
-        entries.append((name, instance))
+            entries.append(_entry(item))
+        except CardCspError as exc:
+            raise type(exc)(f"{label}: {exc}") from None
     return entries
+
+
+def _entry(item) -> tuple[str, CspInstance]:
+    """One config entry as (name, instance)."""
+    if not isinstance(item, dict):
+        raise ParseError("must be an object")
+    unknown = sorted(set(item) - set(_ENTRY_KEYS))
+    if unknown:
+        raise ParseError(f"unknown keys {', '.join(unknown)} (allowed: "
+                         f"{', '.join(_ENTRY_KEYS)})")
+    try:
+        family, n = item["family"], _integer(item["n"])
+        seed, params = _integer(item.get("seed", 0)), item.get("params", {})
+        name = item.get("name", family)
+        if not (isinstance(family, str) and isinstance(name, str)
+                and isinstance(params, dict)):
+            raise TypeError("family and name must be strings, params an object")
+        if n > _BISECTION_CAP:
+            raise CapacityError(f"n={n} exceeds enumeration cap {_BISECTION_CAP}")
+        return name, generate(family, n, seed=seed, **params)
+    except KeyError as exc:
+        raise ParseError(f"lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from None

@@ -176,6 +176,26 @@ def test_bench_rejects_params_the_family_does_not_read_with_exit_2(tmp_path,
     assert not out.exists()
 
 
+def test_bench_config_errors_name_the_entry(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"name": "a", "family": "cycle", "n": 4},
+        {"name": "b", "family": "gnp", "n": 8, "params": {"prob": 0.9}},
+        {"family": "gnp", "n": 8, "p": 2}]}))
+    assert main(["bench", "--config", str(config)]) == 2
+    assert "benchmark entry 2 ('b'): gnp does not read params prob" in \
+        capsys.readouterr().err
+
+
+def test_bench_rejects_unknown_entry_keys_with_exit_2(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"name": "a", "family": "cycle", "n": 4},
+        {"family": "gnp", "n": 8, "p": 2}]}))
+    assert main(["bench", "--config", str(config)]) == 2
+    assert "benchmark entry 2: unknown keys p" in capsys.readouterr().err
+
+
 def test_bench_rejects_instances_the_oracle_cannot_score_with_exit_3(tmp_path,
                                                                      capsys):
     config = tmp_path / "bench.json"
@@ -294,6 +314,20 @@ def test_bench_with_config(tmp_path):
     assert [r["name"] for r in doc["rows"]] == ["c4", "k4"]
     assert [r["status"] for r in doc["rows"]] == ["optimal", "optimal"]
     assert all(r["iterations"] > 0 for r in doc["rows"])
+
+
+def test_bench_rows_carry_the_solve_time(tmp_path):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"instances": [
+        {"name": "c4", "family": "cycle", "n": 4},
+        {"name": "c6", "family": "cycle", "n": 6},
+    ]}))
+    out = tmp_path / "bench_out.json"
+    assert main(["bench", "--config", str(config), "--trials", "4",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2
+    assert all(r["solve_s"] > 0 for r in rows)
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from cardcsp import sdp_solver
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
-from cardcsp.lasserre import (MomentSolution, _reduced_basis,
-                              build_index_set, build_relaxation,
-                              check_feasibility, integral_lift)
+from cardcsp.lasserre import (MomentSolution, _constraint_operator,
+                              _reduced_basis, build_index_set,
+                              build_relaxation, check_feasibility,
+                              integral_lift)
 from cardcsp.sdp_solver import _affine_projection
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -51,19 +53,30 @@ def shapes(draw):
 
 
 @st.composite
-def balanced_mixtures(draw):
+def balanced_mixtures(draw, signed=False):
     """An instance whose vertices come in pairs of equal weight, and a convex
     mixture of assignments that differ by swaps within pairs, all of which
-    meet the cardinality target exactly."""
+    meet the cardinality target exactly.
+
+    ``signed``: the first assignment takes a negative weight (the weights
+    still sum to 1, so every row holds) and is the only one with its value
+    on vertex 0, so G[i, i] < 0 at the index i of that event and G is not
+    PSD."""
     q, level, n = draw(shapes())
     base = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    if signed:
+        base[1] = (base[0] + draw(st.integers(1, q - 1))) % q
     pair_parts = draw(st.lists(st.integers(1, 9), min_size=(n + 1) // 2,
                                max_size=(n + 1) // 2))
     parts = [pair_parts[j // 2] for j in range(n)]
     target = _target_met_by(parts, base, q)
     inst = _instance(q, parts, target)
     swaps = draw(st.lists(st.lists(st.booleans(), min_size=n // 2,
-                                   max_size=n // 2), min_size=1, max_size=4))
+                                   max_size=n // 2),
+                          min_size=2 if signed else 1, max_size=4))
+    if signed:
+        for k, swap in enumerate(swaps):
+            swap[0] = k > 0
     assignments = []
     for swap in swaps:
         a = list(base)
@@ -73,7 +86,11 @@ def balanced_mixtures(draw):
         assignments.append(a)
     mix = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(swaps),
                                  max_size=len(swaps))))
-    mix /= mix.sum()
+    if signed:
+        mix[1:] *= (1 + mix[0]) / mix[1:].sum()
+        mix[0] *= -1
+    else:
+        mix /= mix.sum()
     gram = sum(p * integral_lift(inst, a, level).gram
                for p, a in zip(mix, assignments))
     return inst, level, MomentSolution(level, n, q,
@@ -225,6 +242,124 @@ def test_consistency_violation_is_the_entry_perturbation(case, data, delta):
     report = check_feasibility(mixture, inst)
     assert report.consistency_violation == pytest.approx(delta, rel=1e-9)
     assert report.cardinality_violation <= 1e-12
+
+
+def _full_psd_violation(gram):
+    """max(0, -lambda_min) of the symmetric part, from the full spectrum."""
+    sym = (gram + gram.T) / 2
+    return max(0.0, float(-scipy.linalg.eigvalsh(sym, driver="evd")[0]))
+
+
+def _lift_residual(gram, n, q, level):
+    """Largest absolute row sum of G - P G[R, R] P^T."""
+    red, P = _reduced_basis(build_index_set(n, q, level), n, q)
+    return np.abs(gram - P @ gram[np.ix_(red, red)] @ P.T).sum(axis=1).max()
+
+
+@SETTINGS
+@given(balanced_mixtures(signed=True))
+def test_psd_violation_of_a_signed_mixture_is_the_full_spectrum_value(case):
+    inst, level, mixture = case
+    report = check_feasibility(mixture, inst)
+    assert report.consistency_violation <= 1e-12
+    assert report.cardinality_violation <= 1e-12
+    assert report.psd_violation > 0
+    assert abs(report.psd_violation - _full_psd_violation(mixture.gram)) \
+        <= 1e-12
+
+
+@SETTINGS
+@given(st.one_of(balanced_mixtures(), balanced_mixtures(signed=True)),
+       st.sampled_from(["anywhere", "outside", "lifted"]),
+       st.sampled_from([1e-13, 5e-13, 1e-12, 1e-9, 1e-3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_psd_violation_never_under_reports(case, where, size, seed):
+    """Symmetric noise with largest absolute row sum ``size``: anywhere on G,
+    only off the block G[R, R], or on the block and lifted by P, which
+    keeps G in the lift's image.  Off the image by more than the rounding
+    constant, the full spectrum is read."""
+    inst, level, mixture = case
+    n, q = inst.n, inst.q
+    red, P = _reduced_basis(mixture.indices, n, q)
+    rng = np.random.default_rng(seed)
+    if where == "lifted":
+        noise = P @ rng.standard_normal((len(red), len(red))) @ P.T
+    else:
+        noise = rng.standard_normal((len(P), len(P)))
+        if where == "outside":
+            noise[np.ix_(red, red)] = 0.0
+    noise += noise.T
+    noise *= size / np.abs(noise).sum(axis=1).max()
+    perturbed = MomentSolution(level, n, q, mixture.indices,
+                               mixture.gram + noise)
+    full = _full_psd_violation(perturbed.gram)
+    psd = check_feasibility(perturbed, inst).psd_violation
+    assert psd >= full - 1e-13
+    if where == "lifted":
+        assert psd <= full + 1e-12
+    elif _lift_residual(perturbed.gram, n, q, level) > 1e-11:
+        assert psd == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(balanced_mixtures(), st.data())
+def test_psd_violation_counts_the_residual_off_the_block(case, data):
+    """-delta/k on every entry among k indices outside R: E has norm and
+    largest absolute row sum delta, below the rounding constant, and the
+    block G[R, R] is unchanged, so only the Weyl term covers the negative
+    eigenvalue near -delta."""
+    inst, level, mixture = case
+    n, q = inst.n, inst.q
+    red, _ = _reduced_basis(mixture.indices, n, q)
+    outside = np.setdiff1d(np.arange(len(mixture.indices)), red)
+    subset = data.draw(st.lists(st.sampled_from(outside.tolist()),
+                                min_size=1, unique=True))
+    delta = 5e-13
+    gram = mixture.gram.copy()
+    gram[np.ix_(subset, subset)] -= delta / len(subset)
+    perturbed = MomentSolution(level, n, q, mixture.indices, gram)
+    psd = check_feasibility(perturbed, inst).psd_violation
+    assert _full_psd_violation(gram) - 1e-13 <= psd <= 1e-12
+
+
+@pytest.mark.parametrize("family,n,level", [
+    ("cycle", 4, 2), ("complete", 4, 2), ("cycle", 6, 2), ("complete", 6, 2),
+    ("two_cliques", 8, 2), ("two_cliques", 10, 2), ("complete", 6, 3),
+    ("two_cliques", 6, 3)])
+def test_psd_violation_of_solver_outputs_is_the_full_spectrum_value(
+        family, n, level):
+    inst = generate(family, n)
+    solution, report = sdp_solver.solve(build_relaxation(inst, level))
+    assert report.status == "optimal"
+    # the block certificate, not the full spectrum, reads these
+    assert _lift_residual(solution.gram, n, 2, level) <= 1e-12
+    assert abs(check_feasibility(solution, inst).psd_violation
+               - _full_psd_violation(solution.gram)) <= 1e-12
+
+
+def test_rows_are_those_of_the_instance_not_of_the_last_one_built():
+    uniform = _instance(2, [1, 1, 1, 1], [1, 1])
+    skewed = _instance(2, [1, 2, 3, 4], [1, 1])
+    first = build_relaxation(uniform, 2).constraints
+    again = build_relaxation(uniform, 2).constraints
+    second = build_relaxation(skewed, 2).constraints
+    assert again is first
+    fresh = _constraint_operator.__wrapped__(
+        4, 2, 2, skewed.vertex_weights, tuple(skewed.cardinality.proportions))
+    assert (second.forms != fresh.forms).nnz == 0
+    assert (second.forms != first.forms).nnz > 0
+    # meets the uniform target, misses the skewed one by (1 + 3 - 5) / 10
+    lift = integral_lift(skewed, (0, 1, 0, 1), 2)
+    assert check_feasibility(lift, skewed).cardinality_violation == \
+        pytest.approx(0.1, abs=1e-12)
+
+
+def test_rows_refuse_writes():
+    rows = build_relaxation(generate("cycle", 4), 2).constraints
+    for held in (rows.r, rows.c, rows.tie, rows.b, rows.event,
+                 rows.forms.data, rows.forms.indices, rows.forms.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = held[0]
 
 
 @SETTINGS

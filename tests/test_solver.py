@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import subprocess
@@ -252,8 +253,9 @@ def test_failed_small_solve_resets_the_memory(monkeypatch, caplog, failure):
 def test_solver_logs_a_stall(monkeypatch, caplog):
     program = build_relaxation(generate("cycle", 4), 2)
     # a cardinality target above 1 meets no PSD matrix with unit corner
-    cardinality = program.constraints.event >= 0
-    program.constraints.b[cardinality] = 1.5
+    rows = program.constraints
+    program.constraints = dataclasses.replace(
+        rows, b=np.where(rows.event >= 0, 1.5, rows.b))
     monkeypatch.setattr(sdp_solver, "_CHECK_EVERY", 1)
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
     _, report = sdp_solver.solve(program)
