@@ -1,6 +1,11 @@
 """Single-edge analysis of the threshold rounding: bivariate normal
 orthant probabilities, separation probabilities, the sqrt(eps) law, and the
 numerical worst-case approximation-ratio certificate.
+
+Orthant probabilities come from one of two kernels: adaptive quadrature for
+single configurations (`bvn_cdf`), and for grids a Gauss-Legendre rule on
+the arcsine path whose node count follows the correlation band, after Genz
+(2004) (`bvn_cdf_grid`).
 """
 
 from __future__ import annotations
@@ -65,38 +70,59 @@ def bvn_cdf(t1: float, t2: float, rho: float) -> float:
     return float(ndtr(t1) * ndtr(t2) + val / (2.0 * np.pi))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# Gauss-Legendre rules for the arcsine path, by band of |rho|: Genz (2004,
+# "Numerical computation of rectangular bivariate and trivariate normal and t
+# probabilities", Statistics and Computing 14) shows that 6, 12 and 20 nodes
+# reach double precision for |rho| below 0.3, 0.75 and 0.925; 48 nodes above.
+_GL_BANDS = np.array([0.3, 0.75, 0.925])
+_GL_RULES = tuple(np.polynomial.legendre.leggauss(k) for k in (6, 12, 20, 48))
 
 
 def bvn_cdf_grid(t1, t2, rho):
-    """Vectorized bivariate normal CDF (fixed 48-node Gauss-Legendre on the
-    arcsine path).  Cross-validated against the adaptive scalar version.
+    """Vectorized bivariate normal CDF: Gauss-Legendre on the arcsine path
+    with 6, 12, 20 or 48 nodes by the band of |rho| (Genz 2004).
+    Cross-validated against the adaptive scalar version.
 
     The path nodes depend on rho alone, so they are evaluated once per
-    distinct value of rho and broadcast against the thresholds.
+    distinct value of rho; the cells of each band are integrated together
+    with that band's rule.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     rho = np.asarray(rho, dtype=float)
+    shape = np.broadcast_shapes(t1.shape, t2.shape, rho.shape)
     values, inverse = np.unique(rho, return_inverse=True)
     inverse = inverse.reshape(rho.shape)
     upper = np.arcsin(np.clip(values, -1.0, 1.0))
-    theta = 0.5 * upper[:, None] * (_GL_NODES + 1.0)
-    s = np.sin(theta)[inverse]
-    c2 = np.maximum(np.cos(theta) ** 2, 1e-300)[inverse]
-    upper = upper[inverse]
-    a = np.where(np.isfinite(t1), t1, 0.0)[..., None]
-    b = np.where(np.isfinite(t2), t2, 0.0)[..., None]
-    # exp(-(a^2 - 2 s a b + b^2) / (2 c2)), in place in one (cell, node) buffer
-    integrand = 2.0 * s * a * b
-    np.subtract(a * a, integrand, out=integrand)
-    integrand += b * b
-    integrand /= -2.0 * c2
-    np.exp(integrand, out=integrand)
-    # a row-by-row dot product in einsum's own loop, not BLAS (whose order
-    # for a row depends on where it falls in its blocks of rows), so a
-    # cell's value does not depend on its place in the batch
-    integral = 0.5 * upper * np.einsum("...k,k->...", integrand, _GL_WEIGHTS)
+    band = np.searchsorted(_GL_BANDS, np.abs(values), side="right")
+    cell_band = np.broadcast_to(band[inverse], shape)
+    inverse = np.broadcast_to(inverse, shape)
+    a = np.broadcast_to(np.where(np.isfinite(t1), t1, 0.0), shape)
+    b = np.broadcast_to(np.where(np.isfinite(t2), t2, 0.0), shape)
+    integral = np.empty(shape)
+    for k, (nodes, weights) in enumerate(_GL_RULES):
+        mine = band == k
+        if not mine.any():
+            continue
+        cells = cell_band == k
+        u = (np.cumsum(mine) - 1)[inverse[cells]]
+        ak, bk = a[cells][:, None], b[cells][:, None]
+        upper_k = upper[mine]
+        theta = 0.5 * upper_k[:, None] * (nodes + 1.0)
+        # exp(-(a^2 - 2 s a b + b^2) / (2 c2)), in place in one buffer of
+        # (cell, node)
+        integrand = (2.0 * np.sin(theta))[u]
+        integrand *= ak
+        integrand *= bk
+        np.subtract(ak * ak, integrand, out=integrand)
+        integrand += bk * bk
+        integrand /= (-2.0 * np.maximum(np.cos(theta) ** 2, 1e-300))[u]
+        np.exp(integrand, out=integrand)
+        # a row-by-row dot product in einsum's own loop, not BLAS (whose
+        # order for a row depends on where it falls in its blocks of rows),
+        # so a cell's value depends on its own (t1, t2, rho) only
+        integral[cells] = 0.5 * upper_k[u] * np.einsum("ck,k->c", integrand,
+                                                        weights)
     out = ndtr(t1) * ndtr(t2) + integral / (2.0 * np.pi)
     # finite-threshold formula is wrong at infinities; patch those entries
     inf_mask = ~np.isfinite(t1) | ~np.isfinite(t2)

@@ -230,9 +230,15 @@ INDEX_CAP = 6000  # largest index set build_relaxation accepts
 
 def _value_table(indices, n):
     """Row r holds index r's assignment on its subset and -1 elsewhere."""
+    sizes = np.fromiter((len(subset) for subset, _ in indices), dtype=np.intp,
+                        count=len(indices))
+    rows = np.repeat(np.arange(len(indices)), sizes)
+    columns = np.fromiter(chain.from_iterable(subset for subset, _ in indices),
+                          dtype=np.intp, count=rows.size)
+    assigned = np.fromiter(chain.from_iterable(alpha for _, alpha in indices),
+                           dtype=np.int8, count=rows.size)
     values = np.full((len(indices), n), -1, dtype=np.int8)
-    for r, (subset, alpha) in enumerate(indices):
-        values[r, list(subset)] = alpha
+    values[rows, columns] = assigned
     return values
 
 

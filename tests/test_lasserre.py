@@ -11,10 +11,10 @@ from cardcsp.errors import (CapacityError, CardCspError,
                             InconsistentSolutionError)
 from cardcsp.independence import condition
 from cardcsp.instance import cut_instance, generate
-from cardcsp.lasserre import (MomentSolution, build_index_set,
-                              build_relaxation, check_feasibility,
-                              integral_lift, local_distribution,
-                              solution_objective)
+from cardcsp.lasserre import (MomentSolution, _offsets, _value_table,
+                              build_index_set, build_relaxation,
+                              check_feasibility, integral_lift,
+                              local_distribution, solution_objective)
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import bias_decompose
 from test_operator_properties import merge_assignments
@@ -25,6 +25,31 @@ def test_index_set_size():
     idx = build_index_set(4, 2, 2)
     assert len(idx) == 1 + 8 + 24
     assert idx[0] == ((), ())
+
+
+def _value_table_by_loop(indices, n):
+    values = np.full((len(indices), n), -1, dtype=np.int8)
+    for r, (subset, alpha) in enumerate(indices):
+        for v, a in zip(subset, alpha):
+            values[r, v] = a
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), q=st.integers(2, 3), level=st.integers(1, 3),
+       data=st.data())
+def test_value_table_equals_the_index_loop(n, q, level, data):
+    level = min(level, n)
+    indices = build_index_set(n, q, level)
+    # every prefix that conditioning reads (a lower level's index set) and
+    # one of arbitrary length
+    ends = list(_offsets(n, q, level)[1:])
+    ends.append(data.draw(st.integers(0, len(indices))))
+    for end in ends:
+        got = _value_table(indices[:end], n)
+        want = _value_table_by_loop(indices[:end], n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def test_merge_assignments():
