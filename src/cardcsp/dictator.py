@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, CardCspError
 from .instance import CspInstance, CUT_TABLE
-from .lasserre import MomentSolution, local_distributions
+from .lasserre import MomentSolution, _check_same_shape, local_distributions
 from .rounding import RoundedAssignment, bias_decompose
 
 R_CAP = 12
@@ -94,6 +94,7 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
                             f"~{need / 1e9:.1f} GB)")
     if instance.q != 2:
         raise CardCspError("gadget construction supports q = 2 only")
+    _check_same_shape(solution, instance)
     size = 1 << R
     edge = np.zeros((size, size))
     n = instance.n

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import CardCspError
 from .instance import CspInstance
-from .lasserre import (MomentSolution, _offsets, _positions, _value_table,
-                       local_distribution, local_distributions, PROB_FLOOR)
+from .lasserre import (MomentSolution, _layout, _positions, local_distribution,
+                       local_distributions, PROB_FLOOR)
 
 log = logging.getLogger(__name__)
 
@@ -112,8 +112,10 @@ def condition(solution: MomentSolution, pivot: int, value: int) -> MomentSolutio
     new_level = solution.level - 1
     # the level-(k-1) index set is a prefix of the level-k one: set the
     # pivot on its value table and read each lifted index off its position
-    indices = solution.indices[:_offsets(solution.n, solution.q, new_level)[-1]]
-    values = _value_table(indices, solution.n)
+    layout = _layout(solution.n, solution.q, solution.level)
+    end = layout.offsets[solution.level]
+    indices = list(layout.indices[:end])
+    values = layout.values[:end].copy()
     clash = (values[:, pivot] >= 0) & (values[:, pivot] != value)
     values[:, pivot] = value
     rows = _positions(values, solution.q, solution.level)

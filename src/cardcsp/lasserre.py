@@ -7,13 +7,15 @@ G[S, T] equals the moment G[0, S u T], or 0 on clashing assignments
 (Laurent 2003).  Every other row is a linear form on row 0 of G:
 G[0, 0] = 1, marginalization, and the cardinality constraint on every
 conditioning event.  The objective is c . G[0, :] with c the payoff
-vector.  ``_constraint_operator`` is the only place these rows are written.
-Feasible points are exactly the moment solutions: G is PSD and meets every
-row.  ``check_feasibility`` reads the consistency and cardinality
-violations off the residuals of the same rows.  It certifies PSD on the
-reduced block G[R, R] of ``_reduced_basis``: the block's eigenvalues, plus
-a Weyl bound from the residual of the lift G = P G[R, R] P^T, which is
-never below the exact violation; when that residual exceeds
+vector.  ``_layout(n, q, level)`` is the one place the index order, the
+reduced basis R, its lift P and T from P = Q T, and the rows' shape-only
+parts are derived, once per shape; ``_rows`` adds an instance's
+cardinality coefficients.  Feasible points are exactly the moment
+solutions: G is PSD and meets every row.  ``check_feasibility`` reads the
+consistency and cardinality violations off the residuals of the same rows.
+It certifies PSD on the reduced block G[R, R]: the block's eigenvalues,
+plus a Weyl bound from the residual of the lift G = P G[R, R] P^T, which
+is never below the exact violation; when that residual exceeds
 ``_LIFT_TOL`` it takes the full d x d spectrum instead.
 
 Indices run by subset size, then subset in ``combinations`` order, then
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, islice, product
 from math import comb
 
@@ -35,8 +37,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import CapacityError, CardCspError, InconsistentSolutionError
-from .instance import CspInstance
+from .errors import (CapacityError, CardCspError, InconsistentSolutionError,
+                     ParseError)
+from .instance import CspInstance, _integer
 
 PROB_FLOOR = 1e-9  # probabilities below this are treated as zero events
 _LIFT_TOL = 1e-12   # largest lift residual the block PSD certificate accepts
@@ -59,8 +62,9 @@ def build_index_set(n: int, q: int, level: int) -> list[MomentIndex]:
 class MomentSolution:
     """A candidate solution to the level-k relaxation.
 
-    ``indices`` must be ``build_index_set(n, q, level)``: every reader finds
-    an index (S, alpha) at its closed-form position in that order.
+    ``level``, ``n`` and ``q`` must be positive ints and ``indices`` must be
+    ``build_index_set(n, q, level)``: every reader finds an index
+    (S, alpha) at its closed-form position in that order.
     """
 
     level: int
@@ -71,8 +75,16 @@ class MomentSolution:
     objective_value: float = float("nan")
 
     def __post_init__(self):
-        d = len(self.indices)
-        if self.indices != build_index_set(self.n, self.q, self.level):
+        # before the layout lookup, where 4.0 and True find 4 and 1
+        for name in ("level", "n", "q"):
+            try:
+                if _integer(getattr(self, name)) < 1:
+                    raise TypeError("expected a positive integer")
+            except TypeError as exc:
+                raise CardCspError(f"moment solution {name}: {exc}") from None
+        indices = _layout(self.n, self.q, self.level).indices
+        d = len(indices)
+        if tuple(self.indices) != indices:
             raise CardCspError("moment indices must be build_index_set(n, q, "
                                "level), in that order")
         if np.shape(self.gram) != (d, d):
@@ -133,8 +145,11 @@ class MomentSolution:
         gram = np.zeros((d, d))
         gram[r, c] = gram[c, r] = np.fromiter(chain.from_iterable(rows),
                                               float, count=len(r))
-        return cls(doc["level"], doc["n"], doc["q"], indices, gram,
-                   doc["objective_value"])
+        try:
+            return cls(doc["level"], doc["n"], doc["q"], indices, gram,
+                       doc["objective_value"])
+        except CardCspError as exc:
+            raise ParseError(str(exc)) from None
 
 
 @dataclass
@@ -189,7 +204,8 @@ class ConstraintOperator:
     entry is 0.  Every other row is a linear form on row 0 of G: row i of
     ``forms`` (d columns; empty on the consistency rows).  ``event`` holds,
     for each cardinality row, the gram column of its conditioning event, and
-    -1 on every other row.
+    -1 on every other row.  Every array is read-only, and all but those of
+    ``forms`` are the shape's ``_layout`` arrays.
     """
 
     r: np.ndarray
@@ -248,10 +264,9 @@ def _offsets(n, q, level):
     return np.cumsum([0] + [comb(n, s) * q ** s for s in range(level + 1)])
 
 
-def _lift_vectors(indices, n, assignments):
+def _lift_vectors(values, assignments):
     """Row k: the indicator over the index set of the events that
-    assignment k satisfies."""
-    values = _value_table(indices, n)
+    assignment k satisfies, from the index set's value table."""
     x = np.asarray(assignments)[:, None, :]
     return ((values < 0) | (values == x)).all(axis=2).astype(float)
 
@@ -276,16 +291,16 @@ def _positions(values, q, level):
     return _offsets(n, q, level)[size] + rank * q ** size + code
 
 
-def _reduced_basis(indices, n, q):
+def _reduced_basis(values, q):
     """Positions R of the indices whose values all lie below q - 1, and the
-    lift P (d x |R|) with G = P G[R, R] P^T on every moment solution.
+    lift P (d x |R|, dense) with G = P G[R, R] P^T on every moment solution,
+    from the index set's value table.
 
     P is inclusion-exclusion: each value q - 1 expands as
     [x_j = q - 1] = 1 - sum_{a < q - 1} [x_j = a], so P[(S, alpha), (T, beta)]
     is (-1)^{|{j in T : alpha_j = q - 1}|} when T drops only variables valued
     q - 1 and beta agrees with alpha below q - 1, and zero otherwise.
     """
-    values = _value_table(indices, n)
     red = np.flatnonzero((values < q - 1).all(axis=1))
     top = values == q - 1
     # one-hot over -1, 0, ..., q - 2; values q - 1 match anything
@@ -298,34 +313,14 @@ def _reduced_basis(indices, n, q):
     return red, np.where(fits, 1.0 - 2.0 * (flips.astype(np.int64) & 1), 0.0)
 
 
-def _rows(instance: CspInstance, level: int) -> ConstraintOperator:
-    """The instance's rows at ``level``, from ``_constraint_operator``."""
-    return _constraint_operator(instance.n, instance.q, level,
-                                tuple(instance.vertex_weights),
-                                tuple(instance.cardinality.proportions))
-
-
-@lru_cache(maxsize=1)
-def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
-    """All rows of the level-``level`` program over the index set.
-
-    Rows, in order: the unit row G[0,0] = 1; consistency of every entry
-    (r <= c, row-major, r > 0) whose subsets span at most ``level``
-    variables, tied to its canonical entry (0, merged) or to zero when the
-    assignments clash; marginalization by (event, j);
-    cardinality by (event, v).  Events are the indices below full size.
-
-    ``weights`` and ``target`` are tuples: the last operator built is kept,
-    so ``check_feasibility`` right after ``build_relaxation`` reuses its
-    rows, and every array it holds is read-only.
-    """
-    indices = build_index_set(n, q, level)
-    d = len(indices)
-    values = _value_table(indices, n)
+def _consistency_pairs(values, q, level):
+    """(r, c, tie): each entry r <= c, r > 0, row-major, whose subsets span
+    at most ``level`` variables, and its canonical entry (0, merged), or -1
+    where the assignments clash."""
+    d, n = values.shape
     inside = (values >= 0).astype(float)
     onehot = (values[:, :, None] == np.arange(q)).reshape(d, n * q).astype(float)
     size = inside.sum(axis=1)
-
     # pairs scanned in row blocks: |S u T| from shared variables, clashes
     # from shared variables that disagree
     block = max(1, (1 << 18) // d)
@@ -339,40 +334,93 @@ def _constraint_operator(n, q, level, weights, target) -> ConstraintOperator:
         agree = (onehot[lo:hi] @ onehot.T)[r, c]
         pairs.append((r + lo, c, agree == shared[r, c]))
     r, c, fits = (np.concatenate(x) for x in zip(*pairs))
-    canon = _positions(np.maximum(values[r[fits]], values[c[fits]]), q, level)
-
-    n_events = _offsets(n, q, level)[level]
-    ev, j = np.nonzero(values[:n_events] < 0)
-    ext = np.empty((len(ev), q), dtype=np.int64)
-    for a in range(q):
-        grown = values[ev]
-        grown[np.arange(len(ev)), j] = a
-        ext[:, a] = _positions(grown, q, level)
-    w = np.asarray(weights, dtype=float)
-    base = (onehot[:n_events].reshape(n_events, n, q) * w[:, None]).sum(axis=1) \
-        - np.asarray(target, dtype=float)
-
     tie = np.full(len(r), -1)
-    tie[fits] = canon
-    marg = 1 + len(r) + np.arange(len(ev))
-    card = 1 + len(r) + len(ev) + np.arange(n_events * q).reshape(n_events, q)
-    events = np.arange(n_events)
-    # the forms on row 0: unit, marginalization and cardinality
-    rows = np.concatenate([[0], marg, np.repeat(marg, q), card.ravel(),
-                           card[ev].ravel()])
-    cols = np.concatenate([[0], ev, ext.ravel(), np.repeat(events, q),
-                           ext.ravel()])
-    coefs = np.concatenate([[1.0], np.full(len(ev), -1.0), np.ones(ext.size),
+    tie[fits] = _positions(np.maximum(values[r[fits]], values[c[fits]]), q,
+                           level)
+    return r, c, tie
+
+
+def _read_only(*arrays):
+    """The arrays, sparse ones included, made read-only."""
+    for a in arrays:
+        for held in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+            held.flags.writeable = False
+    return arrays
+
+
+class _Layout:
+    """What the index order of one (n, q, level) alone determines; every
+    array is read-only.  The index list, its value table and offsets are
+    built with the record, the reduced basis and the shape-only rows on
+    first use: checking a solution's indices needs neither."""
+
+    def __init__(self, n, q, level):
+        self.q, self.level = q, level
+        self.indices = tuple(build_index_set(n, q, level))
+        self.values, self.offsets = _read_only(_value_table(self.indices, n),
+                                               _offsets(n, q, level))
+
+    @cached_property
+    def basis(self):
+        """R, the lift P as a sparse matrix, and T from P = Q T."""
+        red, P = _reduced_basis(self.values, self.q)
+        return _read_only(red, sp.csr_matrix(P), np.linalg.qr(P, mode="r"))
+
+    @cached_property
+    def rows(self):
+        """The shape-only parts of ``ConstraintOperator``: r, c, tie, b and
+        event; the vertex j each marginalization row adds to its event; and
+        (rows, columns) of the row-0 form coefficients ``_rows`` writes.
+
+        Rows, in order: the unit row G[0,0] = 1, consistency, marginalization
+        by (event, j), cardinality by (event, v); events are the indices below
+        full size.
+        """
+        values, q, level = self.values, self.q, self.level
+        r, c, tie = _consistency_pairs(values, q, level)
+        n_events = self.offsets[level]
+        ev, j = np.nonzero(values[:n_events] < 0)
+        ext = np.empty((len(ev), q), dtype=np.int64)
+        for a in range(q):
+            grown = values[ev]
+            grown[np.arange(len(ev)), j] = a
+            ext[:, a] = _positions(grown, q, level)
+        marg = 1 + len(r) + np.arange(len(ev))
+        card = 1 + len(r) + len(ev) + np.arange(n_events * q).reshape(n_events, q)
+        events = np.arange(n_events)
+        # the forms on row 0: unit, marginalization and cardinality
+        at = (np.concatenate([[0], marg, np.repeat(marg, q), card.ravel(),
+                              card[ev].ravel()]),
+              np.concatenate([[0], ev, ext.ravel(), np.repeat(events, q),
+                              ext.ravel()]))
+        m = card[-1, -1] + 1
+        b = np.zeros(m)
+        b[0] = 1.0
+        event = np.full(m, -1)
+        event[card] = events[:, None]
+        _read_only(r, c, tie, b, event, j, *at)
+        return r, c, tie, b, event, j, at
+
+
+@lru_cache(maxsize=8)  # more shapes than a suite or benchmark run cycles through
+def _layout(n, q, level) -> _Layout:
+    """The layout of (n, q, level), built once per shape."""
+    return _Layout(n, q, level)
+
+
+def _rows(instance: CspInstance, level: int) -> ConstraintOperator:
+    """The instance's rows: the layout's, with the cardinality coefficients
+    of its weights and target."""
+    layout, q = _layout(instance.n, instance.q, level), instance.q
+    r, c, tie, b, event, j, at = layout.rows
+    w = np.asarray(instance.vertex_weights, dtype=float)
+    onehot = layout.values[:layout.offsets[level], :, None] == np.arange(q)
+    base = (onehot * w[:, None]).sum(axis=1) - instance.cardinality.as_floats()
+    coefs = np.concatenate([[1.0], np.full(len(j), -1.0), np.ones(len(j) * q),
                             base.ravel(), np.repeat(w[j], q)])
-    m = card[-1, -1] + 1
-    forms = sp.csr_matrix((coefs, (rows, cols)), shape=(m, d))
+    forms = sp.csr_matrix((coefs, at), shape=(len(b), len(layout.indices)))
     forms.eliminate_zeros()
-    b = np.zeros(m)
-    b[0] = 1.0
-    event = np.full(m, -1)
-    event[card] = events[:, None]
-    for a in (r, c, tie, forms.data, forms.indices, forms.indptr, b, event):
-        a.flags.writeable = False
+    _read_only(forms)
     return ConstraintOperator(r, c, tie, forms, b, event)
 
 
@@ -386,7 +434,7 @@ def build_relaxation(instance: CspInstance, level: int = 2) -> ConicProgram:
         raise CapacityError(
             f"level {level} too high for n={n}: index set size {d} exceeds "
             f"cap {INDEX_CAP}")
-    return ConicProgram(dim=d, indices=build_index_set(n, q, level),
+    return ConicProgram(dim=d, indices=list(_layout(n, q, level).indices),
                         constraints=_rows(instance, level),
                         c=_payoff_vector(instance, level), level=level, n=n,
                         q=q, sense=instance.sense)
@@ -420,6 +468,7 @@ def check_feasibility(solution: MomentSolution,
     within the residual of it.  When the residual exceeds ``_LIFT_TOL`` it
     is the full d x d ``eigvalsh`` value.
     """
+    _check_same_shape(solution, instance)
     sym = solution.gram + solution.gram.T
     sym /= 2
     ops = _rows(instance, solution.level)
@@ -429,16 +478,16 @@ def check_feasibility(solution: MomentSolution,
     p_event = sym[0, ops.event[card]]
     live = p_event > PROB_FLOOR
     cardinality = float((resid[card][live] / p_event[live]).max(initial=0.0))
-    psd_violation = _psd_violation(sym, solution.indices, solution.n,
-                                   solution.q)
+    psd_violation = _psd_violation(
+        sym, _layout(solution.n, solution.q, solution.level))
     return FeasibilityReport(psd_violation, consistency, cardinality)
 
 
-def _psd_violation(sym, indices, n, q) -> float:
+def _psd_violation(sym, layout) -> float:
     """max(0, -lambda_min(sym)) or, when sym is the lift of its block, an
     upper bound on it within ``_LIFT_TOL``.  Overwrites sym.
 
-    With R and P from ``_reduced_basis`` and A = sym[R, R], write
+    With R, P and T from the layout and A = sym[R, R], write
     sym = P A P^T + E.  P = Q T with orthonormal Q, so P A P^T has the
     eigenvalues of T A T^T and zeros, and by Weyl lambda_min(sym) is at
     least lambda_min(P A P^T) - eps, where eps, the largest absolute row
@@ -447,9 +496,8 @@ def _psd_violation(sym, indices, n, q) -> float:
     ``_LIFT_TOL`` (noisy, inconsistent or external input) the full d x d
     spectrum is computed instead.
     """
-    red, P = _reduced_basis(indices, n, q)
+    red, lift, T = layout.basis
     A = sym[np.ix_(red, red)]
-    lift = sp.csr_matrix(P)  # a row with j values q - 1 holds 2^j entries
     APt = np.ascontiguousarray((lift @ A).T)  # A P^T, as A is symmetric
     # E in row blocks, so no second d x d array is formed
     d = len(sym)
@@ -463,7 +511,6 @@ def _psd_violation(sym, indices, n, q) -> float:
         # LAPACK works in place instead of on a second d x d copy
         eigs = scipy.linalg.eigvalsh(sym.T, overwrite_a=True, driver="evd")
         return max(0.0, float(-eigs.min()))
-    T = np.linalg.qr(P, mode="r")
     low = float(np.linalg.eigvalsh(T @ A @ T.T)[0])
     return max(0.0, eps - min(0.0, low))
 
@@ -471,9 +518,9 @@ def _psd_violation(sym, indices, n, q) -> float:
 def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSolution:
     """Moment matrix of a deterministic assignment."""
     assignment = tuple(int(a) for a in assignment)
-    indices = build_index_set(instance.n, instance.q, level)
-    vec = _lift_vectors(indices, instance.n, [assignment])[0]
-    return MomentSolution(level, instance.n, instance.q, indices,
+    layout = _layout(instance.n, instance.q, level)
+    vec = _lift_vectors(layout.values, [assignment])[0]
+    return MomentSolution(level, instance.n, instance.q, list(layout.indices),
                           np.outer(vec, vec),
                           objective_value=instance.evaluate(assignment))
 
@@ -496,4 +543,13 @@ def _payoff_vector(instance: CspInstance, level: int) -> np.ndarray:
 
 def solution_objective(solution: MomentSolution, instance: CspInstance) -> float:
     """Instance objective evaluated on the solution's local distributions."""
+    _check_same_shape(solution, instance)
     return float(_payoff_vector(instance, solution.level) @ solution.gram[0])
+
+
+def _check_same_shape(solution: MomentSolution, instance: CspInstance):
+    """Refuse a solution whose n or q is not the instance's."""
+    if (solution.n, solution.q) != (instance.n, instance.q):
+        raise CardCspError(
+            f"solution has n={solution.n}, q={solution.q} but the instance "
+            f"has n={instance.n}, q={instance.q}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CapacityError, CardCspError
 from .instance import CspInstance
-from .lasserre import MomentSolution, _lift_vectors, build_index_set
+from .lasserre import MomentSolution, _layout, _lift_vectors
 
 _BISECTION_CAP = 24  # largest n brute_force enumerates under the cardinality rule
 
@@ -123,13 +123,14 @@ def exact_mixture_moments(instance: CspInstance, assignments, probabilities,
     for x in assignments:
         if len(x) != instance.n:
             raise CardCspError("assignment length mismatch")
-    indices = build_index_set(instance.n, instance.q, level)
-    d = len(indices)
+    layout = _layout(instance.n, instance.q, level)
+    d = len(layout.indices)
     gram = np.zeros((d, d))
-    for vec, p in zip(_lift_vectors(indices, instance.n, assignments),
+    for vec, p in zip(_lift_vectors(layout.values, assignments),
                       probabilities):
         if p > 0:
             gram += p * np.outer(vec, vec)
     objective = float(sum(p * instance.evaluate(x)
                           for x, p in zip(assignments, probabilities)))
-    return MomentSolution(level, instance.n, instance.q, indices, gram, objective)
+    return MomentSolution(level, instance.n, instance.q, list(layout.indices),
+                          gram, objective)

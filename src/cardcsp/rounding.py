@@ -21,8 +21,9 @@ from . import sdp_solver
 from .errors import CardCspError
 from .independence import decorrelate
 from .instance import CspInstance
-from .lasserre import (MomentSolution, _positions, build_relaxation,
-                       local_distributions, solution_objective)
+from .lasserre import (MomentSolution, _check_same_shape, _positions,
+                       build_relaxation, local_distributions,
+                       solution_objective)
 from .sdp_solver import SolveReport
 
 DEGENERATE_TOL = 1e-12
@@ -247,6 +248,7 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     if solution is None:
         program = build_relaxation(instance, level)
         solution, report = sdp_solver.solve(program, solver_config)
+    _check_same_shape(solution, instance)
     dec = decorrelate(solution, instance, alpha_target, seed=seed, depth=depth)
     sol = dec.solution
     profile = bias_decompose(sol)

@@ -2,17 +2,18 @@
 
 Every moment solution is a fixed linear image G = P G[R, R] P^T of its
 principal block on R, the indices whose values all lie below q - 1 (the
-inclusion-exclusion lift of ``lasserre._reduced_basis``).  P has full column
-rank, so G is PSD exactly when the block is, and the program's rows whose
-support lies inside R x R constrain the block exactly as the full rows
-constrain G: the consistency pairs (r, c, tie) inside R x R, and the row-0
-forms whose support lies in R.  The objective c . G[0] is <C, G'> on the
-block with C = sym(outer(P[0], P^T c)).  The method runs on that block: it
-alternates a closed-form projection onto the affine constraint subspace
-(class averaging plus one small cardinality system, no factorization) with
-a PSD-cone projection via dense symmetric eigendecomposition, with
-over-relaxation.  Residuals are measured on the lifted matrices.
-Deterministic; no external solver.
+inclusion-exclusion lift of ``lasserre._reduced_basis``).  R, P and T from
+P = Q T are read off ``lasserre._layout``, the one place they are derived
+for a shape.  P has full column rank, so G is PSD exactly when the block
+is, and the program's rows whose support lies inside R x R constrain the
+block exactly as the full rows constrain G: the consistency pairs
+(r, c, tie) inside R x R, and the row-0 forms whose support lies in R.  The
+objective c . G[0] is <C, G'> on the block with C = sym(outer(P[0], P^T c)).
+The method runs on that block: it alternates a closed-form projection onto
+the affine constraint subspace (class averaging plus one small cardinality
+system, no factorization) with a PSD-cone projection via dense symmetric
+eigendecomposition, with over-relaxation.  Residuals are measured on the
+lifted matrices.  Deterministic; no external solver.
 
 One iteration is one fixed-point map F on v = X_hat + U, the input of the
 PSD projection: Z = Pi_PSD(v), U = v - Z, X = Pi_A(Z - U + C/rho) and
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .errors import NumericalError
-from .lasserre import ConicProgram, MomentSolution, _reduced_basis
+from .lasserre import ConicProgram, MomentSolution, _layout
 
 log = logging.getLogger(__name__)
 
@@ -182,16 +183,16 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     return the lifted moment matrix G = P G' P^T."""
     start = time.perf_counter()
     config = config or SolverConfig()
-    red, P = _reduced_basis(program.indices, program.n, program.q)
+    red, P, T = _layout(program.n, program.q, program.level).basis
+    P = P.toarray()
     d = len(red)
     project_affine = _affine_projection(program.constraints, program.dim, red)
     # the objective on the block, negated for a minimization
     pc = (1.0 if program.sense == "max" else -1.0) * (P.T @ program.c)
     Cs = (np.outer(P[0], pc) + np.outer(pc, P[0])) / 2
+
     # ||P D P^T|| = ||T D T^T|| for P = Q T: residuals measured on the
     # lifted matrix at the cost of the reduced one
-    T = np.linalg.qr(P, mode="r")
-
     def lifted_norm(mat):
         return np.linalg.norm(T @ mat @ T.T)
 

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cardcsp import lasserre, sdp_solver
+from cardcsp.dictator import build_gadget
 from cardcsp.errors import (CapacityError, CardCspError,
-                            InconsistentSolutionError)
+                            InconsistentSolutionError, ParseError)
 from cardcsp.independence import condition
 from cardcsp.instance import cut_instance, generate
-from cardcsp.lasserre import (MomentSolution, _offsets, _value_table,
-                              build_index_set, build_relaxation,
-                              check_feasibility, integral_lift,
-                              local_distribution, solution_objective)
+from cardcsp.lasserre import (MomentSolution, _layout, build_index_set,
+                              build_relaxation, check_feasibility,
+                              integral_lift, local_distribution,
+                              solution_objective)
 from cardcsp.oracle import exact_mixture_moments
-from cardcsp.rounding import bias_decompose
+from cardcsp.rounding import bias_decompose, pipeline
 from test_operator_properties import merge_assignments
 
 
@@ -40,16 +42,62 @@ def _value_table_by_loop(indices, n):
        data=st.data())
 def test_value_table_equals_the_index_loop(n, q, level, data):
     level = min(level, n)
-    indices = build_index_set(n, q, level)
+    layout = _layout(n, q, level)
+    assert list(layout.indices) == build_index_set(n, q, level)
     # every prefix that conditioning reads (a lower level's index set) and
     # one of arbitrary length
-    ends = list(_offsets(n, q, level)[1:])
-    ends.append(data.draw(st.integers(0, len(indices))))
+    ends = list(layout.offsets[1:])
+    ends.append(data.draw(st.integers(0, len(layout.indices))))
     for end in ends:
-        got = _value_table(indices[:end], n)
-        want = _value_table_by_loop(indices[:end], n)
+        got = layout.values[:end]
+        want = _value_table_by_loop(layout.indices[:end], n)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 7), q=st.integers(2, 3), level=st.integers(2, 3))
+def test_lower_level_layout_is_a_prefix(n, q, level):
+    """``condition`` reads the level-(k-1) indices and value table off the
+    front of the level-k ones."""
+    level = min(level, n)
+    upper, lower = _layout(n, q, level), _layout(n, q, level - 1)
+    end = upper.offsets[level]
+    assert lower.indices == upper.indices[:end]
+    assert np.array_equal(lower.values, upper.values[:end])
+    assert np.array_equal(lower.offsets, upper.offsets[:-1])
+
+
+def test_each_shape_builds_its_layout_once(monkeypatch):
+    """build_relaxation -> solve -> check_feasibility -> pipeline derives
+    the index list, value table, reduced basis, its QR factor and the
+    consistency pairs once for the shape."""
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("build_index_set", "_value_table", "_reduced_basis",
+                 "_consistency_pairs"):
+        counted(lasserre, name)
+    counted(np.linalg, "qr")
+    _layout.cache_clear()
+    inst = generate("cycle", 6)
+    for _ in range(2):
+        solution, report = sdp_solver.solve(build_relaxation(inst, 2))
+        assert report.status == "optimal"
+        assert check_feasibility(solution, inst).passes(1e-5)
+        pipeline(inst, level=2, trials=4, solution=solution)
+        pipeline(inst, level=2, trials=4)
+    assert calls == dict.fromkeys(["build_index_set", "_value_table",
+                                   "_reduced_basis", "_consistency_pairs",
+                                   "qr"], 1)
+    assert _layout.cache_info().currsize == 1
 
 
 def test_merge_assignments():
@@ -209,3 +257,30 @@ def test_condition_rejects_bad_events(pivot, value):
     _, sol = _mixture()
     with pytest.raises(CardCspError):
         condition(sol, pivot, value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("level", "2"), ("n", 4.0), ("q", None), ("q", True), ("level", 0)])
+def test_solution_shape_must_be_positive_ints(name, value):
+    sol = integral_lift(generate("cycle", 4), (0, 1, 0, 1))
+    doc = json.loads(sol.to_json())
+    doc[name] = value
+    with pytest.raises(ParseError, match=f"moment solution {name}:"):
+        MomentSolution.from_json(json.dumps(doc))
+    shape = {"level": 2, "n": 4, "q": 2, name: value}
+    with pytest.raises(CardCspError, match=f"moment solution {name}:"):
+        MomentSolution(shape["level"], shape["n"], shape["q"], sol.indices,
+                       sol.gram)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sol, inst: check_feasibility(sol, inst),
+    lambda sol, inst: solution_objective(sol, inst),
+    lambda sol, inst: pipeline(inst, trials=4, solution=sol),
+    lambda sol, inst: build_gadget(sol, inst, 0.1, 2),
+], ids=["check_feasibility", "solution_objective", "pipeline", "build_gadget"])
+def test_solution_of_another_shape_is_refused(entry):
+    solution = integral_lift(generate("cycle", 4), (0, 1, 0, 1))
+    with pytest.raises(CardCspError, match="n=4, q=2 but the instance has "
+                                           "n=6, q=2"):
+        entry(solution, generate("cycle", 6))

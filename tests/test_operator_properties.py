@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from cardcsp import sdp_solver
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
-from cardcsp.lasserre import (MomentSolution, _constraint_operator,
-                              _reduced_basis, build_index_set,
-                              build_relaxation, check_feasibility,
-                              integral_lift)
+from cardcsp.lasserre import (MomentSolution, _layout, _rows,
+                              build_index_set, build_relaxation,
+                              check_feasibility, integral_lift)
 from cardcsp.sdp_solver import _affine_projection
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -250,9 +249,15 @@ def _full_psd_violation(gram):
     return max(0.0, float(-scipy.linalg.eigvalsh(sym, driver="evd")[0]))
 
 
+def _basis(n, q, level):
+    """R and the lift P, dense, of the shape's layout."""
+    red, lift, _ = _layout(n, q, level).basis
+    return red, lift.toarray()
+
+
 def _lift_residual(gram, n, q, level):
     """Largest absolute row sum of G - P G[R, R] P^T."""
-    red, P = _reduced_basis(build_index_set(n, q, level), n, q)
+    red, P = _basis(n, q, level)
     return np.abs(gram - P @ gram[np.ix_(red, red)] @ P.T).sum(axis=1).max()
 
 
@@ -280,7 +285,7 @@ def test_psd_violation_never_under_reports(case, where, size, seed):
     constant, the full spectrum is read."""
     inst, level, mixture = case
     n, q = inst.n, inst.q
-    red, P = _reduced_basis(mixture.indices, n, q)
+    red, P = _basis(n, q, level)
     rng = np.random.default_rng(seed)
     if where == "lifted":
         noise = P @ rng.standard_normal((len(red), len(red))) @ P.T
@@ -310,7 +315,7 @@ def test_psd_violation_counts_the_residual_off_the_block(case, data):
     eigenvalue near -delta."""
     inst, level, mixture = case
     n, q = inst.n, inst.q
-    red, _ = _reduced_basis(mixture.indices, n, q)
+    red = _layout(n, q, level).basis[0]
     outside = np.setdiff1d(np.arange(len(mixture.indices)), red)
     subset = data.draw(st.lists(st.sampled_from(outside.tolist()),
                                 min_size=1, unique=True))
@@ -341,11 +346,16 @@ def test_rows_are_those_of_the_instance_not_of_the_last_one_built():
     uniform = _instance(2, [1, 1, 1, 1], [1, 1])
     skewed = _instance(2, [1, 2, 3, 4], [1, 1])
     first = build_relaxation(uniform, 2).constraints
-    again = build_relaxation(uniform, 2).constraints
     second = build_relaxation(skewed, 2).constraints
-    assert again is first
-    fresh = _constraint_operator.__wrapped__(
-        4, 2, 2, skewed.vertex_weights, tuple(skewed.cardinality.proportions))
+    # the shape-only rows are the layout's own arrays; the forms are each
+    # instance's, as a build from a fresh layout writes them
+    r, c, tie, b, event, _, _ = _layout(4, 2, 2).rows
+    for ops in (first, second):
+        for got, held in zip((ops.r, ops.c, ops.tie, ops.b, ops.event),
+                             (r, c, tie, b, event)):
+            assert got is held
+    _layout.cache_clear()
+    fresh = _rows(skewed, 2)
     assert (second.forms != fresh.forms).nnz == 0
     assert (second.forms != first.forms).nnz > 0
     # meets the uniform target, misses the skewed one by (1 + 3 - 5) / 10
@@ -356,10 +366,17 @@ def test_rows_are_those_of_the_instance_not_of_the_last_one_built():
 
 def test_rows_refuse_writes():
     rows = build_relaxation(generate("cycle", 4), 2).constraints
-    for held in (rows.r, rows.c, rows.tie, rows.b, rows.event,
-                 rows.forms.data, rows.forms.indices, rows.forms.indptr):
+    held = [rows.r, rows.c, rows.tie, rows.b, rows.event, rows.forms.data,
+            rows.forms.indices, rows.forms.indptr]
+    layout = _layout(4, 2, 2)
+    red, lift, T = layout.basis
+    *shape_rows, (at_rows, at_cols) = layout.rows
+    held += [layout.values, layout.offsets, red, lift.data, lift.indices,
+             lift.indptr, T, *shape_rows, at_rows, at_cols]
+    assert isinstance(layout.indices, tuple)
+    for array in held:
         with pytest.raises(ValueError, match="read-only"):
-            held[0] = held[0]
+            array[0] = array[0]
 
 
 @SETTINGS
@@ -425,9 +442,41 @@ def mixtures(draw):
 @given(mixtures())
 def test_lift_recovers_mixtures_of_any_assignments(case):
     gram, n, q, level = case
-    red, P = _reduced_basis(build_index_set(n, q, level), n, q)
+    red, P = _basis(n, q, level)
     assert np.abs(P @ gram[np.ix_(red, red)] @ P.T - gram).max() <= 1e-12
     assert np.linalg.matrix_rank(P) == len(red)
+    # T is the triangular factor of P = Q T
+    T = _layout(n, q, level).basis[2]
+    assert np.abs(T.T @ T - P.T @ P).max() <= 1e-9
+
+
+def _lift_by_loop(indices, q):
+    """R and P entry by entry: expanding every [x_j = q - 1] in the event
+    (S, alpha) as 1 - sum_{a < q - 1} [x_j = a] keeps the variables below
+    q - 1 and, with sign -1 each, any of those valued q - 1."""
+    red = [k for k, (_, alpha) in enumerate(indices)
+           if all(a < q - 1 for a in alpha)]
+    P = np.zeros((len(indices), len(red)))
+    for row, (s, alpha) in enumerate(indices):
+        top = {v for v, a in zip(s, alpha) if a == q - 1}
+        for col, k in enumerate(red):
+            t, beta = indices[k]
+            kept = dict(zip(t, beta))
+            if (set(t) <= set(s) and set(s) - set(t) <= top
+                    and all(kept[v] == a for v, a in zip(s, alpha)
+                            if v not in top)):
+                P[row, col] = (-1) ** len(top & set(t))
+    return red, P
+
+
+@settings(max_examples=15, deadline=None)
+@given(shapes())
+def test_lift_equals_inclusion_exclusion_by_loop(shape):
+    q, level, n = shape
+    red, P = _lift_by_loop(build_index_set(n, q, level), q)
+    layout_red, layout_P = _basis(n, q, level)
+    assert layout_red.tolist() == red
+    assert np.array_equal(layout_P, P)
 
 
 def _reduced_rows(constraints, d, red):
@@ -453,7 +502,7 @@ def _reduced_rows(constraints, d, red):
 def test_reduced_rows_hold_on_mixtures_of_balanced_lifts(case):
     inst, level, mixture = case
     program = build_relaxation(inst, level)
-    red, _ = _reduced_basis(program.indices, inst.n, inst.q)
+    red = _layout(inst.n, inst.q, level).basis[0]
     A, b = _reduced_rows(program.constraints, program.dim, red)
     block = mixture.gram[np.ix_(red, red)]
     assert np.abs(A @ block.reshape(-1) - b).max() <= 1e-12
@@ -479,7 +528,7 @@ def test_reduced_rows_imply_every_row(case, seed):
     meets every row of the program."""
     inst, level = case
     program = build_relaxation(inst, level)
-    red, P = _reduced_basis(program.indices, inst.n, inst.q)
+    red, P = _basis(inst.n, inst.q, level)
     A, b = _reduced_rows(program.constraints, program.dim, red)
     A = A.toarray()
     y = np.random.default_rng(seed).standard_normal((len(red), len(red)))
@@ -502,7 +551,7 @@ def projection_cases(draw):
     base = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
     program = build_relaxation(
         _instance(q, parts, _target_met_by(parts, base, q)), level)
-    red, P = _reduced_basis(program.indices, n, q)
+    red, P = _basis(n, q, level)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     y = scale * rng.standard_normal((len(red), len(red)))
