@@ -8,11 +8,11 @@ G[S, T] equals the moment G[0, S u T], or 0 on clashing assignments
 G[0, 0] = 1, marginalization, and the cardinality constraint on every
 conditioning event.  The objective is c . G[0, :] with c the payoff
 vector.  ``_layout(n, q, level)`` is the one place the index order, the
-reduced basis R, its lift P and T from P = Q T, and the rows' shape-only
-parts are derived, once per shape; ``_rows`` adds an instance's
-cardinality coefficients.  Feasible points are exactly the moment
-solutions: G is PSD and meets every row.  ``check_feasibility`` reads the
-consistency and cardinality violations off the residuals of the same rows.
+reduced basis R, its lift P and T from P = Q T, the rows' shape-only parts
+and their part on the block G[R, R] are derived, once per shape; ``_rows``
+adds an instance's cardinality coefficients.  Feasible points are exactly
+the moment solutions: G is PSD and meets every row.  ``check_feasibility``
+reads the consistency and cardinality violations off the same rows.
 It certifies PSD on the reduced block G[R, R]: the block's eigenvalues,
 plus a Weyl bound from the residual of the lift G = P G[R, R] P^T, which
 is never below the exact violation; when that residual exceeds
@@ -90,6 +90,10 @@ class MomentSolution:
         if np.shape(self.gram) != (d, d):
             raise CardCspError(f"gram has shape {np.shape(self.gram)}, "
                                f"expected ({d}, {d})")
+        if not np.isfinite(self.gram).all():
+            r, c = np.argwhere(~np.isfinite(self.gram))[0]
+            raise CardCspError(f"gram entry ({r}, {c}) is "
+                               f"{self.gram[r, c]}, not finite")
 
     def _position(self, subset, assignment) -> int:
         """Position of the index of the event x_S = alpha, S in any order."""
@@ -135,21 +139,24 @@ class MomentSolution:
 
     @classmethod
     def from_json(cls, text: str) -> "MomentSolution":
-        doc = json.loads(text)
-        indices = [(tuple(s), tuple(a)) for s, a in doc["indices"]]
-        d = len(indices)
-        rows = doc["gram_lower"]
-        if [len(row) for row in rows] != list(range(1, d + 1)):
-            raise CardCspError("gram_lower must hold rows of length 1 to d")
-        r, c = np.tril_indices(d)
-        gram = np.zeros((d, d))
-        gram[r, c] = gram[c, r] = np.fromiter(chain.from_iterable(rows),
-                                              float, count=len(r))
+        """Read ``to_json`` text; a malformed document raises ParseError."""
         try:
+            doc = json.loads(text)
+            indices = [(tuple(s), tuple(a)) for s, a in doc["indices"]]
+            d = len(indices)
+            rows = doc["gram_lower"]
+            if [len(row) for row in rows] != list(range(1, d + 1)):
+                raise CardCspError("gram_lower must hold rows of length 1 to d")
+            r, c = np.tril_indices(d)
+            gram = np.zeros((d, d))
+            gram[r, c] = gram[c, r] = np.fromiter(chain.from_iterable(rows),
+                                                  float, count=len(r))
             return cls(doc["level"], doc["n"], doc["q"], indices, gram,
                        doc["objective_value"])
-        except CardCspError as exc:
-            raise ParseError(str(exc)) from None
+        except KeyError as exc:
+            raise ParseError(f"moment solution document lacks {exc}") from None
+        except (CardCspError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad moment solution document: {exc}") from None
 
 
 @dataclass
@@ -227,7 +234,7 @@ class ConstraintOperator:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConicProgram:
     """Maximize (or minimize) c . G[0, :] over PSD G meeting the rows."""
 
@@ -351,8 +358,8 @@ def _read_only(*arrays):
 class _Layout:
     """What the index order of one (n, q, level) alone determines; every
     array is read-only.  The index list, its value table and offsets are
-    built with the record, the reduced basis and the shape-only rows on
-    first use: checking a solution's indices needs neither."""
+    built with the record, the reduced basis, the shape-only rows and the
+    block's rows on first use: checking a solution's indices needs none."""
 
     def __init__(self, n, q, level):
         self.q, self.level = q, level
@@ -400,6 +407,25 @@ class _Layout:
         event[card] = events[:, None]
         _read_only(r, c, tie, b, event, j, *at)
         return r, c, tie, b, event, j, at
+
+    @cached_property
+    def block(self):
+        """The rows on the block G[R, R]: each entry's class, row-major (its
+        canonical position in R, k = |R| on a clash, k + 1 if free), the k
+        class sizes, and the form rows whose columns all lie in R."""
+        red = self.basis[0]
+        r, c, tie, *_, (at_rows, at_cols) = self.rows
+        k = len(red)
+        where = np.full(len(self.indices), -1)
+        where[red] = np.arange(k)
+        inside = (where[r] >= 0) & (where[c] >= 0)  # so are S u T and tie
+        r, c, tie = where[r[inside]], where[c[inside]], tie[inside]
+        cls = np.full((k, k), k + 1)
+        cls[0] = cls[:, 0] = np.arange(k)
+        cls[r, c] = cls[c, r] = np.where(tie < 0, k, where[tie])
+        cls = cls.reshape(-1)
+        forms = np.setdiff1d(at_rows, at_rows[where[at_cols] < 0])
+        return _read_only(cls, np.bincount(cls)[:k], forms)
 
 
 @lru_cache(maxsize=8)  # more shapes than a suite or benchmark run cycles through

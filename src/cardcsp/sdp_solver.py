@@ -5,9 +5,9 @@ principal block on R, the indices whose values all lie below q - 1 (the
 inclusion-exclusion lift of ``lasserre._reduced_basis``).  R, P and T from
 P = Q T are read off ``lasserre._layout``, the one place they are derived
 for a shape.  P has full column rank, so G is PSD exactly when the block
-is, and the program's rows whose support lies inside R x R constrain the
-block exactly as the full rows constrain G: the consistency pairs
-(r, c, tie) inside R x R, and the row-0 forms whose support lies in R.  The
+is, and the program's rows whose columns lie inside R x R (the layout's
+``block`` names them: each block entry's class, and the form rows with
+all columns in R) constrain the block as the full rows constrain G.  The
 objective c . G[0] is <C, G'> on the block with C = sym(outer(P[0], P^T c)).
 The method runs on that block: it alternates a closed-form projection onto
 the affine constraint subspace (class averaging plus one small cardinality
@@ -96,31 +96,17 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * clipped) @ eigvecs.T
 
 
-def _affine_projection(constraints, d, red):
+def _affine_projection(constraints, layout):
     """Orthogonal projection of a symmetric block G' = G[R, R] onto the
-    program's rows inside R x R.  A consistency row ties an entry pair to
-    its canonical entry (0, tie), or pins it to 0 on a clash; entries no row
-    names are free.  The other rows are forms on row 0: B y = e on the
-    canonical values.  So the projection is the class means, corrected by
-    y = mean - N^-1/2 pinv(B N^-1/2) (B mean - e) with N the class sizes
-    (a pseudo-inverse: q = 3 rows are dependent)."""
+    program's rows inside R x R: the means of the layout's ``block``
+    classes (clashes 0, free entries kept), corrected for the form rows
+    B y = e by y = mean - N^-1/2 pinv(B N^-1/2) (B mean - e) with N the
+    class sizes (a pseudo-inverse: q = 3 rows are dependent)."""
+    red = layout.basis[0]
+    cls, size, rows = layout.block
     k = len(red)
-    where = np.full(d, -1)
-    where[red] = np.arange(k)
-    r, c = where[constraints.r], where[constraints.c]
-    inside = (r >= 0) & (c >= 0)  # then S u T, and so tie, lies in R too
-    r, c, tie = r[inside], c[inside], constraints.tie[inside]
-    # class of each entry: its canonical position, k on a clash, k + 1 if free
-    cls = np.full((k, k), k + 1)
-    cls[0] = cls[:, 0] = np.arange(k)
-    cls[r, c] = cls[c, r] = np.where(tie < 0, k, where[tie])
-    cls = cls.reshape(-1)
     free = cls == k + 1
-    size = np.bincount(cls, minlength=k + 2)[:k]
-    forms = constraints.forms
-    spill = abs(forms) @ (where < 0).astype(float)
-    rows = np.flatnonzero((spill == 0) & (np.diff(forms.indptr) > 0))
-    B = forms[rows][:, red].toarray()
+    B = constraints.forms[rows][:, red].toarray()
     e = constraints.b[rows]
     # equal to N^-1 B^T pinv(B N^-1 B^T), without squaring the condition number
     M = np.linalg.pinv(B / np.sqrt(size)) / np.sqrt(size)[:, None]
@@ -183,10 +169,11 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     return the lifted moment matrix G = P G' P^T."""
     start = time.perf_counter()
     config = config or SolverConfig()
-    red, P, T = _layout(program.n, program.q, program.level).basis
+    layout = _layout(program.n, program.q, program.level)
+    red, P, T = layout.basis
     P = P.toarray()
     d = len(red)
-    project_affine = _affine_projection(program.constraints, program.dim, red)
+    project_affine = _affine_projection(program.constraints, layout)
     # the objective on the block, negated for a minimization
     pc = (1.0 if program.sense == "max" else -1.0) * (P.T @ program.c)
     Cs = (np.outer(P[0], pc) + np.outer(pc, P[0])) / 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,8 +71,8 @@ def test_lower_level_layout_is_a_prefix(n, q, level):
 
 def test_each_shape_builds_its_layout_once(monkeypatch):
     """build_relaxation -> solve -> check_feasibility -> pipeline derives
-    the index list, value table, reduced basis, its QR factor and the
-    consistency pairs once for the shape."""
+    the index list, value table, reduced basis, its QR factor, the
+    consistency pairs and the block's rows once for the shape."""
     calls = {}
 
     def counted(owner, name):
@@ -86,6 +87,7 @@ def test_each_shape_builds_its_layout_once(monkeypatch):
                  "_consistency_pairs"):
         counted(lasserre, name)
     counted(np.linalg, "qr")
+    counted(lasserre._Layout.block, "func")  # what derives ``block``
     _layout.cache_clear()
     inst = generate("cycle", 6)
     for _ in range(2):
@@ -96,7 +98,7 @@ def test_each_shape_builds_its_layout_once(monkeypatch):
         pipeline(inst, level=2, trials=4)
     assert calls == dict.fromkeys(["build_index_set", "_value_table",
                                    "_reduced_basis", "_consistency_pairs",
-                                   "qr"], 1)
+                                   "qr", "func"], 1)
     assert _layout.cache_info().currsize == 1
 
 
@@ -229,6 +231,50 @@ def test_solution_rejects_gram_of_wrong_shape():
         MomentSolution(2, 6, 2, sol.indices, sol.gram[:-1, :-1])
     with pytest.raises(CardCspError, match="shape"):
         MomentSolution(2, 6, 2, sol.indices, sol.gram[0])
+
+
+@pytest.mark.parametrize("entry, value, on_block", [
+    ((2, 4), math.nan, False), ((1, 3), math.nan, True),
+    ((2, 4), math.inf, False)])
+def test_solution_rejects_a_non_finite_gram(entry, value, on_block):
+    """A NaN or inf pair on or off the reduced block R x R, where the
+    feasibility check would misread or fail on it."""
+    sol = integral_lift(generate("cycle", 4), (0, 1, 0, 1))
+    assert np.isin(entry, _layout(4, 2, 2).basis[0]).all() == on_block
+    gram = sol.gram.copy()
+    gram[entry] = gram[entry[::-1]] = value
+    with pytest.raises(CardCspError, match=re.escape(
+            f"gram entry {entry} is {value}, not finite")):
+        MomentSolution(2, 4, 2, sol.indices, gram)
+
+
+def _lacks(key):
+    return lambda doc: doc.pop(key)
+
+
+def _sets(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _sets_entry(value):
+    return lambda doc: doc["gram_lower"][2].__setitem__(1, value)
+
+
+@pytest.mark.parametrize("edit", [
+    _lacks("level"), _lacks("indices"), _sets_entry("x"), _sets("indices", 5),
+    _sets_entry(math.nan), None],
+    ids=["no level", "no indices", "string entry", "indices 5", "NaN entry",
+         "not JSON"])
+def test_malformed_solution_document_raises_parse_error(edit):
+    text = integral_lift(generate("cycle", 4), (0, 1, 0, 1)).to_json()
+    if edit is None:
+        text = text[:-1]
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc)
+    with pytest.raises(ParseError):
+        MomentSolution.from_json(text)
 
 
 @pytest.mark.parametrize("subset, assignment", [

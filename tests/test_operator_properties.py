@@ -372,7 +372,7 @@ def test_rows_refuse_writes():
     red, lift, T = layout.basis
     *shape_rows, (at_rows, at_cols) = layout.rows
     held += [layout.values, layout.offsets, red, lift.data, lift.indices,
-             lift.indptr, T, *shape_rows, at_rows, at_cols]
+             lift.indptr, T, *shape_rows, at_rows, at_cols, *layout.block]
     assert isinstance(layout.indices, tuple)
     for array in held:
         with pytest.raises(ValueError, match="read-only"):
@@ -558,11 +558,15 @@ def projection_cases(draw):
     return program, red, P, (y + y.T) / 2
 
 
+def _program_layout(program):
+    return _layout(program.n, program.q, program.level)
+
+
 @settings(max_examples=25, deadline=None)
 @given(projection_cases())
 def test_projection_is_the_least_squares_projection(case):
     program, red, _, y = case
-    project = _affine_projection(program.constraints, program.dim, red)
+    project = _affine_projection(program.constraints, _program_layout(program))
     A, b = _reduced_rows(program.constraints, program.dim, red)
     A = A.toarray()
     v = y.reshape(-1)
@@ -575,7 +579,7 @@ def test_projection_is_the_least_squares_projection(case):
 @given(projection_cases())
 def test_projection_is_idempotent_and_keeps_symmetry(case):
     program, red, _, y = case
-    project = _affine_projection(program.constraints, program.dim, red)
+    project = _affine_projection(program.constraints, _program_layout(program))
     once = project(y)
     assert np.array_equal(once, once.T)
     scale = max(1.0, np.abs(y).max())
@@ -586,7 +590,7 @@ def test_projection_is_idempotent_and_keeps_symmetry(case):
 @given(projection_cases())
 def test_projection_meets_the_reduced_and_the_full_rows(case):
     program, red, P, y = case
-    project = _affine_projection(program.constraints, program.dim, red)
+    project = _affine_projection(program.constraints, _program_layout(program))
     A, b = _reduced_rows(program.constraints, program.dim, red)
     block = project(y)
     scale = max(1.0, np.abs(y).max())

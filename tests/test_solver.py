@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import os
 import subprocess
@@ -143,15 +142,18 @@ def test_accelerated_planted10_e01():
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4, 7), level=st.integers(2, 3),
        kind=st.sampled_from(["maxcut-bisection", "mincut-bisection"]),
-       p=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 2**16))
+       p=st.sampled_from([0.3, 0.5, 0.8]), seed=st.integers(0, 2**16),
+       zero=st.booleans())
 def test_accelerated_solve_is_feasible_and_bounds_the_optimum(n, level, kind,
-                                                               p, seed):
+                                                               p, seed, zero):
     rng = np.random.default_rng(seed)
     edges = [(i, j, 1.0) for i, j in combinations(range(n), 2)
              if rng.random() < p] or [(0, 1, 1.0)]
-    # odd n: vertex 0 weighs double, so an exact bisection exists
+    # the last vertex may weigh 0; with an odd number of weighted vertices,
+    # vertex 0 weighs double, so an exact bisection exists
     weights = np.ones(n)
-    weights[0] += n % 2
+    weights[-1] -= zero
+    weights[0] += (n - zero) % 2
     inst = cut_instance(n, edges, kind=kind,
                         vertex_weights=list(weights / weights.sum()))
     sol, report = sdp_solver.solve(build_relaxation(inst, level))
@@ -251,11 +253,9 @@ def test_failed_small_solve_resets_the_memory(monkeypatch, caplog, failure):
 
 
 def test_solver_logs_a_stall(monkeypatch, caplog):
-    program = build_relaxation(generate("cycle", 4), 2)
-    # a cardinality target above 1 meets no PSD matrix with unit corner
-    rows = program.constraints
-    program.constraints = dataclasses.replace(
-        rows, b=np.where(rows.event >= 0, 1.5, rows.b))
+    # n = 3 has no bisection, and level 3 is exact for n = 3
+    triangle = cut_instance(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    program = build_relaxation(triangle, 3)
     monkeypatch.setattr(sdp_solver, "_CHECK_EVERY", 1)
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
     _, report = sdp_solver.solve(program)
