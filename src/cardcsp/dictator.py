@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, CardCspError
-from .instance import CspInstance, CUT_TABLE
+from .instance import CspInstance, CUT_TABLE, _document, _integer
 from .lasserre import MomentSolution, _check_same_shape, local_distributions
 from .rounding import RoundedAssignment, bias_decompose
 
@@ -67,13 +67,14 @@ class DictGadget:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(R=doc["R"], eps=doc["eps"],
-                   vertex_weights=np.array(doc["vertex_weights"]),
-                   edge_weights=np.array(doc["edge_weights"]),
-                   vertex_marginals=np.array(doc["vertex_marginals"]),
-                   source_weights=np.array(doc["source_weights"]),
-                   provenance=doc["provenance"])
+        """Read ``to_json`` text; a malformed document raises ParseError."""
+        with _document(text, "cardcsp.gadget/1", "gadget") as doc:
+            return cls(R=_integer(doc["R"]), eps=doc["eps"],
+                       vertex_weights=np.array(doc["vertex_weights"]),
+                       edge_weights=np.array(doc["edge_weights"]),
+                       vertex_marginals=np.array(doc["vertex_marginals"]),
+                       source_weights=np.array(doc["source_weights"]),
+                       provenance=doc["provenance"])
 
 
 def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,

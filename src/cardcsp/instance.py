@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -126,6 +127,8 @@ class CspInstance:
         assignment = np.asarray(assignment, dtype=int)
         if assignment.shape[-1:] != (self.n,):
             raise CardCspError(f"assignment length {assignment.shape} != n={self.n}")
+        if ((assignment < 0) | (assignment >= self.q)).any():
+            raise CardCspError(f"assignment values must lie in 0..{self.q - 1}")
         total = np.zeros(assignment.shape[:-1])
         for t in self.payoffs:
             idx = np.zeros(assignment.shape[:-1], dtype=int)
@@ -205,6 +208,21 @@ def _integer(value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+@contextmanager
+def _document(text, schema, what):
+    """The JSON object in ``text``, which must carry ``schema``; a malformed
+    document, or an error while the block reads it, raises ParseError."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("schema") != schema:
+            raise CardCspError(f"schema is not {schema}")
+        yield doc
+    except KeyError as exc:
+        raise ParseError(f"{what} document lacks {exc}") from None
+    except (CardCspError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what} document: {exc}") from None
 
 
 # -- payoff tables ---------------------------------------------------------

@@ -10,13 +10,17 @@ conditioning event.  The objective is c . G[0, :] with c the payoff
 vector.  ``_layout(n, q, level)`` is the one place the index order, the
 reduced basis R, its lift P and T from P = Q T, the rows' shape-only parts
 and their part on the block G[R, R] are derived, once per shape; ``_rows``
-adds an instance's cardinality coefficients.  Feasible points are exactly
-the moment solutions: G is PSD and meets every row.  ``check_feasibility``
-reads the consistency and cardinality violations off the same rows.
-It certifies PSD on the reduced block G[R, R]: the block's eigenvalues,
-plus a Weyl bound from the residual of the lift G = P G[R, R] P^T, which
-is never below the exact violation; when that residual exceeds
-``_LIFT_TOL`` it takes the full d x d spectrum instead.
+adds an instance's cardinality coefficients.  ``_layout`` is also the one
+gate for a shape: every entry point, relaxation or moment solution, reaches
+it before anything is built, and it refuses an n, q or level that is not a
+positive int and an index set over ``INDEX_CAP``.  Feasible points are
+exactly the moment solutions: G is PSD and meets every row.
+``check_feasibility`` reads the consistency and cardinality violations off
+the same rows, on the symmetric part of G read in place.  It certifies PSD
+on the reduced block G[R, R]: the block's eigenvalues, plus a Weyl bound
+from the residual of the lift G = P G[R, R] P^T, which is never below the
+exact violation; when that residual exceeds ``_LIFT_TOL`` it takes the full
+d x d spectrum instead, the one d x d copy it makes.
 
 Indices run by subset size, then subset in ``combinations`` order, then
 assignment in row-major order, so the level-(k-1) index set is a prefix of
@@ -34,12 +38,10 @@ from itertools import chain, combinations, islice, product
 from math import comb
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import (CapacityError, CardCspError, InconsistentSolutionError,
-                     ParseError)
-from .instance import CspInstance, _integer
+from .errors import CapacityError, CardCspError, InconsistentSolutionError
+from .instance import CspInstance, _document
 
 PROB_FLOOR = 1e-9  # probabilities below this are treated as zero events
 _LIFT_TOL = 1e-12   # largest lift residual the block PSD certificate accepts
@@ -75,13 +77,6 @@ class MomentSolution:
     objective_value: float = float("nan")
 
     def __post_init__(self):
-        # before the layout lookup, where 4.0 and True find 4 and 1
-        for name in ("level", "n", "q"):
-            try:
-                if _integer(getattr(self, name)) < 1:
-                    raise TypeError("expected a positive integer")
-            except TypeError as exc:
-                raise CardCspError(f"moment solution {name}: {exc}") from None
         indices = _layout(self.n, self.q, self.level).indices
         d = len(indices)
         if tuple(self.indices) != indices:
@@ -140,23 +135,22 @@ class MomentSolution:
     @classmethod
     def from_json(cls, text: str) -> "MomentSolution":
         """Read ``to_json`` text; a malformed document raises ParseError."""
-        try:
-            doc = json.loads(text)
+        with _document(text, "cardcsp.moment_solution/1",
+                       "moment solution") as doc:
             indices = [(tuple(s), tuple(a)) for s, a in doc["indices"]]
             d = len(indices)
             rows = doc["gram_lower"]
             if [len(row) for row in rows] != list(range(1, d + 1)):
                 raise CardCspError("gram_lower must hold rows of length 1 to d")
+            entries = [*chain.from_iterable(rows), doc["objective_value"]]
+            if not set(map(type, entries)) <= {int, float}:
+                raise CardCspError("gram_lower entries and objective_value "
+                                   "must be numbers")
             r, c = np.tril_indices(d)
             gram = np.zeros((d, d))
-            gram[r, c] = gram[c, r] = np.fromiter(chain.from_iterable(rows),
-                                                  float, count=len(r))
+            gram[r, c] = gram[c, r] = entries[:-1]
             return cls(doc["level"], doc["n"], doc["q"], indices, gram,
-                       doc["objective_value"])
-        except KeyError as exc:
-            raise ParseError(f"moment solution document lacks {exc}") from None
-        except (CardCspError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad moment solution document: {exc}") from None
+                       entries[-1])
 
 
 @dataclass
@@ -226,11 +220,12 @@ class ConstraintOperator:
         return len(self.b)
 
     def residual(self, gram) -> np.ndarray:
-        """Each row's value on a symmetric G, minus b."""
-        out = self.forms @ gram[0] - self.b
+        """Each row's value on the symmetric part of G, minus b."""
+        row0 = (gram[0] + gram[:, 0]) / 2
+        out = self.forms @ row0 - self.b
         # a clash reads the appended 0
-        out[1:1 + len(self.r)] += (gram[self.r, self.c]
-                                   - np.append(gram[0], 0.0)[self.tie])
+        out[1:1 + len(self.r)] += ((gram[self.r, self.c] + gram[self.c, self.r])
+                                   / 2 - np.append(row0, 0.0)[self.tie])
         return out
 
 
@@ -248,7 +243,7 @@ class ConicProgram:
     sense: str = "max"
 
 
-INDEX_CAP = 6000  # largest index set build_relaxation accepts
+INDEX_CAP = 6000  # largest index set of any relaxation or moment solution
 
 
 def _value_table(indices, n):
@@ -428,9 +423,23 @@ class _Layout:
         return _read_only(cls, np.bincount(cls)[:k], forms)
 
 
-@lru_cache(maxsize=8)  # more shapes than a suite or benchmark run cycles through
 def _layout(n, q, level) -> _Layout:
-    """The layout of (n, q, level), built once per shape."""
+    """The layout of (n, q, level), built once per shape; the one gate for a
+    shape (positive ints, not 4.0 or True; at most ``INDEX_CAP`` indices)."""
+    for name, value in (("n", n), ("q", q), ("level", level)):
+        if type(value) is not int or value < 1:
+            raise CardCspError(f"{name} must be a positive int, got {value!r}")
+    d = 0  # the closed form, summed in Python ints and only up to the cap
+    for s in range(min(n, level) + 1):
+        d += comb(n, s) * q ** s
+        if d > INDEX_CAP:
+            raise CapacityError(f"level {level} too high for n={n}, q={q}: "
+                                f"index set over cap {INDEX_CAP}")
+    return _cached_layout(n, q, level)
+
+
+@lru_cache(maxsize=8)  # more shapes than a suite or benchmark run cycles through
+def _cached_layout(n, q, level) -> _Layout:
     return _Layout(n, q, level)
 
 
@@ -452,15 +461,11 @@ def _rows(instance: CspInstance, level: int) -> ConstraintOperator:
 
 def build_relaxation(instance: CspInstance, level: int = 2) -> ConicProgram:
     """Build the level-k relaxation of an instance as a conic program."""
+    n, q = instance.n, instance.q
+    indices = _layout(n, q, level).indices
     if level < 2:
         raise CardCspError("level must be at least 2")
-    n, q = instance.n, instance.q
-    d = int(_offsets(n, q, level)[-1])
-    if d > INDEX_CAP:
-        raise CapacityError(
-            f"level {level} too high for n={n}: index set size {d} exceeds "
-            f"cap {INDEX_CAP}")
-    return ConicProgram(dim=d, indices=list(_layout(n, q, level).indices),
+    return ConicProgram(dim=len(indices), indices=list(indices),
                         constraints=_rows(instance, level),
                         c=_payoff_vector(instance, level), level=level, n=n,
                         q=q, sense=instance.sense)
@@ -495,23 +500,23 @@ def check_feasibility(solution: MomentSolution,
     is the full d x d ``eigvalsh`` value.
     """
     _check_same_shape(solution, instance)
-    sym = solution.gram + solution.gram.T
-    sym /= 2
+    gram = solution.gram
     ops = _rows(instance, solution.level)
-    resid = np.abs(ops.residual(sym))
+    resid = np.abs(ops.residual(gram))
     card = ops.event >= 0
     consistency = float(resid[~card].max())
-    p_event = sym[0, ops.event[card]]
+    events = ops.event[card]
+    p_event = (gram[0, events] + gram[events, 0]) / 2
     live = p_event > PROB_FLOOR
     cardinality = float((resid[card][live] / p_event[live]).max(initial=0.0))
     psd_violation = _psd_violation(
-        sym, _layout(solution.n, solution.q, solution.level))
+        gram, _layout(solution.n, solution.q, solution.level))
     return FeasibilityReport(psd_violation, consistency, cardinality)
 
 
-def _psd_violation(sym, layout) -> float:
-    """max(0, -lambda_min(sym)) or, when sym is the lift of its block, an
-    upper bound on it within ``_LIFT_TOL``.  Overwrites sym.
+def _psd_violation(gram, layout) -> float:
+    """max(0, -lambda_min(sym)) for the symmetric part sym of G or, when sym
+    is the lift of its block, an upper bound on it within ``_LIFT_TOL``.
 
     With R, P and T from the layout and A = sym[R, R], write
     sym = P A P^T + E.  P = Q T with orthonormal Q, so P A P^T has the
@@ -520,23 +525,24 @@ def _psd_violation(sym, layout) -> float:
     sum of the symmetric E, bounds ||E||_2.  This holds for any P: a G
     outside the lift's image shows as a large eps.  When eps exceeds
     ``_LIFT_TOL`` (noisy, inconsistent or external input) the full d x d
-    spectrum is computed instead.
+    spectrum of sym is computed instead, the only d x d copy made.
     """
     red, lift, T = layout.basis
-    A = sym[np.ix_(red, red)]
+    A = gram[np.ix_(red, red)]
+    A = (A + A.T) / 2
     APt = np.ascontiguousarray((lift @ A).T)  # A P^T, as A is symmetric
-    # E in row blocks, so no second d x d array is formed
-    d = len(sym)
+    # sym and E in row blocks read off G, so no second d x d array is formed
+    d = len(gram)
     block = max(1, (1 << 18) // d)
     eps = 0.0
     for lo in range(0, d, block):
-        E = sym[lo:lo + block] - lift[lo:lo + block] @ APt
+        E = (gram[lo:lo + block] + gram[:, lo:lo + block].T) / 2 \
+            - lift[lo:lo + block] @ APt
         eps = max(eps, float(np.abs(E).sum(axis=1).max()))
     if eps > _LIFT_TOL:
-        # sym.T is the Fortran-ordered view of the same symmetric matrix, so
-        # LAPACK works in place instead of on a second d x d copy
-        eigs = scipy.linalg.eigvalsh(sym.T, overwrite_a=True, driver="evd")
-        return max(0.0, float(-eigs.min()))
+        sym = gram + gram.T
+        sym /= 2
+        return max(0.0, float(-np.linalg.eigvalsh(sym).min()))
     low = float(np.linalg.eigvalsh(T @ A @ T.T)[0])
     return max(0.0, eps - min(0.0, low))
 
@@ -544,11 +550,11 @@ def _psd_violation(sym, layout) -> float:
 def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSolution:
     """Moment matrix of a deterministic assignment."""
     assignment = tuple(int(a) for a in assignment)
+    value = instance.evaluate(assignment)  # refuses one that does not fit
     layout = _layout(instance.n, instance.q, level)
     vec = _lift_vectors(layout.values, [assignment])[0]
     return MomentSolution(level, instance.n, instance.q, list(layout.indices),
-                          np.outer(vec, vec),
-                          objective_value=instance.evaluate(assignment))
+                          np.outer(vec, vec), objective_value=value)
 
 
 def _payoff_vector(instance: CspInstance, level: int) -> np.ndarray:

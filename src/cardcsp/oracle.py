@@ -120,9 +120,9 @@ def exact_mixture_moments(instance: CspInstance, assignments, probabilities,
     if np.any(probabilities < 0):
         raise CardCspError("mixture probabilities must be nonnegative")
     assignments = [tuple(int(a) for a in x) for x in assignments]
-    for x in assignments:
-        if len(x) != instance.n:
-            raise CardCspError("assignment length mismatch")
+    # evaluate refuses an assignment that does not fit the instance
+    objective = float(sum(p * instance.evaluate(x)
+                          for x, p in zip(assignments, probabilities)))
     layout = _layout(instance.n, instance.q, level)
     d = len(layout.indices)
     gram = np.zeros((d, d))
@@ -130,7 +130,5 @@ def exact_mixture_moments(instance: CspInstance, assignments, probabilities,
                       probabilities):
         if p > 0:
             gram += p * np.outer(vec, vec)
-    objective = float(sum(p * instance.evaluate(x)
-                          for x, p in zip(assignments, probabilities)))
     return MomentSolution(level, instance.n, instance.q, list(layout.indices),
                           gram, objective)

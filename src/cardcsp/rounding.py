@@ -20,7 +20,7 @@ from scipy.special import ndtri
 from . import sdp_solver
 from .errors import CardCspError
 from .independence import decorrelate
-from .instance import CspInstance
+from .instance import CspInstance, _document
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
                        build_relaxation, local_distributions,
                        solution_objective)
@@ -149,10 +149,11 @@ class RoundedAssignment:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        return cls(labels=np.array(doc["labels"]), value=doc["value"],
-                   balance=doc["balance"], seed=doc["seed"],
-                   repair_moves=list(doc["repair_moves"]))
+        """Read ``to_json`` text; a malformed document raises ParseError."""
+        with _document(text, "cardcsp.assignment/1", "assignment") as doc:
+            return cls(labels=np.array(doc["labels"]), value=doc["value"],
+                       balance=doc["balance"], seed=doc["seed"],
+                       repair_moves=list(doc["repair_moves"]))
 
 
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
@@ -240,8 +241,9 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     numpy's SeedSequence splitting rule.  ``solution`` may be supplied to
     skip the solve.
     """
-    if trials < 1:
-        raise CardCspError(f"trials must be at least 1, got {trials}")
+    if type(trials) is not int or trials < 1:
+        raise CardCspError(f"trials must be at least 1 and an int, got "
+                           f"{trials!r}")
     if instance.q != 2:
         raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")
     report = None

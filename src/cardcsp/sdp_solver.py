@@ -66,8 +66,9 @@ class SolverConfig:
         # written so that NaN fails the test
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerances must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1 and an int, "
+                             f"got {self.max_iterations!r}")
 
 
 @dataclass

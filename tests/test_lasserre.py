@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cardcsp import lasserre, sdp_solver
-from cardcsp.dictator import build_gadget
+from cardcsp.dictator import DictGadget, build_gadget
 from cardcsp.errors import (CapacityError, CardCspError,
                             InconsistentSolutionError, ParseError)
 from cardcsp.independence import condition
 from cardcsp.instance import cut_instance, generate
-from cardcsp.lasserre import (MomentSolution, _layout, build_index_set,
-                              build_relaxation, check_feasibility,
-                              integral_lift, local_distribution,
-                              solution_objective)
+from cardcsp.lasserre import (MomentSolution, _cached_layout, _layout,
+                              build_index_set, build_relaxation,
+                              check_feasibility, integral_lift,
+                              local_distribution, solution_objective)
 from cardcsp.oracle import exact_mixture_moments
-from cardcsp.rounding import bias_decompose, pipeline
+from cardcsp.rounding import RoundedAssignment, bias_decompose, pipeline
 from test_operator_properties import merge_assignments
 
 
@@ -88,7 +89,7 @@ def test_each_shape_builds_its_layout_once(monkeypatch):
         counted(lasserre, name)
     counted(np.linalg, "qr")
     counted(lasserre._Layout.block, "func")  # what derives ``block``
-    _layout.cache_clear()
+    _cached_layout.cache_clear()
     inst = generate("cycle", 6)
     for _ in range(2):
         solution, report = sdp_solver.solve(build_relaxation(inst, 2))
@@ -99,7 +100,7 @@ def test_each_shape_builds_its_layout_once(monkeypatch):
     assert calls == dict.fromkeys(["build_index_set", "_value_table",
                                    "_reduced_basis", "_consistency_pairs",
                                    "qr", "func"], 1)
-    assert _layout.cache_info().currsize == 1
+    assert _cached_layout.cache_info().currsize == 1
 
 
 def test_merge_assignments():
@@ -164,6 +165,74 @@ def test_capacity_cap():
     inst = generate("cycle", 18)
     with pytest.raises(CapacityError):
         build_relaxation(inst, 3)
+
+
+def _from_json(inst, x, level, text):
+    return MomentSolution.from_json(text)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst, x, level, text: build_relaxation(inst, level),
+    lambda inst, x, level, text: pipeline(inst, level=level, trials=4),
+    lambda inst, x, level, text: integral_lift(inst, x, level),
+    lambda inst, x, level, text: exact_mixture_moments(inst, [x], [1.0],
+                                                       level),
+    lambda inst, x, level, text: MomentSolution(level, inst.n, inst.q, [],
+                                                np.zeros((1, 1))),
+    _from_json,
+], ids=["build_relaxation", "pipeline", "integral_lift",
+        "exact_mixture_moments", "MomentSolution", "from_json"])
+@pytest.mark.parametrize("n, level", [
+    (4, 2.0), (4, "2"), (4, True), (4, 0), (24, 4)])
+def test_bad_shapes_are_refused_before_any_layout(monkeypatch, entry, n,
+                                                  level):
+    """A shape that is not positive ints, or whose index set is over
+    INDEX_CAP (n = 24 at level 4: 187,361 indices), is refused by the one
+    gate, with no layout built or read from the cache."""
+    doc = json.loads(integral_lift(generate("cycle", 4), (0, 1, 0, 1)).to_json())
+    doc.update(n=n, level=level)
+
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+    monkeypatch.setattr(lasserre, "_Layout", no_layout)
+    _cached_layout.cache_clear()
+    inst = generate("cycle", n)
+    error = (ParseError if entry is _from_json
+             else CapacityError if n == 24 else CardCspError)
+    with pytest.raises(error, match="cap" if n == 24 else "level"):
+        entry(inst, (0, 1) * (n // 2), level, json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst, x: integral_lift(inst, x),
+    lambda inst, x: exact_mixture_moments(inst, [x], [1.0]),
+], ids=["integral_lift", "exact_mixture_moments"])
+@pytest.mark.parametrize("assignment", [
+    (0, 1, 0, -1), (0, 1, 0, 5), (0, 1, 0, 2), (0, 1, 0), (0, 1, 0, 1, 0)],
+    ids=["value -1", "value 5", "value q", "short", "long"])
+def test_lifts_refuse_assignments_that_do_not_fit(entry, assignment):
+    """Each value must lie in 0..q-1 and there must be n of them: -1 once
+    read table[-1] and returned a wrong objective."""
+    with pytest.raises(CardCspError, match="assignment"):
+        entry(generate("cycle", 4), assignment)
+
+
+def test_feasibility_check_reads_the_gram_in_place():
+    """At n = 12, level 3 (d = 2,049) a check allocates less than one d x d
+    float array: no symmetric copy of G is made."""
+    inst = generate("gnp", 12, seed=1, p=0.5)
+    halves = [(0,) * 6 + (1,) * 6, (1, 0) * 6, (0, 1) * 6, (1,) * 6 + (0,) * 6]
+    sol = exact_mixture_moments(inst, halves, [0.4, 0.3, 0.2, 0.1], level=3)
+    check_feasibility(sol, inst)  # derives the shape's layout
+    tracemalloc.start()
+    try:
+        report = check_feasibility(sol, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = len(sol.indices)
+    assert d == 2049 and report.passes(1e-9)
+    assert peak < d * d * 8
 
 
 def test_level_3_feasibility_of_lifts():
@@ -260,13 +329,45 @@ def _sets_entry(value):
     return lambda doc: doc["gram_lower"][2].__setitem__(1, value)
 
 
-@pytest.mark.parametrize("edit", [
-    _lacks("level"), _lacks("indices"), _sets_entry("x"), _sets("indices", 5),
-    _sets_entry(math.nan), None],
-    ids=["no level", "no indices", "string entry", "indices 5", "NaN entry",
-         "not JSON"])
-def test_malformed_solution_document_raises_parse_error(edit):
-    text = integral_lift(generate("cycle", 4), (0, 1, 0, 1)).to_json()
+def _solution_text():
+    return integral_lift(generate("cycle", 4), (0, 1, 0, 1)).to_json()
+
+
+def _assignment_text():
+    return RoundedAssignment(np.array([1, -1]), 0.5, 0.0, 3, [1]).to_json()
+
+
+def _gadget_text():
+    return DictGadget(1, 0.1, np.full(2, 0.5), np.full((2, 2), 0.25),
+                      np.full(2, 0.5), np.full(2, 0.5), {}).to_json()
+
+
+@pytest.mark.parametrize("reader, text, edit", [
+    (MomentSolution, _solution_text, _lacks("level")),
+    (MomentSolution, _solution_text, _lacks("indices")),
+    (MomentSolution, _solution_text, _sets_entry("x")),
+    (MomentSolution, _solution_text, _sets("indices", 5)),
+    (MomentSolution, _solution_text, _sets_entry(math.nan)),
+    (MomentSolution, _solution_text, None),
+    (MomentSolution, _solution_text, _sets("schema", "something/9")),
+    (MomentSolution, _solution_text, _sets("objective_value", "x")),
+    (MomentSolution, _solution_text, _sets_entry("0.5")),
+    (MomentSolution, _solution_text, _sets_entry(True)),
+    (RoundedAssignment, _assignment_text, _lacks("seed")),
+    (RoundedAssignment, _assignment_text, None),
+    (RoundedAssignment, _assignment_text, _sets("schema", "something/9")),
+    (DictGadget, _gadget_text, _lacks("edge_weights")),
+    (DictGadget, _gadget_text, None),
+    (DictGadget, _gadget_text, _sets("schema", "cardcsp.assignment/1")),
+    (DictGadget, _gadget_text, _sets("R", "2")),
+], ids=["no level", "no indices", "string entry", "indices 5", "NaN entry",
+        "not JSON", "solution schema", "string objective", "numeral entry",
+        "boolean entry", "assignment without seed", "assignment not JSON",
+        "assignment schema", "gadget without edges", "gadget not JSON",
+        "gadget schema", "gadget R string"])
+def test_malformed_solution_document_raises_parse_error(reader, text, edit):
+    """Moment solution, assignment and gadget documents alike."""
+    text = text()
     if edit is None:
         text = text[:-1]
     else:
@@ -274,7 +375,7 @@ def test_malformed_solution_document_raises_parse_error(edit):
         edit(doc)
         text = json.dumps(doc)
     with pytest.raises(ParseError):
-        MomentSolution.from_json(text)
+        reader.from_json(text)
 
 
 @pytest.mark.parametrize("subset, assignment", [
@@ -311,10 +412,10 @@ def test_solution_shape_must_be_positive_ints(name, value):
     sol = integral_lift(generate("cycle", 4), (0, 1, 0, 1))
     doc = json.loads(sol.to_json())
     doc[name] = value
-    with pytest.raises(ParseError, match=f"moment solution {name}:"):
+    with pytest.raises(ParseError, match=f"{name} must be a positive int"):
         MomentSolution.from_json(json.dumps(doc))
     shape = {"level": 2, "n": 4, "q": 2, name: value}
-    with pytest.raises(CardCspError, match=f"moment solution {name}:"):
+    with pytest.raises(CardCspError, match=f"{name} must be a positive int"):
         MomentSolution(shape["level"], shape["n"], shape["q"], sol.indices,
                        sol.gram)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cardcsp import sdp_solver
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
-from cardcsp.lasserre import (MomentSolution, _layout, _rows,
+from cardcsp.lasserre import (MomentSolution, _cached_layout, _layout, _rows,
                               build_index_set, build_relaxation,
                               check_feasibility, integral_lift)
 from cardcsp.sdp_solver import _affine_projection
@@ -354,7 +354,7 @@ def test_rows_are_those_of_the_instance_not_of_the_last_one_built():
         for got, held in zip((ops.r, ops.c, ops.tie, ops.b, ops.event),
                              (r, c, tie, b, event)):
             assert got is held
-    _layout.cache_clear()
+    _cached_layout.cache_clear()
     fresh = _rows(skewed, 2)
     assert (second.forms != fresh.forms).nnz == 0
     assert (second.forms != first.forms).nnz > 0

@@ -154,6 +154,14 @@ def test_rounding_rejects_q_other_than_2():
         pipeline(inst, trials=4, solution=integral_lift(inst, (0, 1, 2)))
 
 
+@pytest.mark.parametrize("trials", [0, -1, True, 2.0, "4"])
+def test_pipeline_trials_must_be_an_int_of_at_least_1(trials):
+    # True once ran one trial and 2.0 failed inside numpy
+    inst = generate("cycle", 4)
+    with pytest.raises(CardCspError, match="trials must be at least 1"):
+        pipeline(inst, trials=trials, solution=integral_lift(inst, (0, 1, 0, 1)))
+
+
 def test_repair_balance_restores_target():
     inst = generate("complete", 6)
     out = repair_many(inst, np.array([[1, 1, 1, 1, 1, -1]]))

@@ -29,7 +29,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("tolerance", float("nan")), ("tolerance", float("inf")),
-    ("tolerance", -1e-6),
+    ("tolerance", -1e-6), ("max_iterations", 2.5), ("max_iterations", True),
+    ("max_iterations", "100"),
 ])
 def test_config_rejects_values_that_break_the_solve(field, value):
     with pytest.raises(ValueError):
