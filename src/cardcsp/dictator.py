@@ -18,7 +18,8 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, CardCspError
-from .instance import CspInstance, CUT_TABLE, _document, _integer
+from .instance import (CspInstance, CUT_TABLE, _document, _integer, _number,
+                       _numbers)
 from .lasserre import MomentSolution, _check_same_shape, local_distributions
 from .rounding import RoundedAssignment, bias_decompose
 
@@ -69,11 +70,11 @@ class DictGadget:
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
         with _document(text, "cardcsp.gadget/1", "gadget") as doc:
-            return cls(R=_integer(doc["R"]), eps=doc["eps"],
-                       vertex_weights=np.array(doc["vertex_weights"]),
-                       edge_weights=np.array(doc["edge_weights"]),
-                       vertex_marginals=np.array(doc["vertex_marginals"]),
-                       source_weights=np.array(doc["source_weights"]),
+            return cls(R=_integer(doc["R"]), eps=_number(doc["eps"]),
+                       vertex_weights=_numbers(doc["vertex_weights"]),
+                       edge_weights=_numbers(doc["edge_weights"], _numbers),
+                       vertex_marginals=_numbers(doc["vertex_marginals"]),
+                       source_weights=_numbers(doc["source_weights"]),
                        provenance=doc["provenance"])
 
 

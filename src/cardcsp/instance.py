@@ -210,6 +210,23 @@ def _integer(value):
     return value
 
 
+def _number(value, optional=False):
+    """A float from a JSON number (null too if ``optional``); strings and
+    booleans are refused."""
+    if optional and value is None:
+        return None
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, kind=_number):
+    """An array of a JSON list, each entry read by ``kind``."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {values!r}")
+    return np.array([kind(v) for v in values])
+
+
 @contextmanager
 def _document(text, schema, what):
     """The JSON object in ``text``, which must carry ``schema``; a malformed

@@ -169,8 +169,9 @@ def local_distributions(solution: MomentSolution, size: int) -> np.ndarray:
     and renormalized.
     """
     n, q, level = solution.n, solution.q, solution.level
-    if not 0 <= size <= level:
-        raise CardCspError(f"subset size {size} exceeds level {level}")
+    if type(size) is not int or not 0 <= size <= level:
+        raise CardCspError(f"subset size must be an int in 0..{level}, "
+                           f"got {size!r}")
     lo, hi = _offsets(n, q, size)[-2:]
     probs = solution.gram[0, lo:hi].reshape(comb(n, size), q ** size)
     drift = np.maximum(0.0, -probs.min(axis=1)) + np.abs(probs.sum(axis=1) - 1.0)
@@ -462,9 +463,9 @@ def _rows(instance: CspInstance, level: int) -> ConstraintOperator:
 def build_relaxation(instance: CspInstance, level: int = 2) -> ConicProgram:
     """Build the level-k relaxation of an instance as a conic program."""
     n, q = instance.n, instance.q
+    if type(level) is int and level < 2:  # other bad levels: _layout's gate
+        raise CardCspError(f"level must be at least 2, got {level}")
     indices = _layout(n, q, level).indices
-    if level < 2:
-        raise CardCspError("level must be at least 2")
     return ConicProgram(dim=len(indices), indices=list(indices),
                         constraints=_rows(instance, level),
                         c=_payoff_vector(instance, level), level=level, n=n,

@@ -40,7 +40,8 @@ def _all_values(instance: CspInstance) -> np.ndarray:
     size = 1 << n
     values = np.zeros(size)
     codes = np.arange(size, dtype=np.int64)
-    bits = [(codes >> (n - 1 - i)) & 1 for i in range(n)]  # lexicographic
+    # lexicographic; n planes of 2^n, so one byte per entry
+    bits = [((codes >> (n - 1 - i)) & 1).astype(np.uint8) for i in range(n)]
     for t in instance.payoffs:
         idx = np.zeros(size, dtype=np.int64)
         for v in t.scope:

@@ -20,7 +20,7 @@ from scipy.special import ndtri
 from . import sdp_solver
 from .errors import CardCspError
 from .independence import decorrelate
-from .instance import CspInstance, _document
+from .instance import CspInstance, _document, _integer, _number, _numbers
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
                        build_relaxation, local_distributions,
                        solution_objective)
@@ -151,9 +151,12 @@ class RoundedAssignment:
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
         with _document(text, "cardcsp.assignment/1", "assignment") as doc:
-            return cls(labels=np.array(doc["labels"]), value=doc["value"],
-                       balance=doc["balance"], seed=doc["seed"],
-                       repair_moves=list(doc["repair_moves"]))
+            return cls(labels=_numbers(doc["labels"], _integer),
+                       value=_number(doc["value"], optional=True),
+                       balance=_number(doc["balance"], optional=True),
+                       seed=_integer(doc["seed"]),
+                       repair_moves=_numbers(doc["repair_moves"],
+                                             _integer).tolist())
 
 
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:

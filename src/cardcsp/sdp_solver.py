@@ -17,20 +17,20 @@ lifted matrices.  Deterministic; no external solver.
 
 One iteration is one fixed-point map F on v = X_hat + U, the input of the
 PSD projection: Z = Pi_PSD(v), U = v - Z, X = Pi_A(Z - U + C/rho) and
-F(v) = gamma X + (1 - gamma) Z + U.  The solve has two phases:
-
-* plain steps v <- F(v) while residual balancing moves rho (x2 or /2 at a
-  10x residual imbalance, checked every 25 iterations);
-* from the first check that leaves rho alone, rho is frozen and the steps
-  are type-II Anderson accelerated (Walker & Ni 2011; SCS 3 accelerates
-  the same kind of map): v <- F(v) - (dV + dG) theta, where dV and dG
-  are the last ``_MEMORY`` differences of v and of g = F(v) - v, and
-  theta solves the ridge-regularized least-squares problem
-  min ||g - dG theta||.  The ring buffers keep dG and dV + dG (the
-  differences of F(v)): 2 * _MEMORY * d'^2 floats, 0.5 MB at d' = 56 and
-  14 MB at d' = 299.  A check iteration takes the plain step, so the
-  reported residuals are those of one exact splitting step.  A failed or
-  non-finite small solve clears the memory.
+F(v) = gamma X + (1 - gamma) Z + U.  While an accelerator runs, the steps
+are type-II Anderson accelerated (Walker & Ni 2011; SCS 3 accelerates the
+same kind of map): v <- F(v) - (dV + dG) theta, where dV and dG are the
+last ``_MEMORY`` differences of v and of g = F(v) - v, and theta solves
+the ridge-regularized least-squares problem min ||g - dG theta||.  The
+ring buffers keep dG and dV + dG (the differences of F(v)):
+2 * _MEMORY * d'^2 floats, 0.5 MB at d' = 56 and 14 MB at d' = 299.  One
+rule runs at every residual check (every 25 iterations): when one
+residual is more than ``_IMBALANCE`` times the other, rho doubles or
+halves and the accelerator is dropped, since its differences belong to
+the old map; otherwise a fresh one starts if none is running (none runs
+before the first check).  A failed or non-finite small solve drops it
+the same way.  A check iteration takes the plain step, so the reported
+residuals are those of one exact splitting step.
 
 Progress is logged at DEBUG on the ``cardcsp.sdp_solver`` logger, which
 is silent unless the caller configures logging.
@@ -55,6 +55,7 @@ _RIDGE = 1e-10  # Tikhonov ridge on the small Gram matrix, relative to its trace
 _RHO = 0.05     # initial penalty; residual balancing moves it
 _OVER_RELAXATION = 1.85  # gamma, the weight of the affine step, in [1, 2)
 _CHECK_EVERY = 25  # iterations between residual checks
+_IMBALANCE = 100  # residual ratio at which rho moves
 
 
 @dataclass
@@ -131,9 +132,6 @@ class _Anderson:
         self.df = np.empty((_MEMORY, size))
         self.dg = np.empty((_MEMORY, size))
         self.gram = np.empty((_MEMORY, _MEMORY))
-        self.reset()
-
-    def reset(self):
         self.filled = self.slot = 0
         self.f = self.g = None
 
@@ -150,8 +148,8 @@ class _Anderson:
 
     def step(self):
         """F(v) - dF theta, theta minimizing ||g - dG theta|| (ridge
-        regularized), for the last pushed iterate; None, with the memory
-        cleared, when the small solve fails."""
+        regularized), for the last pushed iterate; None when the small
+        solve fails."""
         m = self.filled
         if m == 0:
             return self.f
@@ -159,7 +157,6 @@ class _Anderson:
         _, theta, info = dposv(gram + _RIDGE * gram.trace() * np.eye(m),
                                self.dg[:m] @ self.g)
         if info or not np.isfinite(theta).all():
-            self.reset()
             return None
         return self.f - theta @ self.df[:m]
 
@@ -192,7 +189,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     status = "max_iter"
     pri = dual = stall_best = np.inf
     stall_counter = 0
-    accel = None  # set once rho settles
+    accel = None  # running while the residuals are balanced
     for it in range(1, config.max_iterations + 1):
         X = project_affine(Z - U + Cs / rho)
         f = gamma * X + (1 - gamma) * Z + U  # F(v)
@@ -202,8 +199,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
             if not check:
                 step = accel.step()
                 if step is None:
-                    log.debug("iteration %d: Anderson memory reset "
-                              "(singular or non-finite step)", it)
+                    log.debug("iteration %d: Anderson step failed; "
+                              "acceleration off", it)
+                    accel = None
                 else:
                     f = step.reshape(d, d)
         v = f
@@ -233,19 +231,17 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                               pri, dual)
                     status = "infeasible-suspected"
                     break
-            if accel is not None:
-                continue  # rho is frozen
             # residual balancing keeps the two projections in step
-            if pri > 10 * dual or dual > 10 * pri:
+            if pri > _IMBALANCE * dual or dual > _IMBALANCE * pri:
                 factor = 2.0 if pri > dual else 0.5
                 log.debug("iteration %d: rho %.4g -> %.4g (primal %.3g, "
                           "dual %.3g)", it, rho, rho * factor, pri, dual)
                 rho *= factor
                 U /= factor
-            else:
-                log.debug("iteration %d: rho settled at %.4g (primal %.3g, "
-                          "dual %.3g); Anderson acceleration on (memory %d)",
-                          it, rho, pri, dual, _MEMORY)
+                accel = None  # its differences belong to the old map
+            elif accel is None:
+                log.debug("iteration %d: Anderson acceleration on at rho "
+                          "%.4g (primal %.3g, dual %.3g)", it, rho, pri, dual)
                 accel = _Anderson(d * d)
 
     # The last projection corrected a violation of order |U| + |C|/rho and

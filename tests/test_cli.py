@@ -5,8 +5,10 @@ import pytest
 
 from cardcsp import rounding, sdp_solver
 from cardcsp.cli import main
+from cardcsp.dictator import DictGadget
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
+from cardcsp.lasserre import MomentSolution
 
 
 @pytest.fixture
@@ -30,6 +32,15 @@ def test_solve_subcommand(c4_file, tmp_path):
     assert doc["objective"] == pytest.approx(1.0, abs=1e-4)
     assert doc["status"] == "optimal"
     assert doc["feasibility"]["psd_violation"] <= 1e-5
+
+
+def test_solve_full_embeds_a_readable_solution(c4_file, tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", c4_file, "--full", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    sol = MomentSolution.from_json(json.dumps(doc["solution"]))
+    assert (sol.n, sol.level) == (4, 2)
+    assert sol.objective_value == pytest.approx(doc["objective"], abs=1e-9)
 
 
 def test_solve_accepts_json_instances(tmp_path):
@@ -240,6 +251,15 @@ def test_landscape_sqrt_eps(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+def test_landscape_ratio(tmp_path):
+    out = tmp_path / "ratio.json"
+    assert main(["landscape", "ratio", "--resolution", "50",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "cardcsp.ratio_certificate/1"
+    assert doc["grid_resolution"] == 50
+
+
 @pytest.mark.parametrize("eps, message", [
     ("", "invalid number_list value"), ("0.01,abc", "invalid number_list value"),
     ("0.01", "two distinct eps"), ("0.01,0.01", "two distinct eps"),
@@ -289,6 +309,16 @@ def test_dict_subcommand(c4_file, tmp_path):
     assert doc["soundness"]["candidates"] > 0
     assert doc["status"] == "optimal"
     assert doc["iterations"] > 0
+
+
+def test_dict_gadget_out_reads_back(c4_file, tmp_path):
+    gadget_path = tmp_path / "gadget.json"
+    assert main(["dict", c4_file, "--eps", "0.1", "-R", "2", "--gadget-out",
+                 str(gadget_path), "--out", str(tmp_path / "dict.json")]) == 0
+    gadget = DictGadget.from_json(gadget_path.read_text())
+    assert (gadget.R, gadget.eps) == (2, 0.1)
+    assert gadget.edge_weights.shape == (4, 4)
+    assert gadget.edge_weights.sum() == pytest.approx(1.0)
 
 
 def test_dict_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,

@@ -203,6 +203,17 @@ def test_bad_shapes_are_refused_before_any_layout(monkeypatch, entry, n,
         entry(inst, (0, 1) * (n // 2), level, json.dumps(doc))
 
 
+def test_build_relaxation_refuses_level_1_before_any_layout(monkeypatch):
+    """Level 1 is a valid shape for lifts, so it sits outside the crossed
+    parametrization above; the relaxation needs level 2."""
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+    monkeypatch.setattr(lasserre, "_Layout", no_layout)
+    _cached_layout.cache_clear()
+    with pytest.raises(CardCspError, match="level must be at least 2"):
+        build_relaxation(generate("cycle", 4), 1)
+
+
 @pytest.mark.parametrize("entry", [
     lambda inst, x: integral_lift(inst, x),
     lambda inst, x: exact_mixture_moments(inst, [x], [1.0]),
@@ -360,11 +371,18 @@ def _gadget_text():
     (DictGadget, _gadget_text, None),
     (DictGadget, _gadget_text, _sets("schema", "cardcsp.assignment/1")),
     (DictGadget, _gadget_text, _sets("R", "2")),
+    (RoundedAssignment, _assignment_text, _sets("seed", "3")),
+    (RoundedAssignment, _assignment_text, _sets("labels", ["x", "y"])),
+    (RoundedAssignment, _assignment_text, _sets("value", "v")),
+    (DictGadget, _gadget_text, _sets("eps", "0.1")),
+    (DictGadget, _gadget_text, _sets("vertex_weights", ["a", "b"])),
 ], ids=["no level", "no indices", "string entry", "indices 5", "NaN entry",
         "not JSON", "solution schema", "string objective", "numeral entry",
         "boolean entry", "assignment without seed", "assignment not JSON",
         "assignment schema", "gadget without edges", "gadget not JSON",
-        "gadget schema", "gadget R string"])
+        "gadget schema", "gadget R string", "assignment seed string",
+        "assignment string labels", "assignment string value",
+        "gadget eps string", "gadget string vertex weights"])
 def test_malformed_solution_document_raises_parse_error(reader, text, edit):
     """Moment solution, assignment and gadget documents alike."""
     text = text()
@@ -397,6 +415,15 @@ def test_local_distribution_rejects_bad_subsets(subset):
     _, sol = _mixture(level=2)
     with pytest.raises(CardCspError):
         local_distribution(sol, subset)
+
+
+@pytest.mark.parametrize("size", [1.0, True, 3, -1])
+def test_local_distributions_rejects_bad_sizes(size):
+    """A size must be a plain int in 0..level: 1.0 once escaped as a bare
+    TypeError and True was read as 1."""
+    _, sol = _mixture(level=2)
+    with pytest.raises(CardCspError, match="subset size"):
+        lasserre.local_distributions(sol, size)
 
 
 @pytest.mark.parametrize("pivot, value", [(6, 0), (-1, 0), (0, 2), (0, -1)])

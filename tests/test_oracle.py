@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ def test_brute_force_witness_is_lexicographically_first():
     res = brute_force(generate("cycle", 4))
     assert res.witness == (0, 1, 0, 1)
     assert res.optima_count == 2  # the complement achieves the same value
+
+
+def test_brute_force_memory_at_n20():
+    """One byte per bit plane: at n = 20 the peak is about 55 MB; with int64
+    planes it was 201 MB, a projected 3.4 GB at the cap n = 24."""
+    inst = generate("gnp", 20, seed=1, p=0.3)
+    tracemalloc.start()
+    try:
+        res = brute_force(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
+    assert res.optimum == pytest.approx(20 / 27)
+    assert res.optima_count == 8
 
 
 def test_brute_force_mincut():
