@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 import numpy as np
@@ -70,12 +70,28 @@ class DictGadget:
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
         with _document(text, "cardcsp.gadget/1", "gadget") as doc:
-            return cls(R=_integer(doc["R"]), eps=_number(doc["eps"]),
-                       vertex_weights=_numbers(doc["vertex_weights"]),
-                       edge_weights=_numbers(doc["edge_weights"], _numbers),
-                       vertex_marginals=_numbers(doc["vertex_marginals"]),
-                       source_weights=_numbers(doc["source_weights"]),
-                       provenance=doc["provenance"])
+            gadget = cls(R=_integer(doc["R"]), eps=_number(doc["eps"]),
+                         vertex_weights=_numbers(doc["vertex_weights"]),
+                         edge_weights=_numbers(doc["edge_weights"], _numbers),
+                         vertex_marginals=_numbers(doc["vertex_marginals"]),
+                         source_weights=_numbers(doc["source_weights"]),
+                         provenance=doc["provenance"])
+            if not 1 <= gadget.R <= R_CAP:
+                raise CardCspError(f"R must be in 1..{R_CAP}, got {gadget.R}")
+            if not 0 <= gadget.eps <= 1:
+                raise CardCspError(f"eps must lie in [0, 1], got {gadget.eps}")
+            size = 1 << gadget.R
+            if (gadget.vertex_weights.shape != (size,)
+                    or gadget.edge_weights.shape != (size, size)):
+                raise CardCspError(f"the R={gadget.R} cube needs {size} vertex "
+                                   f"weights and {size} x {size} edge weights")
+            sources = gadget.source_weights.shape
+            if sources[0] == 0 or gadget.vertex_marginals.shape != sources:
+                raise CardCspError("vertex marginals and source weights need "
+                                   "one entry per source vertex")
+            if not isinstance(gadget.provenance, dict):
+                raise CardCspError("provenance must be an object")
+            return gadget
 
 
 def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
@@ -205,6 +221,17 @@ def influence(F, ell: int, marginal: float) -> float:
     return float(_influence(F, ell, marginal))
 
 
+@cache
+def _boolean_functions(R: int) -> np.ndarray:
+    """Every +-1 function on the R-cube, row k the one whose bit z of k is
+    set where F(z) = -1: (2^(2^R) x 2^R), read-only, built once per R."""
+    size = 1 << R
+    codes = np.arange(1 << size, dtype=np.int64)
+    table = 1.0 - 2.0 * ((codes[:, None] >> np.arange(size)[None, :]) & 1)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass
 class SoundnessReport:
     tau: float
@@ -239,9 +266,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     if mode == "boolean_exhaustive":
         if R > 4:
             raise CapacityError("boolean_exhaustive requires R <= 4")
-        count = 1 << size
-        codes = np.arange(count, dtype=np.int64)
-        F_all = 1.0 - 2.0 * ((codes[:, None] >> np.arange(size)[None, :]) & 1)
+        F_all = _boolean_functions(R)
     elif mode == "grid":
         if R > 2:
             raise CapacityError("grid mode requires R <= 2")

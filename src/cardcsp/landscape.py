@@ -28,6 +28,7 @@ _SAT_KINDS = ("max2sat", "2sat")
 _TOP_K = 24             # cells the ratio search refines around
 _RATIO_ROUNDS = 3       # refinement rounds of the ratio search
 _SEPARATION_ROUNDS = 4  # refinement rounds of the worst-separation search
+_SWEEP_CELLS = 1 << 14  # cells per call of a rho sweep, at least one slice
 
 
 # -- bivariate normal ------------------------------------------------------
@@ -82,6 +83,15 @@ def bvn_cdf_grid(t1, t2, rho):
     """Vectorized bivariate normal CDF: Gauss-Legendre on the arcsine path
     with 6, 12, 20 or 48 nodes by the band of |rho| (Genz 2004).
     Cross-validated against the adaptive scalar version.
+    """
+    t1, t2, rho = (np.asarray(x, dtype=float) for x in (t1, t2, rho))
+    return _bvn_finish(_bvn_integral(t1, t2, rho), t1, t2, rho,
+                       ndtr(t1), ndtr(t2))
+
+
+def _bvn_integral(t1, t2, rho):
+    """The arcsine-path integral of `bvn_cdf_grid` on broadcastable inputs,
+    cell by cell.
 
     The path nodes depend on rho alone, so they are evaluated once per
     distinct value of rho; the cells of each band are integrated together
@@ -123,19 +133,26 @@ def bvn_cdf_grid(t1, t2, rho):
         # so a cell's value depends on its own (t1, t2, rho) only
         integral[cells] = 0.5 * upper_k[u] * np.einsum("ck,k->c", integrand,
                                                         weights)
-    out = ndtr(t1) * ndtr(t2) + integral / (2.0 * np.pi)
+    return integral
+
+
+def _bvn_finish(integral, t1, t2, rho, p1, p2):
+    """P(Z1 <= t1, Z2 <= t2) from the path integral and p1 = Phi(t1),
+    p2 = Phi(t2), with the closed forms at infinite thresholds and at
+    |rho| = 1."""
+    out = p1 * p2 + integral / (2.0 * np.pi)
     # finite-threshold formula is wrong at infinities; patch those entries
     inf_mask = ~np.isfinite(t1) | ~np.isfinite(t2)
     if np.any(inf_mask):
         out = np.where(t1 == -np.inf, 0.0, out)
         out = np.where(t2 == -np.inf, 0.0, out)
-        out = np.where((t1 == np.inf) & np.isfinite(t2), ndtr(t2), out)
-        out = np.where((t2 == np.inf) & np.isfinite(t1), ndtr(t1), out)
+        out = np.where((t1 == np.inf) & np.isfinite(t2), p2, out)
+        out = np.where((t2 == np.inf) & np.isfinite(t1), p1, out)
         out = np.where((t1 == np.inf) & (t2 == np.inf), 1.0, out)
     edge = np.abs(rho) >= 1.0
     if np.any(edge):
-        plus = np.minimum(ndtr(t1), ndtr(t2))
-        minus = np.maximum(0.0, ndtr(t1) + ndtr(t2) - 1.0)
+        plus = np.minimum(p1, p2)
+        minus = np.maximum(0.0, p1 + p2 - 1.0)
         out = np.where(rho >= 1.0, plus, out)
         out = np.where(rho <= -1.0, minus, out)
     return np.clip(out, 0.0, 1.0)
@@ -188,15 +205,15 @@ def edge_sdp_value_grid(kind, mu1, mu2, rhobar):
     raise CardCspError(f"unknown payoff kind {kind!r}")
 
 
-def _rounded(kind, mu1, mu2, rhobar, orthant):
-    """Expected payoff of the rounded labels for one term, with ``orthant``
-    the kernel for P(Z1 <= t1, Z2 <= t2): the separation probability for a
-    cut, one minus the both-false probability for a clause."""
-    t1, t2 = threshold(mu1), threshold(mu2)
+def _rounded(kind, p1, p2, orthant):
+    """Expected payoff of the rounded labels for one term, from p1 = Phi(t1),
+    p2 = Phi(t2) and the orthant value P(Z1 <= t1, Z2 <= t2): the
+    separation probability for a cut, one minus the both-false probability
+    for a clause."""
     if kind in _CUT_KINDS:
-        value = ndtr(t1) + ndtr(t2) - 2.0 * orthant(t1, t2, rhobar)
+        value = p1 + p2 - 2.0 * orthant
     elif kind in _SAT_KINDS:
-        value = 1.0 - (1.0 - ndtr(t1) - ndtr(t2) + orthant(t1, t2, rhobar))
+        value = 1.0 - (1.0 - p1 - p2 + orthant)
     else:
         raise CardCspError(f"unknown payoff kind {kind!r}")
     return np.clip(value, 0.0, 1.0)
@@ -205,13 +222,28 @@ def _rounded(kind, mu1, mu2, rhobar, orthant):
 def rounded_value(kind: str, config: EdgeConfig) -> float:
     """Expected payoff of the rounded labels for one term, with the
     adaptive-quadrature kernel."""
-    return float(_rounded(kind, config.mu1, config.mu2, config.rhobar,
-                          bvn_cdf))
+    t1, t2 = threshold(config.mu1), threshold(config.mu2)
+    return float(_rounded(kind, ndtr(t1), ndtr(t2),
+                          bvn_cdf(t1, t2, config.rhobar)))
 
 
 def rounded_value_grid(kind, mu1, mu2, rhobar):
     """Expected payoff of the rounded labels for one term, on a grid."""
-    return _rounded(kind, mu1, mu2, rhobar, bvn_cdf_grid)
+    return _rounded_grid(kind, mu1, mu2, rhobar)
+
+
+def _rounded_grid(kind, mu1, mu2, rhobar, cells=None):
+    """The rounded value on broadcastable mu1, mu2, rhobar, at the cells of
+    the mask ``cells`` (every cell if None).  Thresholds and Phi are taken
+    on each input's own axes, before the cells are selected."""
+    t1, t2 = threshold(mu1), threshold(mu2)
+    p1, p2 = ndtr(t1), ndtr(t2)
+    if cells is not None:
+        t1, t2, p1, p2, rhobar = (_on_cells(x, cells)
+                                  for x in (t1, t2, p1, p2, rhobar))
+    orthant = _bvn_finish(_bvn_integral(t1, t2, rhobar), t1, t2, rhobar,
+                          p1, p2)
+    return _rounded(kind, p1, p2, orthant)
 
 
 def separation_prob(config: EdgeConfig) -> float:
@@ -254,19 +286,28 @@ def _on_cells(x, mask):
 
 
 def _ratio_on_grid(kind, mu1, mu2, rhobar):
-    """Ratio, SDP value, rounded value and validity on a grid of configs.
+    """Ratio, SDP value, rounded value and validity on a grid of configs
+    given as broadcastable axes.
 
-    The rounded value is integrated on the valid cells only; elsewhere it is
-    NaN and the ratio +inf.
+    Each factor is evaluated on the axes it depends on, so terms of the
+    (mu1, mu2) plane come out once for every rho.  The rounded value is
+    integrated on the valid cells only; elsewhere it is NaN and the ratio
+    +inf.
     """
     sdp = edge_sdp_value_grid(kind, mu1, mu2, rhobar)
     valid = config_valid_mask(mu1, mu2, rhobar) & (sdp > SDP_FLOOR)
     rounded = np.full(valid.shape, np.nan)
-    rounded[valid] = rounded_value_grid(
-        kind, *(_on_cells(x, valid) for x in (mu1, mu2, rhobar)))
+    rounded[valid] = _rounded_grid(kind, mu1, mu2, rhobar, valid)
     ratio = np.full(valid.shape, np.inf)
     ratio[valid] = rounded[valid] / sdp[valid]
     return ratio, sdp, rounded, valid
+
+
+def _rho_chunks(rhos, plane):
+    """rhos in runs of whole slices of ``plane`` cells, at most
+    ``_SWEEP_CELLS`` cells a run unless one slice is larger."""
+    step = max(1, _SWEEP_CELLS // plane)
+    return [rhos[s:s + step] for s in range(0, len(rhos), step)]
 
 
 def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
@@ -280,15 +321,17 @@ def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
     mus = np.linspace(-1.0, 1.0, resolution)
     rhos = np.linspace(-1.0, 1.0, resolution)
     best = []  # (ratio, mu1, mu2, rho)
-    M1, M2 = np.meshgrid(mus, mus, indexing="ij")
-    for rho in rhos:
-        ratio, _, _, _ = _ratio_on_grid(kind, M1, M2, rho)
-        flat = np.argsort(ratio, axis=None)[:_TOP_K // 4]
-        for f in flat:
-            i, j = np.unravel_index(f, ratio.shape)
-            if np.isfinite(ratio[i, j]):
-                best.append((float(ratio[i, j]), float(M1[i, j]),
-                             float(M2[i, j]), float(rho)))
+    for chunk in _rho_chunks(rhos, resolution ** 2):
+        ratio, _, _, _ = _ratio_on_grid(kind, mus[:, None], mus,
+                                        chunk[:, None, None])
+        ratio = ratio.reshape(len(chunk), -1)  # one row per rho slice
+        top = np.argsort(ratio, axis=1)[:, :_TOP_K // 4]
+        for rho, row, flat in zip(chunk, ratio, top):
+            for f in flat:
+                if np.isfinite(row[f]):
+                    i, j = divmod(int(f), resolution)
+                    best.append((float(row[f]), float(mus[i]), float(mus[j]),
+                                 float(rho)))
     best.sort()
     best = best[:_TOP_K]
     trace = [{"stage": "grid", "min_ratio": best[0][0]}]
@@ -339,13 +382,13 @@ def landscape_csv(kind: str, resolution: int = 60) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["mu1", "mu2", "rhobar", "rounded", "sdp", "ratio"])
-    M1, M2 = np.meshgrid(mus, mus, indexing="ij")
-    for rho in mus:
-        ratio, sdp, rounded, valid = _ratio_on_grid(kind, M1, M2, rho)
-        for i, j in zip(*np.nonzero(valid)):
-            writer.writerow([f"{M1[i, j]:.6f}", f"{M2[i, j]:.6f}",
-                             f"{rho:.6f}", f"{rounded[i, j]:.8f}",
-                             f"{sdp[i, j]:.8f}", f"{ratio[i, j]:.8f}"])
+    for chunk in _rho_chunks(mus, resolution ** 2):
+        ratio, sdp, rounded, valid = _ratio_on_grid(kind, mus[:, None], mus,
+                                                    chunk[:, None, None])
+        for k, i, j in zip(*np.nonzero(valid)):
+            writer.writerow([f"{mus[i]:.6f}", f"{mus[j]:.6f}",
+                             f"{chunk[k]:.6f}", f"{rounded[k, i, j]:.8f}",
+                             f"{sdp[k, i, j]:.8f}", f"{ratio[k, i, j]:.8f}"])
     return out.getvalue()
 
 
@@ -365,33 +408,29 @@ def worst_separation(eps: float, resolution: int = 200):
     m_target = 1.0 - 2.0 * eps
 
     def eval_grid(g1, g2):
-        M1, M2 = np.meshgrid(g1, g2, indexing="ij")
-        denom = np.sqrt(np.clip((1 - M1**2) * (1 - M2**2), 1e-300, None))
-        rho = (m_target - M1 * M2) / denom
+        """The best cell of the axes g1 x g2: (separation, mu1, mu2, rho)."""
+        m1, m2 = g1[:, None], g2
+        denom = np.sqrt(np.clip((1 - m1**2) * (1 - m2**2), 1e-300, None))
+        rho = (m_target - m1 * m2) / denom
         feasible = rho <= 1.0 + 1e-12
         rho = np.clip(rho, -1.0, 1.0)
-        valid = config_valid_mask(M1, M2, rho) & feasible
+        valid = config_valid_mask(m1, m2, rho) & feasible
         sep = np.full(valid.shape, -np.inf)
-        sep[valid] = rounded_value_grid("cut", M1[valid], M2[valid],
-                                        rho[valid])
-        return M1, M2, rho, sep
+        sep[valid] = _rounded_grid("cut", m1, m2, rho, valid)
+        i, j = np.unravel_index(np.argmax(sep, axis=None), sep.shape)
+        return (float(sep[i, j]), float(g1[i]), float(g2[j]),
+                float(rho[i, j]))
 
     g = np.linspace(-0.999, 0.999, resolution)
-    M1, M2, rho, sep = eval_grid(g, g)
-    f = np.argmax(sep, axis=None)
-    i, j = np.unravel_index(f, sep.shape)
-    best = (float(sep[i, j]), float(M1[i, j]), float(M2[i, j]), float(rho[i, j]))
+    best = eval_grid(g, g)
     step = g[1] - g[0]
     for _ in range(_SEPARATION_ROUNDS):
         m1, m2 = best[1], best[2]
-        g1 = np.linspace(max(-0.999999, m1 - step), min(0.999999, m1 + step), 17)
-        g2 = np.linspace(max(-0.999999, m2 - step), min(0.999999, m2 + step), 17)
-        M1, M2, rho, sep = eval_grid(g1, g2)
-        f = np.argmax(sep, axis=None)
-        i, j = np.unravel_index(f, sep.shape)
-        if sep[i, j] > best[0]:
-            best = (float(sep[i, j]), float(M1[i, j]), float(M2[i, j]),
-                    float(rho[i, j]))
+        cand = eval_grid(
+            np.linspace(max(-0.999999, m1 - step), min(0.999999, m1 + step), 17),
+            np.linspace(max(-0.999999, m2 - step), min(0.999999, m2 + step), 17))
+        if cand[0] > best[0]:
+            best = cand
         step = step / 4.0
     return best[0], EdgeConfig(best[1], best[2], best[3])
 

@@ -151,12 +151,22 @@ class RoundedAssignment:
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
         with _document(text, "cardcsp.assignment/1", "assignment") as doc:
-            return cls(labels=_numbers(doc["labels"], _integer),
-                       value=_number(doc["value"], optional=True),
-                       balance=_number(doc["balance"], optional=True),
-                       seed=_integer(doc["seed"]),
-                       repair_moves=_numbers(doc["repair_moves"],
-                                             _integer).tolist())
+            out = cls(labels=_numbers(doc["labels"], _integer),
+                      value=_number(doc["value"], optional=True),
+                      balance=_number(doc["balance"], optional=True),
+                      seed=_integer(doc["seed"]),
+                      repair_moves=_numbers(doc["repair_moves"],
+                                            _integer).tolist())
+            if not np.isin(out.labels, (-1, 1)).all():
+                raise CardCspError("labels must be +1 or -1")
+            n, moves = len(out.labels), out.repair_moves
+            if len(set(moves)) < len(moves) or not all(0 <= v < n
+                                                       for v in moves):
+                raise CardCspError(f"repair moves must be distinct vertices "
+                                   f"in 0..{n - 1}, got {moves}")
+            if out.seed < 0:
+                raise CardCspError(f"seed must be >= 0, got {out.seed}")
+            return out
 
 
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
@@ -279,9 +289,14 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     pick = int(np.nanargmax(ranked) if instance.sense == "max"
                else np.nanargmin(ranked))
     moves = repair.moves[pick]
+    moves = moves[moves >= 0].tolist()
+    for vertex in moves:
+        # a moved vertex sits on the other side now
+        log.debug("repair of trial %d: vertex %d left side %+d", pick, vertex,
+                  -repair.labels[pick, vertex])
     best = RoundedAssignment(labels=repair.labels[pick], value=float(values[pick]),
                              balance=float(balances[pick]), seed=sub_seeds[pick],
-                             repair_moves=moves[moves >= 0].tolist())
+                             repair_moves=moves)
     return PipelineResult(
         best=best,
         solution=sol,

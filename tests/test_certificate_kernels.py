@@ -9,12 +9,15 @@ against a reference that evaluates every cell (or every function) one by
 one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from cardcsp import dictator
 from cardcsp.dictator import (build_gadget, dict_value, hypercube_labels,
                               soundness_enumerate)
 from cardcsp.instance import generate
@@ -267,7 +270,25 @@ def test_ratio_grid_equals_every_cell_reference(kind, resolution):
 
 
 @pytest.mark.parametrize("kind", ["cut", "max2sat"])
-@pytest.mark.parametrize("resolution", [50, 60])
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_ratio_grid_on_axes_equals_the_meshgrid_call(kind, k):
+    """rho slices (k, 1, 1) against mu1 (m, 1) and mu2 (1, m): the plane
+    terms are broadcast once per call, and every output is the one of the
+    same cells given as full arrays."""
+    mus = np.linspace(-1.0, 1.0, 41)
+    rhos = mus[np.linspace(0, 40, k).astype(int)]  # -1 and every band
+    mu1, mu2, rho = mus[:, None], mus[None, :], rhos[:, None, None]
+    on_axes = _ratio_on_grid(kind, mu1, mu2, rho)
+    full = np.broadcast_arrays(mu1, mu2, rho)
+    for got, want in zip(on_axes, _ratio_on_grid(kind, *full)):
+        assert got.shape == (k, 41, 41)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    np.testing.assert_array_equal(_bits(on_axes[0]),
+                                  _bits(_ratio_every_cell(kind, *full)))
+
+
+@pytest.mark.parametrize("kind", ["cut", "max2sat"])
+@pytest.mark.parametrize("resolution", [50, 60, 64])
 def test_ratio_search_equals_every_cell_reference(kind, resolution):
     cert = ratio_search(kind, resolution=resolution)
     minimum, argmin, trace, error_bar = _ratio_search_every_cell(kind,
@@ -276,6 +297,18 @@ def test_ratio_search_equals_every_cell_reference(kind, resolution):
     assert cert.refinement_trace == trace
     assert _bits(cert.minimum_ratio) == _bits(minimum)
     assert _bits(cert.error_bar) == _bits(error_bar)
+
+
+def test_ratio_search_memory_is_bounded_by_its_cell_budget():
+    """At resolution 200 one rho slice (40,000 cells) is more than the
+    sweep's cell budget, so slices go one at a time."""
+    tracemalloc.start()
+    try:
+        ratio_search("cut", resolution=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 @pytest.mark.parametrize("eps", [0.0025, 0.04, 0.3])
@@ -374,6 +407,22 @@ def test_soundness_equals_loop_reference_at_r4():
     _assert_same_rows(soundness_enumerate(gadget, 0.8),
                       _soundness_by_loop(gadget, 0.8, _boolean_functions(4)),
                       gadget)
+
+
+def test_soundness_table_is_shared_and_read_only():
+    table = dictator._boolean_functions(3)
+    assert dictator._boolean_functions(3) is table
+    np.testing.assert_array_equal(table, _boolean_functions(3))
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # two different gadgets in a row read the same table
+    for name in sorted(GADGETS):
+        gadget = _gadget(3, *GADGETS[name])
+        _assert_same_rows(soundness_enumerate(gadget, 0.8),
+                          _soundness_by_loop(gadget, 0.8, _boolean_functions(3)),
+                          gadget)
+    assert dictator._boolean_functions(3) is table
+    np.testing.assert_array_equal(table, _boolean_functions(3))
 
 
 @pytest.mark.parametrize("name", sorted(GADGETS))

@@ -336,6 +336,10 @@ def _sets(key, value):
     return lambda doc: doc.__setitem__(key, value)
 
 
+def _updates(**fields):
+    return lambda doc: doc.update(fields)
+
+
 def _sets_entry(value):
     return lambda doc: doc["gram_lower"][2].__setitem__(1, value)
 
@@ -376,13 +380,39 @@ def _gadget_text():
     (RoundedAssignment, _assignment_text, _sets("value", "v")),
     (DictGadget, _gadget_text, _sets("eps", "0.1")),
     (DictGadget, _gadget_text, _sets("vertex_weights", ["a", "b"])),
+    (DictGadget, _gadget_text, _sets("eps", 7.0)),
+    (DictGadget, _gadget_text, _sets("eps", -0.1)),
+    (DictGadget, _gadget_text, _sets("R", 0)),
+    (DictGadget, _gadget_text, _sets("R", 13)),
+    (DictGadget, _gadget_text, _sets("R", 5)),
+    (DictGadget, _gadget_text,
+     _updates(R=2, vertex_weights=[0.25] * 4, edge_weights=[[1.0]])),
+    (DictGadget, _gadget_text, _sets("edge_weights", [[0.5, 0.5]])),
+    (DictGadget, _gadget_text, _sets("vertex_weights", [])),
+    (DictGadget, _gadget_text, _sets("vertex_marginals", [0.5])),
+    (DictGadget, _gadget_text, _updates(vertex_marginals=[],
+                                        source_weights=[])),
+    (DictGadget, _gadget_text, _sets("provenance", 5)),
+    (RoundedAssignment, _assignment_text, _sets("labels", [2, 7])),
+    (RoundedAssignment, _assignment_text, _sets("labels", [1, 0])),
+    (RoundedAssignment, _assignment_text, _sets("repair_moves", [9])),
+    (RoundedAssignment, _assignment_text, _sets("repair_moves", [-1])),
+    (RoundedAssignment, _assignment_text, _sets("repair_moves", [1, 1])),
+    (RoundedAssignment, _assignment_text, _sets("seed", -4)),
 ], ids=["no level", "no indices", "string entry", "indices 5", "NaN entry",
         "not JSON", "solution schema", "string objective", "numeral entry",
         "boolean entry", "assignment without seed", "assignment not JSON",
         "assignment schema", "gadget without edges", "gadget not JSON",
         "gadget schema", "gadget R string", "assignment seed string",
         "assignment string labels", "assignment string value",
-        "gadget eps string", "gadget string vertex weights"])
+        "gadget eps string", "gadget string vertex weights", "gadget eps 7",
+        "gadget eps negative", "gadget R 0", "gadget R over cap",
+        "gadget R 5 on R 1 tables", "gadget 1x1 edges at R 2",
+        "gadget 1x2 edges", "gadget no vertex weights",
+        "gadget one marginal for two sources", "gadget no sources",
+        "gadget provenance 5", "assignment labels 2 7", "assignment label 0",
+        "assignment move out of range", "assignment negative move",
+        "assignment repeated move", "assignment seed -4"])
 def test_malformed_solution_document_raises_parse_error(reader, text, edit):
     """Moment solution, assignment and gadget documents alike."""
     text = text()

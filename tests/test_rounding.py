@@ -450,11 +450,28 @@ def test_conditioning_and_repair_are_logged(family, caplog):
         f"{dec.achieved_alpha:.6g}, target "
         f"{'reached' if dec.reached_target else 'missed'}"]
     caplog.clear()
-    pipeline(inst, trials=8, seed=0, solution=sol)
-    (line,) = _messages(caplog, "rounding")
+    result = pipeline(inst, trials=8, seed=0, solution=sol)
+    # the summary, then one line per move of the chosen trial
+    line, *moves = _messages(caplog, "rounding")
+    assert len(moves) == len(result.best.repair_moves)
     repaired, trials, failed, largest, mean = (
         float(v) for v in re.fullmatch(
             r"repair: (\d+) of (\d+) rows repaired, (\d+) failed; moved "
             r"weight max (\S+), mean (\S+)", line).groups())
     assert trials == 8 and repaired + failed <= trials
     assert largest >= mean >= 0 and (largest > 0) == (repaired + failed > 0)
+
+
+def test_chosen_trial_repair_moves_are_logged(caplog):
+    inst = generate("two_cliques", 6)
+    sol, _ = sdp_solver.solve(build_relaxation(inst, 3))
+    caplog.set_level(logging.DEBUG, logger="cardcsp.rounding")
+    best = pipeline(inst, trials=8, seed=0, solution=sol).best
+    assert best.repair_moves  # the chosen trial moves at least one vertex
+    seeds = [int(s.generate_state(1)[0])
+             for s in np.random.SeedSequence(0).spawn(8)]
+    trial = seeds.index(best.seed)
+    # a moved vertex left the side opposite to its repaired label
+    assert _messages(caplog, "rounding")[1:] == [
+        f"repair of trial {trial}: vertex {v} left side {-best.labels[v]:+d}"
+        for v in best.repair_moves]
