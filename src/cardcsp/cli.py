@@ -67,13 +67,18 @@ def cmd_solve(args):
 
     instance = _read_instance(args.input)
     program = build_relaxation(instance, args.level)
-    solution, report = sdp_solver.solve(program, _solver_config(args))
+    solution, report = sdp_solver.solve(program, _solver_config(args),
+                                        keep_history=args.trace)
     feas = check_feasibility(solution, instance)
     doc = {
         "schema": "cardcsp.solve/1",
         "objective": solution_objective(solution, instance),
         "status": report.status,
         "iterations": report.iterations,
+        "primal_residual": report.primal_residual,
+        "dual_residual": report.dual_residual,
+        "rho": report.rho,
+        "seconds": report.seconds,
         "level": args.level,
         "feasibility": {
             "psd_violation": feas.psd_violation,
@@ -81,6 +86,10 @@ def cmd_solve(args):
             "cardinality_violation": feas.cardinality_violation,
         },
     }
+    if args.trace:
+        doc["residual_history"] = [
+            {"iteration": it, "primal": float(pri), "dual": float(dual)}
+            for it, pri, dual in report.residual_history]
     if args.full:
         doc["solution"] = json.loads(solution.to_json())
     return _emit_solved(json.dumps(doc, indent=2), args.out, [report.status])
@@ -207,6 +216,8 @@ def build_parser():
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--full", action="store_true",
                    help="embed the full moment solution in the output")
+    p.add_argument("--trace", action="store_true",
+                   help="add the residuals of every convergence check")
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)

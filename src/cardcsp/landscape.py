@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .errors import CardCspError
+from .errors import CapacityError, CardCspError
 from .rounding import threshold
 
 SDP_FLOOR = 1e-6  # configs below this payoff value are excluded from ratios
@@ -29,6 +29,9 @@ _TOP_K = 24             # cells the ratio search refines around
 _RATIO_ROUNDS = 3       # refinement rounds of the ratio search
 _SEPARATION_ROUNDS = 4  # refinement rounds of the worst-separation search
 _SWEEP_CELLS = 1 << 14  # cells per call of a rho sweep, at least one slice
+# points per axis: a (mu1, mu2, rho) grid of at most 2^24 cells, so a CSV of
+# at most about 8 million rows and a ratio search of a few seconds
+_RESOLUTION_CAP = 256
 
 
 # -- bivariate normal ------------------------------------------------------
@@ -67,7 +70,13 @@ def bvn_cdf(t1: float, t2: float, rho: float) -> float:
         c2 = np.cos(theta) ** 2
         return np.exp(-(t1 * t1 - 2.0 * s * t1 * t2 + t2 * t2) / (2.0 * c2))
 
-    val, _err = quad(integrand, 0.0, np.arcsin(rho), epsabs=1e-13, epsrel=1e-12)
+    upper = np.arcsin(rho)
+    if abs(upper) < 1e-100:
+        # the integrand is constant to double precision on so short a path,
+        # whose error quad misjudges (it warns near |rho| = 1e-306)
+        val = upper * integrand(0.0)
+    else:
+        val, _err = quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-12)
     return float(ndtr(t1) * ndtr(t2) + val / (2.0 * np.pi))
 
 
@@ -85,24 +94,39 @@ def bvn_cdf_grid(t1, t2, rho):
     Cross-validated against the adaptive scalar version.
     """
     t1, t2, rho = (np.asarray(x, dtype=float) for x in (t1, t2, rho))
-    return _bvn_finish(_bvn_integral(t1, t2, rho), t1, t2, rho,
+    return _bvn_finish(_bvn_integral(t1, t2, *_distinct(rho)), t1, t2, rho,
                        ndtr(t1), ndtr(t2))
 
 
-def _bvn_integral(t1, t2, rho):
+def _on_cells(x, mask):
+    """x at the cells of mask; a scalar stays one value."""
+    return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
+
+
+def _distinct(rho, cells=None):
+    """The distinct values of rho, and the index among them of the
+    correlation of each cell of the mask ``cells`` (of each entry of rho if
+    None).  The values are taken on rho's own axes, before the cells are
+    selected, unless the cells are fewer."""
+    if cells is not None and np.size(rho) > np.count_nonzero(cells):
+        rho, cells = _on_cells(rho, cells), None
+    values, inverse = np.unique(rho, return_inverse=True)
+    inverse = inverse.reshape(np.shape(rho))
+    return values, inverse if cells is None else _on_cells(inverse, cells)
+
+
+def _bvn_integral(t1, t2, values, inverse):
     """The arcsine-path integral of `bvn_cdf_grid` on broadcastable inputs,
-    cell by cell.
+    cell by cell, where a cell's correlation is ``values[inverse]``.
 
     The path nodes depend on rho alone, so they are evaluated once per
-    distinct value of rho; the cells of each band are integrated together
+    entry of ``values``; the cells of each band are integrated together
     with that band's rule.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    shape = np.broadcast_shapes(t1.shape, t2.shape, rho.shape)
-    values, inverse = np.unique(rho, return_inverse=True)
-    inverse = inverse.reshape(rho.shape)
+    inverse = np.asarray(inverse)
+    shape = np.broadcast_shapes(t1.shape, t2.shape, inverse.shape)
     upper = np.arcsin(np.clip(values, -1.0, 1.0))
     band = np.searchsorted(_GL_BANDS, np.abs(values), side="right")
     cell_band = np.broadcast_to(band[inverse], shape)
@@ -232,17 +256,25 @@ def rounded_value_grid(kind, mu1, mu2, rhobar):
     return _rounded_grid(kind, mu1, mu2, rhobar)
 
 
-def _rounded_grid(kind, mu1, mu2, rhobar, cells=None):
+def _phi(mu):
+    """The threshold t of the bias mu, and Phi(t)."""
+    t = threshold(mu)
+    return t, ndtr(t)
+
+
+def _rounded_grid(kind, mu1, mu2, rhobar, cells=None, phi=None):
     """The rounded value on broadcastable mu1, mu2, rhobar, at the cells of
     the mask ``cells`` (every cell if None).  Thresholds and Phi are taken
-    on each input's own axes, before the cells are selected."""
-    t1, t2 = threshold(mu1), threshold(mu2)
-    p1, p2 = ndtr(t1), ndtr(t2)
+    on each input's own axes (``phi`` = (`_phi`(mu1), `_phi`(mu2)) if the
+    caller has them), before the cells are selected, and so are the
+    distinct correlations (`_distinct`)."""
+    (t1, p1), (t2, p2) = (_phi(mu1), _phi(mu2)) if phi is None else phi
+    values, inverse = _distinct(rhobar, cells)
     if cells is not None:
         t1, t2, p1, p2, rhobar = (_on_cells(x, cells)
                                   for x in (t1, t2, p1, p2, rhobar))
-    orthant = _bvn_finish(_bvn_integral(t1, t2, rhobar), t1, t2, rhobar,
-                          p1, p2)
+    orthant = _bvn_finish(_bvn_integral(t1, t2, values, inverse), t1, t2,
+                          rhobar, p1, p2)
     return _rounded(kind, p1, p2, orthant)
 
 
@@ -275,19 +307,46 @@ class RatioCertificate:
         }, indent=2)
 
 
-def _require_steps(resolution):
-    if resolution < 2:
-        raise CardCspError("resolution must be at least 2 points per axis")
+def _require_resolution(resolution, least=2):
+    """Admit a grid of ``resolution`` points per axis: a plain int from
+    ``least`` to ``_RESOLUTION_CAP``, checked before anything is allocated."""
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise CardCspError(f"resolution must be an integer, got {resolution!r}")
+    if resolution < least:
+        raise CardCspError(f"resolution must be at least {least} points per axis")
+    if resolution > _RESOLUTION_CAP:
+        raise CapacityError(f"resolution {resolution} exceeds the cap of "
+                            f"{_RESOLUTION_CAP} points per axis")
 
 
-def _on_cells(x, mask):
-    """x at the cells of mask; a scalar stays one value."""
-    return x if np.ndim(x) == 0 else np.broadcast_to(x, mask.shape)[mask]
+def _orbits(kind, m):
+    """Index arrays (i, j), in row-major order, of one cell of each orbit of
+    the m x m plane of an axis symmetric about 0 (entry m - 1 - i is minus
+    entry i).  The rounded and SDP values and the validity of a config are
+    invariant when the two endpoints swap, (i, j) -> (j, i), so i <= j is
+    kept; for a cut they are also invariant when both biases are negated,
+    (i, j) -> (m - 1 - i, m - 1 - j), so i + j <= m - 1 is kept too.  The
+    test is on indices, not values, so rounding in the axis cannot drop an
+    orbit."""
+    i, j = np.ogrid[:m, :m]
+    keep = i <= j
+    if kind in _CUT_KINDS:
+        keep &= i + j <= m - 1
+    return np.nonzero(keep)
 
 
-def _ratio_on_grid(kind, mu1, mu2, rhobar):
+def _orbit_plane(kind, axis):
+    """The cells of `_orbits` on the plane axis x axis: (mu1, mu2) and their
+    thresholds and Phi as `_rounded_grid` takes them, from one `_phi` of
+    the axis."""
+    i, j = _orbits(kind, len(axis))
+    t, p = _phi(axis)
+    return (axis[i], axis[j]), ((t[i], p[i]), (t[j], p[j]))
+
+
+def _ratio_on_grid(kind, mu1, mu2, rhobar, phi=None):
     """Ratio, SDP value, rounded value and validity on a grid of configs
-    given as broadcastable axes.
+    given as broadcastable axes (``phi`` as in `_rounded_grid`).
 
     Each factor is evaluated on the axes it depends on, so terms of the
     (mu1, mu2) plane come out once for every rho.  The rounded value is
@@ -297,7 +356,7 @@ def _ratio_on_grid(kind, mu1, mu2, rhobar):
     sdp = edge_sdp_value_grid(kind, mu1, mu2, rhobar)
     valid = config_valid_mask(mu1, mu2, rhobar) & (sdp > SDP_FLOOR)
     rounded = np.full(valid.shape, np.nan)
-    rounded[valid] = _rounded_grid(kind, mu1, mu2, rhobar, valid)
+    rounded[valid] = _rounded_grid(kind, mu1, mu2, rhobar, valid, phi)
     ratio = np.full(valid.shape, np.inf)
     ratio[valid] = rounded[valid] / sdp[valid]
     return ratio, sdp, rounded, valid
@@ -313,25 +372,24 @@ def _rho_chunks(rhos, plane):
 def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
     """Worst ratio (rounded value / SDP value) over valid edge configs.
 
-    Full grid sweep followed by local shrinking searches around the best
-    cells; deterministic.
+    Grid sweep over one (mu1, mu2) cell of each symmetry orbit
+    (`_orbits`), followed by local shrinking searches around the best cells;
+    deterministic.
     """
-    if resolution < 50:
-        raise CardCspError("resolution must be at least 50 points per axis")
+    _require_resolution(resolution, least=50)
     mus = np.linspace(-1.0, 1.0, resolution)
     rhos = np.linspace(-1.0, 1.0, resolution)
+    (mu1, mu2), phi = _orbit_plane(kind, mus)
     best = []  # (ratio, mu1, mu2, rho)
-    for chunk in _rho_chunks(rhos, resolution ** 2):
-        ratio, _, _, _ = _ratio_on_grid(kind, mus[:, None], mus,
-                                        chunk[:, None, None])
-        ratio = ratio.reshape(len(chunk), -1)  # one row per rho slice
+    for chunk in _rho_chunks(rhos, len(mu1)):
+        # one row of the plane's orbit cells per rho
+        ratio, _, _, _ = _ratio_on_grid(kind, mu1, mu2, chunk[:, None], phi)
         top = np.argsort(ratio, axis=1)[:, :_TOP_K // 4]
-        for rho, row, flat in zip(chunk, ratio, top):
-            for f in flat:
-                if np.isfinite(row[f]):
-                    i, j = divmod(int(f), resolution)
-                    best.append((float(row[f]), float(mus[i]), float(mus[j]),
-                                 float(rho)))
+        for rho, row, cells in zip(chunk, ratio, top):
+            for c in cells:
+                if np.isfinite(row[c]):
+                    best.append((float(row[c]), float(mu1[c]),
+                                 float(mu2[c]), float(rho)))
     best.sort()
     best = best[:_TOP_K]
     trace = [{"stage": "grid", "min_ratio": best[0][0]}]
@@ -377,7 +435,7 @@ def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
 
 def landscape_csv(kind: str, resolution: int = 60) -> str:
     """One row per valid grid cell: mu1, mu2, rhobar, rounded, sdp, ratio."""
-    _require_steps(resolution)
+    _require_resolution(resolution)
     mus = np.linspace(-1.0, 1.0, resolution)
     out = io.StringIO()
     writer = csv.writer(out)
@@ -400,34 +458,37 @@ def worst_separation(eps: float, resolution: int = 200):
 
     Separation is monotone non-increasing in rhobar at fixed biases, so the
     maximum sits on the boundary m = 1 - 2 eps; the search reduces to the
-    (mu1, mu2) square with rhobar solved from the boundary equation.
+    (mu1, mu2) square with rhobar solved from the boundary equation.  The
+    first grid holds one cell of each symmetry orbit (`_orbits`).
     """
     if not 0 < eps < 0.5:
         raise CardCspError("eps must be in (0, 1/2)")
-    _require_steps(resolution)
+    _require_resolution(resolution)
     m_target = 1.0 - 2.0 * eps
 
-    def eval_grid(g1, g2):
-        """The best cell of the axes g1 x g2: (separation, mu1, mu2, rho)."""
-        m1, m2 = g1[:, None], g2
+    def eval_grid(m1, m2, phi=None):
+        """The best cell of broadcastable m1, m2: (separation, mu1, mu2,
+        rho)."""
         denom = np.sqrt(np.clip((1 - m1**2) * (1 - m2**2), 1e-300, None))
         rho = (m_target - m1 * m2) / denom
         feasible = rho <= 1.0 + 1e-12
         rho = np.clip(rho, -1.0, 1.0)
         valid = config_valid_mask(m1, m2, rho) & feasible
         sep = np.full(valid.shape, -np.inf)
-        sep[valid] = _rounded_grid("cut", m1, m2, rho, valid)
-        i, j = np.unravel_index(np.argmax(sep, axis=None), sep.shape)
-        return (float(sep[i, j]), float(g1[i]), float(g2[j]),
-                float(rho[i, j]))
+        sep[valid] = _rounded_grid("cut", m1, m2, rho, valid, phi)
+        cell = np.unravel_index(np.argmax(sep, axis=None), sep.shape)
+        return (float(sep[cell]), float(np.broadcast_to(m1, sep.shape)[cell]),
+                float(np.broadcast_to(m2, sep.shape)[cell]), float(rho[cell]))
 
     g = np.linspace(-0.999, 0.999, resolution)
-    best = eval_grid(g, g)
+    plane, phi = _orbit_plane("cut", g)
+    best = eval_grid(*plane, phi)
     step = g[1] - g[0]
     for _ in range(_SEPARATION_ROUNDS):
         m1, m2 = best[1], best[2]
         cand = eval_grid(
-            np.linspace(max(-0.999999, m1 - step), min(0.999999, m1 + step), 17),
+            np.linspace(max(-0.999999, m1 - step), min(0.999999, m1 + step),
+                        17)[:, None],
             np.linspace(max(-0.999999, m2 - step), min(0.999999, m2 + step), 17))
         if cand[0] > best[0]:
             best = cand

@@ -2,11 +2,12 @@
 
 `bvn_cdf_grid` evaluates the path nodes once per distinct correlation and
 integrates each band of |rho| in place with that band's Gauss-Legendre rule
-(whose accuracy is checked here too); the searches integrate valid
-configurations only; the soundness enumeration filters on balance first and
-scores the kept functions in one quadratic form.  Each is checked here
-against a reference that evaluates every cell (or every function) one by
-one.
+(whose accuracy is checked here too); the searches sweep one (mu1, mu2)
+cell of each symmetry orbit and integrate valid configurations only; the
+soundness enumeration filters on balance first and scores the kept
+functions in one quadratic form.  Each is checked here against a reference
+that evaluates every cell (or every function) one by one; the searches also
+against the full-plane sweep.
 """
 
 import tracemalloc
@@ -86,17 +87,30 @@ def _ratio_every_cell(kind, mu1, mu2, rho):
     return np.where(valid, rounded / np.where(valid, sdp, 1.0), np.inf)
 
 
-def _ratio_search_every_cell(kind, resolution, refinement_rounds, top_k=24):
+def _orbit_cells(kind, resolution, orbits):
+    """Mask of the (i, j) cells the sweeps start from: with ``orbits``, one
+    of each orbit of the endpoint swap (i <= j) and, for a cut, of the joint
+    negation too (i + j <= resolution - 1); else the full plane."""
+    i, j = np.meshgrid(np.arange(resolution), np.arange(resolution),
+                       indexing="ij")
+    if not orbits:
+        return np.ones(i.shape, dtype=bool)
+    return (i <= j) & ((i + j <= resolution - 1) | (kind != "cut"))
+
+
+def _ratio_search_every_cell(kind, resolution, refinement_rounds, top_k=24,
+                             orbits=True):
     mus = np.linspace(-1.0, 1.0, resolution)
     best = []
     M1, M2 = np.meshgrid(mus, mus, indexing="ij")
+    keep = _orbit_cells(kind, resolution, orbits)
+    M1, M2 = M1[keep], M2[keep]  # row-major, as the sweep orders its cells
     for rho in mus:
         ratio = _ratio_every_cell(kind, M1, M2, np.full_like(M1, rho))
-        for f in np.argsort(ratio, axis=None)[:max(1, top_k // 4)]:
-            i, j = np.unravel_index(f, ratio.shape)
-            if np.isfinite(ratio[i, j]):
-                best.append((float(ratio[i, j]), float(M1[i, j]),
-                             float(M2[i, j]), float(rho)))
+        for f in np.argsort(ratio)[:max(1, top_k // 4)]:
+            if np.isfinite(ratio[f]):
+                best.append((float(ratio[f]), float(M1[f]), float(M2[f]),
+                             float(rho)))
     best = sorted(best)[:top_k]
     trace = [{"stage": "grid", "min_ratio": best[0][0]}]
     step = np.full(3, mus[1] - mus[0])
@@ -128,16 +142,17 @@ def _ratio_search_every_cell(kind, resolution, refinement_rounds, top_k=24):
     return rounded_value(kind, argmin) / sdp, argmin, trace, error_bar
 
 
-def _worst_separation_every_cell(eps, resolution, refinement_rounds=4):
+def _worst_separation_every_cell(eps, resolution, refinement_rounds=4,
+                                 orbits=True):
     m_target = 1.0 - 2.0 * eps
 
-    def eval_grid(g1, g2):
+    def eval_grid(g1, g2, keep=True):
         M1, M2 = np.meshgrid(g1, g2, indexing="ij")
         denom = np.sqrt(np.clip((1 - M1**2) * (1 - M2**2), 1e-300, None))
         rho = (m_target - M1 * M2) / denom
         feasible = rho <= 1.0 + 1e-12
         rho = np.clip(rho, -1.0, 1.0)
-        valid = config_valid_mask(M1, M2, rho) & feasible
+        valid = config_valid_mask(M1, M2, rho) & feasible & keep
         sep = _rounded_every_cell("cut", M1, M2, rho)
         return M1, M2, rho, np.where(valid, sep, -np.inf)
 
@@ -147,7 +162,7 @@ def _worst_separation_every_cell(eps, resolution, refinement_rounds=4):
                 float(rho[i, j]))
 
     g = np.linspace(-0.999, 0.999, resolution)
-    best = argmax(*eval_grid(g, g))
+    best = argmax(*eval_grid(g, g, _orbit_cells("cut", resolution, orbits)))
     step = g[1] - g[0]
     for _ in range(refinement_rounds):
         m1, m2 = best[1], best[2]
@@ -299,6 +314,23 @@ def test_ratio_search_equals_every_cell_reference(kind, resolution):
     assert _bits(cert.error_bar) == _bits(error_bar)
 
 
+@pytest.mark.parametrize("kind", ["cut", "max2sat"])
+@pytest.mark.parametrize("resolution", [50, 60, 64])
+def test_ratio_search_minimum_equals_the_full_plane_search(kind, resolution):
+    """Sweeping one cell per orbit finds the full-plane minimum, at the
+    full-plane argmin or at its image under a symmetry of the kind."""
+    cert = ratio_search(kind, resolution=resolution)
+    minimum, argmin, _, _ = _ratio_search_every_cell(kind, resolution, 3,
+                                                     orbits=False)
+    assert cert.minimum_ratio == pytest.approx(minimum, rel=1e-15, abs=0)
+    images = [(argmin.mu1, argmin.mu2), (argmin.mu2, argmin.mu1)]
+    if kind == "cut":
+        images += [(-m2, -m1) for m1, m2 in images]
+    assert cert.argmin.rhobar == argmin.rhobar
+    assert any(np.allclose((cert.argmin.mu1, cert.argmin.mu2), image,
+                           rtol=0, atol=1e-15) for image in images)
+
+
 def test_ratio_search_memory_is_bounded_by_its_cell_budget():
     """At resolution 200 one rho slice (40,000 cells) is more than the
     sweep's cell budget, so slices go one at a time."""
@@ -318,6 +350,8 @@ def test_worst_separation_equals_every_cell_reference(eps, resolution):
     ref_worst, ref_argmax = _worst_separation_every_cell(eps, resolution)
     assert _bits(worst) == _bits(ref_worst)
     assert argmax == ref_argmax
+    full_plane, _ = _worst_separation_every_cell(eps, resolution, orbits=False)
+    assert worst == pytest.approx(full_plane, rel=1e-15, abs=0)
 
 
 # -- soundness ----------------------------------------------------------------

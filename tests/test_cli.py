@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cardcsp import rounding, sdp_solver
@@ -32,6 +33,32 @@ def test_solve_subcommand(c4_file, tmp_path):
     assert doc["objective"] == pytest.approx(1.0, abs=1e-4)
     assert doc["status"] == "optimal"
     assert doc["feasibility"]["psd_violation"] <= 1e-5
+
+
+def test_solve_reports_its_residuals_and_penalty(c4_file, tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", c4_file, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "cardcsp.solve/1"
+    assert doc["status"] == "optimal"
+    # optimal: both residuals within the tolerance (1e-6) times max(1, |X|)
+    assert 0 <= doc["primal_residual"] <= 1e-5
+    assert 0 <= doc["dual_residual"] <= 1e-5
+    assert doc["rho"] > 0 and doc["seconds"] > 0
+    assert "residual_history" not in doc
+
+
+def test_solve_trace_adds_the_residual_history(c4_file, tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", c4_file, "--trace", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    history = doc["residual_history"]
+    # one entry per residual check, every 25 iterations and at the last
+    assert [h["iteration"] for h in history] == list(
+        range(25, doc["iterations"] + 1, 25))
+    assert history[-1] == {"iteration": doc["iterations"],
+                           "primal": doc["primal_residual"],
+                           "dual": doc["dual_residual"]}
 
 
 def test_solve_full_embeds_a_readable_solution(c4_file, tmp_path):
@@ -284,6 +311,20 @@ def test_solve_rejects_bad_solver_flags_with_exit_2(c4_file, tmp_path, capsys,
     out = tmp_path / "sol.json"
     assert main(["solve", c4_file, "--out", str(out)] + flags) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["ratio", "csv", "sqrt-eps"])
+def test_landscape_resolution_over_the_cap_exits_3(tmp_path, capsys,
+                                                   monkeypatch, mode):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before the resolution gate")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "landscape.out"
+    assert main(["landscape", mode, "--resolution", "1000000",
+                 "--out", str(out)]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
     assert not out.exists()
 
 

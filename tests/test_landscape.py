@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cardcsp.errors import CardCspError
+from cardcsp import landscape
+from cardcsp.errors import CapacityError, CardCspError
 from cardcsp.landscape import (EdgeConfig, bvn_cdf, bvn_cdf_grid,
                                config_valid_mask, edge_sdp_value,
-                               landscape_csv, ratio_search, separation_prob,
+                               landscape_csv, ratio_search, rounded_value,
+                               rounded_value_grid, separation_prob,
                                sqrt_eps_curve, worst_separation)
 from cardcsp.oracle import mc_bvn
 
@@ -35,6 +39,15 @@ def test_bvn_infinite_thresholds():
     assert bvn_cdf(np.inf, 0.3, 0.5) == pytest.approx(ndtr(0.3))
     assert bvn_cdf(-np.inf, 0.3, 0.5) == 0.0
     assert float(bvn_cdf_grid(np.inf, np.inf, 0.2)) == 1.0
+
+
+@pytest.mark.parametrize("rho", [1e-306, -1.2e-306, 7e-307, 1e-120])
+def test_bvn_tiny_correlation_is_the_independent_value(rho):
+    # quad warned on paths this short; the value is the independent one
+    from scipy.special import ndtr
+    for t1, t2 in [(-0.3, -0.3), (0.0, 0.5), (1.2, -0.4)]:
+        assert bvn_cdf(t1, t2, rho) == pytest.approx(ndtr(t1) * ndtr(t2),
+                                                     abs=1e-15)
 
 
 def test_bvn_grid_matches_adaptive():
@@ -93,6 +106,61 @@ def test_unbiased_slice_reproduces_hyperplane_constant():
     assert float(ratio.min()) == pytest.approx(oracle, abs=1e-4)
 
 
+_UNIT = st.floats(-1.0, 1.0)
+
+
+def _payoffs(kind, config):
+    """Rounded value (adaptive and grid kernels) and SDP value of a config."""
+    grid = rounded_value_grid(kind, config.mu1, config.mu2, config.rhobar)
+    return np.array([rounded_value(kind, config), float(grid),
+                     edge_sdp_value(kind, config)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu1=_UNIT, mu2=_UNIT, rhobar=_UNIT)
+def test_configs_are_invariant_under_their_symmetries(mu1, mu2, rhobar):
+    """The searches sweep one (mu1, mu2) cell per orbit: swapping the
+    endpoints keeps every kind's values, and negating both biases keeps a
+    cut's."""
+    config = EdgeConfig(mu1, mu2, rhobar)
+    assume(config.is_valid())
+    swapped = EdgeConfig(mu2, mu1, rhobar)
+    negated = EdgeConfig(-mu1, -mu2, rhobar)
+    assert swapped.is_valid() and negated.is_valid()
+    for kind in ("cut", "max2sat"):
+        np.testing.assert_allclose(_payoffs(kind, swapped),
+                                   _payoffs(kind, config), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_payoffs("cut", negated),
+                               _payoffs("cut", config), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["cut", "max2sat"])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 64])
+def test_orbit_cells_hold_one_cell_of_every_orbit(kind, m):
+    i, j = landscape._orbits(kind, m)
+    moves = [lambda a, b: (a, b), lambda a, b: (b, a)]
+    if kind == "cut":
+        moves += [lambda a, b: (m - 1 - a, m - 1 - b),
+                  lambda a, b: (m - 1 - b, m - 1 - a)]
+    images = {move(a, b) for a, b in zip(i.tolist(), j.tolist())
+              for move in moves}
+    assert images == {(a, b) for a in range(m) for b in range(m)}
+    # Burnside: as many cells as orbits, so none is met twice
+    fixed = m * m + m if kind != "cut" else m * m + 2 * m + m % 2
+    assert len(i) == fixed // len(moves)
+
+
+def test_clauses_are_not_invariant_under_negation():
+    # negating both biases turns the clause (+, +) into (-, -), so the
+    # orbits of the 2-Sat search are swap pairs only
+    config = EdgeConfig(0.5, 0.5, 0.0)
+    negated = EdgeConfig(-0.5, -0.5, 0.0)
+    assert edge_sdp_value("max2sat", config) == pytest.approx(0.9375)
+    assert edge_sdp_value("max2sat", negated) == pytest.approx(0.4375)
+    assert rounded_value("max2sat", config) - rounded_value(
+        "max2sat", negated) > 0.4
+
+
 def test_ratio_search_small_grid():
     cert = ratio_search("cut", resolution=60)
     assert 0.84 <= cert.minimum_ratio <= 0.87
@@ -104,6 +172,38 @@ def test_ratio_search_small_grid():
 def test_ratio_search_rejects_coarse_grid():
     with pytest.raises(CardCspError):
         ratio_search("cut", resolution=10)
+
+
+_GRID_ENTRY_POINTS = {
+    "ratio_search": lambda r: ratio_search("cut", resolution=r),
+    "worst_separation": lambda r: worst_separation(0.01, resolution=r),
+    "sqrt_eps_curve": lambda r: sqrt_eps_curve([0.01, 0.04], resolution=r),
+    "landscape_csv": lambda r: landscape_csv("cut", resolution=r),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GRID_ENTRY_POINTS))
+@pytest.mark.parametrize("resolution, error", [
+    (64.0, CardCspError), ("64", CardCspError), (True, CardCspError),
+    (np.int64(64), CardCspError), (10**6, CapacityError),
+    (landscape._RESOLUTION_CAP + 1, CapacityError),
+])
+def test_resolution_gate_fires_before_any_grid(monkeypatch, entry, resolution,
+                                               error):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before the resolution gate")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(CardCspError, match="resolution") as raised:
+        _GRID_ENTRY_POINTS[entry](resolution)
+    assert isinstance(raised.value, error)
+    if error is CardCspError:
+        assert not isinstance(raised.value, CapacityError)
+
+
+def test_resolution_gate_admits_its_cap():
+    worst, config = worst_separation(0.3, resolution=landscape._RESOLUTION_CAP)
+    assert 0 < worst < 1 and config.is_valid(tol=1e-6)
 
 
 def test_landscape_csv_shape():
