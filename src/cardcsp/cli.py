@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import CapacityError, CardCspError, NumericalError, ParseError
 
@@ -43,11 +44,12 @@ def _emit(text: str, out_path: str | None):
 
 
 def _emit_solved(text: str, out_path: str | None, statuses):
-    """Write a command's JSON, then fail with exit 4 if any of its solves
-    ended ``infeasible-suspected``."""
+    """Write a command's JSON, then fail with exit 4 unless every one of its
+    solves ended ``optimal``."""
     _emit(text, out_path)
-    if "infeasible-suspected" in statuses:
-        raise NumericalError("solver did not reach a feasible point")
+    failed = sorted(set(statuses) - {"optimal"})
+    if failed:
+        raise NumericalError(f"solver status {', '.join(failed)}, not optimal")
     return EXIT_OK
 
 
@@ -126,7 +128,9 @@ def cmd_landscape(args):
         cert = ratio_search(args.kind, resolution=args.resolution)
         _emit(cert.to_json(), args.out)
     elif args.mode == "csv":
-        _emit(landscape_csv(args.kind, resolution=args.resolution), args.out)
+        pieces = landscape_csv(args.kind, resolution=args.resolution)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            fh.writelines(pieces)
     elif args.mode == "sqrt-eps":
         curve = sqrt_eps_curve(args.eps, resolution=args.resolution)
         _emit(json.dumps(curve, indent=2), args.out)

@@ -433,21 +433,31 @@ def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
                             refinement_trace=trace, error_bar=float(error_bar))
 
 
-def landscape_csv(kind: str, resolution: int = 60) -> str:
-    """One row per valid grid cell: mu1, mu2, rhobar, rounded, sdp, ratio."""
+def landscape_csv(kind: str, resolution: int = 60):
+    """One CSV row per valid grid cell: mu1, mu2, rhobar, rounded, sdp,
+    ratio.  Returns an iterator over the text: the header with the first
+    rho chunk's rows, then one chunk's rows at a time, so the whole CSV
+    (about 3.9 M rows at resolution 200) is never held at once."""
     _require_resolution(resolution)
     mus = np.linspace(-1.0, 1.0, resolution)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["mu1", "mu2", "rhobar", "rounded", "sdp", "ratio"])
-    for chunk in _rho_chunks(mus, resolution ** 2):
-        ratio, sdp, rounded, valid = _ratio_on_grid(kind, mus[:, None], mus,
-                                                    chunk[:, None, None])
-        for k, i, j in zip(*np.nonzero(valid)):
-            writer.writerow([f"{mus[i]:.6f}", f"{mus[j]:.6f}",
-                             f"{chunk[k]:.6f}", f"{rounded[k, i, j]:.8f}",
-                             f"{sdp[k, i, j]:.8f}", f"{ratio[k, i, j]:.8f}"])
-    return out.getvalue()
+
+    def pieces():
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["mu1", "mu2", "rhobar", "rounded", "sdp", "ratio"])
+        for chunk in _rho_chunks(mus, resolution ** 2):
+            ratio, sdp, rounded, valid = _ratio_on_grid(
+                kind, mus[:, None], mus, chunk[:, None, None])
+            writer.writerows(
+                [f"{mus[i]:.6f}", f"{mus[j]:.6f}", f"{chunk[k]:.6f}",
+                 f"{rounded[k, i, j]:.8f}", f"{sdp[k, i, j]:.8f}",
+                 f"{ratio[k, i, j]:.8f}"]
+                for k, i, j in zip(*np.nonzero(valid)))
+            yield text.getvalue()
+            text.seek(0)
+            text.truncate()
+
+    return pieces()
 
 
 # -- sqrt(eps) law ---------------------------------------------------------

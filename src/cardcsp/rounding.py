@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import sdp_solver
-from .errors import CardCspError
+from .errors import CardCspError, NumericalError
 from .independence import decorrelate
 from .instance import CspInstance, _document, _integer, _number, _numbers
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
@@ -252,7 +252,9 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     repair fails, a ``CardCspError`` names the smallest move fraction one
     would have needed.  Sub-seeds are spawned from the master seed with
     numpy's SeedSequence splitting rule.  ``solution`` may be supplied to
-    skip the solve.
+    skip the solve.  A solve that ends ``infeasible`` raises
+    ``NumericalError``, since there is no moment solution to round; one that
+    ends ``max_iter`` is rounded as it stands.
     """
     if type(trials) is not int or trials < 1:
         raise CardCspError(f"trials must be at least 1 and an int, got "
@@ -263,6 +265,10 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     if solution is None:
         program = build_relaxation(instance, level)
         solution, report = sdp_solver.solve(program, solver_config)
+        if report.status == "infeasible":
+            raise NumericalError(f"the level-{level} relaxation is infeasible "
+                                 f"(certified after {report.iterations} "
+                                 "iterations)")
     _check_same_shape(solution, instance)
     dec = decorrelate(solution, instance, alpha_target, seed=seed, depth=depth)
     sol = dec.solution

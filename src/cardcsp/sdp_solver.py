@@ -1,39 +1,43 @@
 """First-order operator-splitting solver for the moment-matrix programs.
 
 Every moment solution is a fixed linear image G = P G[R, R] P^T of its
-principal block on R, the indices whose values all lie below q - 1 (the
-inclusion-exclusion lift of ``lasserre._reduced_basis``).  R, P and T from
-P = Q T are read off ``lasserre._layout``, the one place they are derived
-for a shape.  P has full column rank, so G is PSD exactly when the block
-is, and the program's rows whose columns lie inside R x R (the layout's
-``block`` names them: each block entry's class, and the form rows with
-all columns in R) constrain the block as the full rows constrain G.  The
-objective c . G[0] is <C, G'> on the block with C = sym(outer(P[0], P^T c)).
-The method runs on that block: it alternates a closed-form projection onto
-the affine constraint subspace (class averaging plus one small cardinality
-system, no factorization) with a PSD-cone projection via dense symmetric
-eigendecomposition, with over-relaxation.  Residuals are measured on the
-lifted matrices.  Deterministic; no external solver.
+principal block on R, the indices whose values all lie below q - 1
+(``lasserre._reduced_basis``; ``lasserre._layout`` derives R, P and T from
+P = Q T once per shape).  P has full column rank, so G is PSD exactly when
+the block is, and the rows inside R x R (the layout's ``block``: entry
+classes and form rows) constrain the block as the full rows constrain G.
+The objective c . G[0] is <C, G'> with C = sym(outer(P[0], P^T c)).  On
+the block, the method alternates a closed-form projection onto the rows'
+affine subspace (class averaging plus one small cardinality system) and a
+PSD-cone projection by eigendecomposition, with over-relaxation; residuals
+are measured on the lifted matrices.  Deterministic; no external solver.
 
 One iteration is one fixed-point map F on v = X_hat + U, the input of the
 PSD projection: Z = Pi_PSD(v), U = v - Z, X = Pi_A(Z - U + C/rho) and
 F(v) = gamma X + (1 - gamma) Z + U.  While an accelerator runs, the steps
-are type-II Anderson accelerated (Walker & Ni 2011; SCS 3 accelerates the
-same kind of map): v <- F(v) - (dV + dG) theta, where dV and dG are the
-last ``_MEMORY`` differences of v and of g = F(v) - v, and theta solves
-the ridge-regularized least-squares problem min ||g - dG theta||.  The
-ring buffers keep dG and dV + dG (the differences of F(v)):
-2 * _MEMORY * d'^2 floats, 0.5 MB at d' = 56 and 14 MB at d' = 299.  One
-rule runs at every residual check (every 25 iterations): when one
-residual is more than ``_IMBALANCE`` times the other, rho doubles or
-halves and the accelerator is dropped, since its differences belong to
-the old map; otherwise a fresh one starts if none is running (none runs
-before the first check).  A failed or non-finite small solve drops it
-the same way.  A check iteration takes the plain step, so the reported
-residuals are those of one exact splitting step.
+are type-II Anderson accelerated (Walker & Ni 2011, as in SCS 3):
+v <- F(v) - (dV + dG) theta, with dV and dG the last ``_MEMORY``
+differences of v and of g = F(v) - v, and theta the ridge-regularized
+least-squares solution of min ||g - dG theta||.  At every residual check
+(every 25 iterations), when one residual is more than ``_IMBALANCE`` times
+the other, rho doubles or halves and the accelerator, whose differences
+belong to the old map, is dropped; otherwise a fresh one starts if none
+runs.  A failed or non-finite small solve drops it too.  A check iteration
+takes the plain step, so the reported residuals are those of one exact
+splitting step.
 
-Progress is logged at DEBUG on the ``cardcsp.sdp_solver`` logger, which
-is silent unless the caller configures logging.
+A check ends the solve ``optimal`` when both scaled residuals meet the
+tolerance, and ``infeasible`` on a Farkas certificate read off U (Banjac,
+Goulart, Stellato & Boyd 2019): Y = X0 - U - Pi_A(-U), X0 = Pi_A(0), lies
+in the rows' span, so <Y, G'> = <Y, X0> on every block meeting them, and
+a feasible block is PSD with its diagonal in [0, 1], so tr G' <= d'.  A
+margin <Y, X0> + d' max(0, -lambda_min(Y)) below -slack thus proves that
+no G is feasible.  slack = sqrt(eps) (|U| + |X0|)(|X0| + d') covers the
+rounding: Y keeps a null-space part of order eps (|U| + |X0|), which moves
+<Y, G'> by that times |G' - X0| <= |X0| + d'.  On complete graphs, where
+the objective is constant on the feasible set, feasible solves reach
+margins near 1e-14 against slacks near 1e-6.  At the cap the solve ends
+``max_iter``.  Progress is logged at DEBUG on ``cardcsp.sdp_solver``.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ _RHO = 0.05     # initial penalty; residual balancing moves it
 _OVER_RELAXATION = 1.85  # gamma, the weight of the affine step, in [1, 2)
 _CHECK_EVERY = 25  # iterations between residual checks
 _IMBALANCE = 100  # residual ratio at which rho moves
+_FARKAS_SLACK = np.sqrt(np.finfo(float).eps)  # the certificate's, relative
 
 
 @dataclass
@@ -74,7 +79,7 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | max_iter | infeasible-suspected
+    status: str  # optimal | infeasible (a Farkas certificate) | max_iter
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -123,10 +128,9 @@ def _affine_projection(constraints, layout):
 
 
 class _Anderson:
-    """Type-II Anderson acceleration of a fixed-point map v -> F(v).  The
-    last ``_MEMORY`` differences of g = F(v) - v and of F(v) = v + g (so
-    dF = dV + dG) sit in preallocated ring buffers; the Gram matrix of the
-    g-differences gains one row per iteration."""
+    """Type-II Anderson acceleration of v -> F(v): ring buffers of the last
+    ``_MEMORY`` differences of g = F(v) - v and of F(v), and the Gram
+    matrix of the g-differences, one row per iteration."""
 
     def __init__(self, size):
         self.df = np.empty((_MEMORY, size))
@@ -182,13 +186,14 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
         return np.linalg.norm(T @ mat @ T.T)
 
     rho, gamma = _RHO, _OVER_RELAXATION
-    X = project_affine(np.zeros((d, d)))
+    X = X0 = project_affine(np.zeros((d, d)))
+    x0_norm = np.linalg.norm(X0)
+    slack_unit = _FARKAS_SLACK * (x0_norm + d)
     Z = project_psd(X)
     U = np.zeros((d, d))
     history = []
     status = "max_iter"
-    pri = dual = stall_best = np.inf
-    stall_counter = 0
+    pri = dual = np.inf
     accel = None  # running while the residuals are balanced
     for it in range(1, config.max_iterations + 1):
         X = project_affine(Z - U + Cs / rho)
@@ -219,18 +224,14 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                     and dual <= config.tolerance * scale):
                 status = "optimal"
                 break
-            combined = pri + dual
-            if combined < 0.5 * stall_best:
-                stall_best = combined
-                stall_counter = 0
-            else:
-                stall_counter += 1
-                if stall_counter > 2000 and pri > 1e-3 * scale:
-                    log.debug("iteration %d: residuals stalled for %d checks "
-                              "(primal %.3g, dual %.3g)", it, stall_counter,
-                              pri, dual)
-                    status = "infeasible-suspected"
-                    break
+            Y = X0 - U - project_affine(-U)  # the part of -U in the rows' span
+            margin = np.vdot(Y, X0) + d * max(0.0, -np.linalg.eigvalsh(Y)[0])
+            slack = slack_unit * (np.linalg.norm(U) + x0_norm)
+            if margin < -slack:
+                log.debug("iteration %d: Farkas certificate, margin %.3g "
+                          "(slack %.3g)", it, margin, slack)
+                status = "infeasible"
+                break
             # residual balancing keeps the two projections in step
             if pri > _IMBALANCE * dual or dual > _IMBALANCE * pri:
                 factor = 2.0 if pri > dual else 0.5
@@ -244,10 +245,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                           "%.4g (primal %.3g, dual %.3g)", it, rho, pri, dual)
                 accel = _Anderson(d * d)
 
-    # The last projection corrected a violation of order |U| + |C|/rho and
-    # left rounding errors near 1e-14 in the rows, which the conditional
-    # cardinality check divides by event probabilities down to 1e-9.  From
-    # the nearly feasible X, one more projection is exact to about 1e-17.
+    # The last projection left rounding errors near 1e-14 in the rows, which
+    # the conditional cardinality check divides by event probabilities down
+    # to 1e-9; from the nearly feasible X, one more is exact to about 1e-17.
     X = project_affine((X + X.T) / 2)
     gram = P @ X @ P.T
     objective = float(program.c @ gram[0])
@@ -255,9 +255,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
                               list(program.indices), gram, objective)
     log.debug("%s after %d iterations: primal %.3g, dual %.3g, rho %.4g",
               status, it, pri, dual, rho)
-    report = SolveReport(status=status, iterations=it,
-                         primal_residual=float(pri), dual_residual=float(dual),
-                         objective=objective,
-                         residual_history=history if keep_history else None,
-                         rho=rho, seconds=time.perf_counter() - start)
-    return solution, report
+    return solution, SolveReport(
+        status=status, iterations=it, primal_residual=float(pri),
+        dual_residual=float(dual), objective=objective,
+        residual_history=history if keep_history else None, rho=rho,
+        seconds=time.perf_counter() - start)

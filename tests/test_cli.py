@@ -88,38 +88,54 @@ def test_round_subcommand(c4_file, tmp_path):
 
 
 @pytest.fixture
-def suspicious_solve(monkeypatch):
-    """``sdp_solver.solve`` reporting every solve as infeasible-suspected."""
-    real_solve = sdp_solver.solve
-
-    def solve(program, config=None, keep_history=False):
-        solution, report = real_solve(program, config, keep_history)
-        report.status = "infeasible-suspected"
-        return solution, report
-
-    monkeypatch.setattr(sdp_solver, "solve", solve)
+def triangle_file(tmp_path):
+    """No side of a triangle weighs 1/2, and level 3 is exact for n = 3:
+    the solver certifies the relaxation infeasible at its first check."""
+    path = tmp_path / "tri.edges"
+    path.write_text("0 1\n1 2\n0 2\n")
+    return str(path)
 
 
-def test_round_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
-                                                           suspicious_solve):
+def test_solve_exits_4_on_an_infeasible_relaxation(triangle_file, tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", triangle_file, "--level", "3",
+                 "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "infeasible"
+    assert doc["iterations"] <= 100
+
+
+def test_solve_exits_4_at_the_iteration_cap(c4_file, tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", c4_file, "--max-iterations", "1",
+                 "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["iterations"]) == ("max_iter", 1)
+
+
+def test_round_exits_4_without_json_on_an_infeasible_relaxation(
+        triangle_file, tmp_path, capsys):
     out = tmp_path / "round.json"
-    assert main(["round", c4_file, "--trials", "4", "--out", str(out)]) == 4
-    assert json.loads(out.read_text())["status"] == "infeasible-suspected"
+    assert main(["round", triangle_file, "--level", "3", "--trials", "4",
+                 "--out", str(out)]) == 4
+    assert not out.exists()
+    assert "relaxation is infeasible" in capsys.readouterr().err
 
 
-def test_bench_exits_4_when_solver_suspects_infeasibility(tmp_path,
-                                                           monkeypatch):
+def test_bench_exits_4_unless_every_solve_is_optimal(tmp_path, monkeypatch):
+    # the generated suite instances are all feasible and converge: the
+    # second solve's status is faked
     real_solve = sdp_solver.solve
     calls = []
 
-    def suspicious_second_solve(program, config=None, keep_history=False):
+    def second_solve_capped(program, config=None, keep_history=False):
         solution, report = real_solve(program, config, keep_history)
         calls.append(program)
         if len(calls) == 2:
-            report.status = "infeasible-suspected"
+            report.status = "max_iter"
         return solution, report
 
-    monkeypatch.setattr(sdp_solver, "solve", suspicious_second_solve)
+    monkeypatch.setattr(sdp_solver, "solve", second_solve_capped)
     config = tmp_path / "bench.json"
     config.write_text(json.dumps({"instances": [
         {"name": "c4", "family": "cycle", "n": 4},
@@ -129,7 +145,7 @@ def test_bench_exits_4_when_solver_suspects_infeasibility(tmp_path,
     assert main(["bench", "--config", str(config), "--trials", "4",
                  "--out", str(out)]) == 4
     rows = json.loads(out.read_text())["rows"]
-    assert [r["status"] for r in rows] == ["optimal", "infeasible-suspected"]
+    assert [r["status"] for r in rows] == ["optimal", "max_iter"]
 
 
 def test_round_exits_2_when_every_repair_fails(c4_file, tmp_path, capsys,
@@ -362,13 +378,13 @@ def test_dict_gadget_out_reads_back(c4_file, tmp_path):
     assert gadget.edge_weights.sum() == pytest.approx(1.0)
 
 
-def test_dict_exits_4_when_solver_suspects_infeasibility(c4_file, tmp_path,
-                                                          suspicious_solve):
+def test_dict_exits_4_on_an_infeasible_relaxation(triangle_file, tmp_path):
     out = tmp_path / "dict.json"
-    assert main(["dict", c4_file, "--out", str(out)]) == 4
+    assert main(["dict", triangle_file, "--level", "3",
+                 "--out", str(out)]) == 4
     doc = json.loads(out.read_text())
-    assert doc["status"] == "infeasible-suspected"
-    assert doc["iterations"] > 0
+    assert doc["status"] == "infeasible"
+    assert 0 < doc["iterations"] <= 100
 
 
 def test_bench_with_config(tmp_path):

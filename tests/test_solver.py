@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cardcsp import sdp_solver
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
-                              cut_instance, generate)
+                              cut_instance, generate, max2sat_instance)
 from cardcsp.lasserre import build_relaxation, check_feasibility
 from cardcsp.oracle import brute_force
 from cardcsp.sdp_solver import SolverConfig, project_psd
@@ -281,18 +281,82 @@ def test_failed_small_solve_drops_the_accelerator(monkeypatch, caplog,
     assert report.status == "optimal"
 
 
-def test_solver_logs_a_stall(monkeypatch, caplog):
+# -- infeasibility certificates -------------------------------------------------
+
+_TRIANGLE = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+_CYCLE5 = [(i, (i + 1) % 5, 1.0) for i in range(5)]
+
+
+def test_solver_logs_its_certificate(caplog):
     # n = 3 has no bisection, and level 3 is exact for n = 3
-    triangle = cut_instance(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    program = build_relaxation(triangle, 3)
-    monkeypatch.setattr(sdp_solver, "_CHECK_EVERY", 1)
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
-    _, report = sdp_solver.solve(program)
-    assert report.status == "infeasible-suspected"
+    _, report = sdp_solver.solve(build_relaxation(cut_instance(3, _TRIANGLE),
+                                                  3))
+    assert (report.status, report.iterations) == ("infeasible", 25)
     messages = _solver_messages(caplog)
-    assert any("residuals stalled for 2001 checks" in m for m in messages)
-    assert messages[-1].startswith(
-        f"infeasible-suspected after {report.iterations} iterations")
+    [line] = [m for m in messages if "Farkas certificate" in m]
+    assert line.startswith("iteration 25: Farkas certificate, margin -")
+    margin = float(line.split("margin ")[1].split()[0])
+    slack = float(line.split("slack ")[1].rstrip(")"))
+    assert margin < -slack < 0
+    assert messages[-1].startswith("infeasible after 25 iterations")
+
+
+@pytest.mark.parametrize("inst, level", [
+    (cut_instance(3, _TRIANGLE), 3),
+    (cut_instance(3, _TRIANGLE, vertex_weights=[0.4, 0.3, 0.3]), 3),
+    (cut_instance(5, _CYCLE5, vertex_weights=[0.6, 0.1, 0.1, 0.1, 0.1]), 2),
+    (cut_instance(5, _CYCLE5, vertex_weights=[0.6, 0.1, 0.1, 0.1, 0.1]), 3),
+])
+def test_infeasible_relaxations_end_infeasible(inst, level):
+    # no side weighs within 0.05 of 1/2, so no integral point is feasible,
+    # and level 3 = n is exact for the triangles (brute_force admits a side
+    # off by half the lightest weight, so it accepts the triangles' splits)
+    w = inst.weights_array
+    assert all(abs(w[list(side)].sum() - 0.5) > 0.05
+               for r in range(inst.n + 1)
+               for side in combinations(range(inst.n), r))
+    _, report = sdp_solver.solve(build_relaxation(inst, level))
+    assert report.status == "infeasible"
+    assert report.iterations <= 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 7), level=st.integers(2, 3),
+       kind=st.sampled_from(["maxcut-bisection", "mincut-bisection",
+                             "max2sat"]),
+       complete=st.booleans(), seed=st.integers(0, 2**16),
+       cap=st.sampled_from([25, 100, 1000]))
+def test_feasible_relaxations_never_end_infeasible(n, level, kind, complete,
+                                                    seed, cap):
+    # vertex weights that admit an exact split, so the integral lift of that
+    # split is feasible at every level; complete graphs with uniform weights
+    # have an objective constant on the feasible set, where the margin of
+    # the certificate tends to 0
+    rng = np.random.default_rng(seed)
+    if complete:
+        weights = np.ones(n)
+        weights[0] += n % 2  # vertex 0 weighs double: an exact bisection
+        edges = list(combinations(range(n), 2))
+    else:
+        side = rng.permutation(np.arange(n) % 2)
+        weights = rng.integers(1, 6, n).astype(float)
+        light = int(weights[side == 1].sum() < weights[side == 0].sum())
+        deficit = abs(weights[side == 1].sum() - weights[side == 0].sum())
+        weights[np.flatnonzero(side == light)[0]] += deficit
+        edges = [e for e in combinations(range(n), 2)
+                 if rng.random() < 0.5] or [(0, 1)]
+    weights = list(weights / weights.sum())
+    if kind == "max2sat":
+        inst = max2sat_instance(n, [(i, j, int(rng.choice([-1, 1])),
+                                     int(rng.choice([-1, 1])), 1.0)
+                                    for i, j in edges], vertex_weights=weights)
+    else:
+        inst = cut_instance(n, [(i, j, 1.0) for i, j in edges], kind=kind,
+                            vertex_weights=weights)
+    _, report = sdp_solver.solve(build_relaxation(inst, level),
+                                 SolverConfig(max_iterations=cap))
+    assert report.status != "infeasible"
 
 
 def test_default_solve_writes_nothing_to_stderr(tmp_path):
