@@ -234,20 +234,36 @@ def _boolean_functions(R: int) -> np.ndarray:
 
 @dataclass
 class SoundnessReport:
+    """The admitted functions as four columns in ascending function id;
+    ``rows`` builds the (function id, balance, max influence, value) tuples
+    from them on demand."""
     tau: float
     mode: str
     max_value: float | None
     witness: np.ndarray | None
-    candidates: int
-    empty: bool
-    rows: list  # (function id, balance, max influence, value) for kept ones
+    ids: np.ndarray
+    balances: np.ndarray
+    max_influences: np.ndarray
+    values: np.ndarray
+
+    @property
+    def candidates(self) -> int:
+        return int(self.ids.size)
+
+    @property
+    def empty(self) -> bool:
+        return not self.ids.size
+
+    @property
+    def rows(self):
+        return list(zip(self.ids.tolist(), self.balances.tolist(),
+                        self.max_influences.tolist(), self.values.tolist()))
 
     def to_csv(self):
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["function_id", "balance", "max_influence", "value"])
-        for row in self.rows:
-            writer.writerow(row)
+        writer.writerows(self.rows)
         return out.getvalue()
 
 
@@ -257,9 +273,15 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     """Max gadget value over balanced functions with all influences <= tau
     under every source-vertex measure.
 
-    Influences are computed for the balanced functions only, and the
-    admitted ones are scored together as 0.5 (1 - F E F^T) row by row.  A
-    row's function id is its index in the full enumeration.
+    Row N-1-k of the N-row function table (the +-1 table, or the grid's
+    symmetric mesh) is -F of row k.  Negation is exact in floating point,
+    so -F has F's influences and value, bit for bit, and balance -b: only
+    the rows k <= N-1-k are scored, and each admitted one is mirrored to id
+    N-1-k with balance 0.0 - b (an exact zero stays +0.0, as the full table
+    gives it).  The grid's centre row is its own mirror and is listed once.
+    Influences are computed for the balanced rows only, and the admitted
+    ones are scored together as 0.5 (1 - F E F^T).  The witness is the
+    lowest-id maximizer, always a scored row, returned as a writable copy.
     """
     R = gadget.R
     size = 1 << R
@@ -274,10 +296,12 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
         F_all = np.array(list(product(mesh, repeat=size)))
     else:
         raise CardCspError(f"unknown mode {mode!r}")
+    last = len(F_all) - 1
+    half = F_all[:last // 2 + 1]  # rows k <= last - k
 
-    balances = gadget_balance(gadget, F_all)
+    balances = gadget_balance(gadget, half)
     balanced = np.flatnonzero(np.abs(balances) <= balance_tol)
-    F = F_all[balanced]
+    F = half[balanced]
     # influence filter under every distinct vertex measure
     distinct = np.unique(np.round(gadget.vertex_marginals, 12))
     max_inf = np.zeros(balanced.size)
@@ -285,19 +309,23 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
         for ell in range(R):
             np.maximum(max_inf, _influence(F, ell, p0), out=max_inf)
     low = max_inf <= tau + 1e-12
-
-    if not low.any():
-        return SoundnessReport(tau=tau, mode=mode, max_value=None, witness=None,
-                               candidates=0, empty=True, rows=[])
     kept = balanced[low]
     F = F[low]
     values = dict_value(gadget, F)
-    best = int(np.argmax(values))
-    rows = list(zip(kept.tolist(), balances[kept].tolist(),
-                    max_inf[low].tolist(), values.tolist()))
-    return SoundnessReport(tau=tau, mode=mode, max_value=float(values[best]),
-                           witness=F[best], candidates=int(kept.size),
-                           empty=False, rows=rows)
+    if kept.size:
+        best = int(np.argmax(values))
+        max_value, witness = float(values[best]), F[best].copy()
+    else:
+        max_value = witness = None
+    # the mirrors in ascending id, without a self-mirrored centre row
+    back = slice(-2 if kept.size and 2 * kept[-1] == last else -1, None, -1)
+    ids = np.concatenate([kept, last - kept[back]])
+    balances, max_inf = balances[kept], max_inf[low]
+    return SoundnessReport(
+        tau=tau, mode=mode, max_value=max_value, witness=witness, ids=ids,
+        balances=np.concatenate([balances, 0.0 - balances[back]]),
+        max_influences=np.concatenate([max_inf, max_inf[back]]),
+        values=np.concatenate([values, values[back]]))
 
 
 # -- function-driven rounding (Round_F) ------------------------------------

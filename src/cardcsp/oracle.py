@@ -15,6 +15,7 @@ from .instance import CspInstance
 from .lasserre import MomentSolution, _layout, _lift_vectors
 
 _BISECTION_CAP = 24  # largest n brute_force enumerates under the cardinality rule
+_SPLIT_SLACK = 1e-9  # rounding slack on a side's weight against the target
 
 
 @dataclass
@@ -54,7 +55,9 @@ def _all_values(instance: CspInstance) -> np.ndarray:
 def brute_force(instance: CspInstance, respect_cardinality: bool = True) -> ExactResult:
     """Exhaustive optimum.  The witness is the lexicographically first
     optimal assignment; for max kinds the maximum, for min kinds the
-    minimum."""
+    minimum.  Under the cardinality rule side 0 must weigh the target
+    fraction exactly, up to rounding (``_SPLIT_SLACK``): an instance with no
+    such split raises ``CardCspError``."""
     if instance.q != 2:
         raise CardCspError("brute force supports q = 2 only")
     n = instance.n
@@ -70,9 +73,8 @@ def brute_force(instance: CspInstance, respect_cardinality: bool = True) -> Exac
         for i in range(n):
             bal0 += w[i] * (1 - ((codes >> (n - 1 - i)) & 1))
         target = float(instance.cardinality.as_floats()[0])
-        pos = w[w > 0]
-        atol = (pos.min() / 2) if pos.size else 0.0
-        mask = np.abs(bal0 - target) <= atol + 1e-12
+        # the exact weight, as the relaxation's rows demand
+        mask = np.abs(bal0 - target) <= _SPLIT_SLACK
         if not mask.any():
             raise CardCspError("no assignment satisfies the cardinality constraint")
         values = np.where(mask, values, np.nan)

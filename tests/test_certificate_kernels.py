@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cardcsp import dictator
-from cardcsp.dictator import (build_gadget, dict_value, hypercube_labels,
-                              soundness_enumerate)
+from cardcsp.dictator import (DictGadget, build_gadget, dict_value,
+                              hypercube_labels, soundness_enumerate)
 from cardcsp.instance import generate
 from cardcsp.landscape import (SDP_FLOOR, EdgeConfig, _ratio_on_grid,
                                bvn_cdf, bvn_cdf_grid,
@@ -410,15 +410,29 @@ def _soundness_by_loop(gadget, tau, functions, balance_tol=1e-9):
     return rows
 
 
-def _assert_same_rows(report, rows, gadget):
+def _assert_same_rows(report, rows, gadget, functions):
+    """The report lists the reference's rows in id order; each balance is,
+    bit for bit and sign of zero included, the full table's, and the witness
+    is a writable copy of the lowest-id maximizer."""
     assert report.candidates == len(rows)
     assert report.empty == (not rows)
-    assert [r[0] for r in report.rows] == [r[0] for r in rows]
+    ids = [r[0] for r in rows]
+    assert [r[0] for r in report.rows] == ids
     for got, want in zip(report.rows, rows):
         assert got[1:] == pytest.approx(want[1:], abs=1e-12)
+    np.testing.assert_array_equal(
+        _bits(report.balances),
+        _bits(functions[ids] @ gadget.vertex_weights if ids else []))
     if rows:
         assert report.max_value == pytest.approx(max(r[3] for r in rows),
                                                  abs=1e-12)
+        # the lowest id at the report's maximum: functions of equal value
+        # (the dictators of a tensor power) can round to values an ulp apart
+        # in another order in the loop's sums
+        first = int(np.flatnonzero(report.values == report.max_value)[0])
+        np.testing.assert_array_equal(_bits(report.witness),
+                                      _bits(functions[ids[first]]))
+        assert report.witness.flags.writeable
         assert dict_value(gadget, report.witness) == pytest.approx(
             report.max_value, abs=1e-12)
     else:
@@ -433,14 +447,20 @@ def test_soundness_equals_loop_reference(name, R):
     functions = _boolean_functions(R)
     for tau in (1.0, 0.8, 0.5, 0.3, 0.0):
         _assert_same_rows(soundness_enumerate(gadget, tau),
-                          _soundness_by_loop(gadget, tau, functions), gadget)
+                          _soundness_by_loop(gadget, tau, functions), gadget,
+                          functions)
 
 
 def test_soundness_equals_loop_reference_at_r4():
+    # one loop pass at tau = 1 admits every balanced function; a smaller tau
+    # keeps the rows whose max influence is within it
     gadget = _gadget(4, *GADGETS["cycle4"])
-    _assert_same_rows(soundness_enumerate(gadget, 0.8),
-                      _soundness_by_loop(gadget, 0.8, _boolean_functions(4)),
-                      gadget)
+    functions = _boolean_functions(4)
+    every = _soundness_by_loop(gadget, 1.0, functions)
+    for tau in (1.0, 0.8, 0.3, 0.0):
+        _assert_same_rows(soundness_enumerate(gadget, tau),
+                          [r for r in every if r[2] <= tau + 1e-12], gadget,
+                          functions)
 
 
 def test_soundness_table_is_shared_and_read_only():
@@ -454,7 +474,7 @@ def test_soundness_table_is_shared_and_read_only():
         gadget = _gadget(3, *GADGETS[name])
         _assert_same_rows(soundness_enumerate(gadget, 0.8),
                           _soundness_by_loop(gadget, 0.8, _boolean_functions(3)),
-                          gadget)
+                          gadget, _boolean_functions(3))
     assert dictator._boolean_functions(3) is table
     np.testing.assert_array_equal(table, _boolean_functions(3))
 
@@ -467,4 +487,39 @@ def test_soundness_grid_mode_equals_loop_reference(name, R):
     for tau in (1.0, 0.5):
         _assert_same_rows(
             soundness_enumerate(gadget, tau, mode="grid"),
-            _soundness_by_loop(gadget, tau, functions), gadget)
+            _soundness_by_loop(gadget, tau, functions), gadget, functions)
+
+
+@st.composite
+def _any_gadget(draw):
+    """Tables that ``DictGadget.from_json`` admits but ``build_gadget`` does
+    not make: vertex weights of small integers over their total, with exact
+    zeros likely, a random symmetric edge table, and 1-3 source marginals."""
+    R = draw(st.integers(1, 3))
+    size = 1 << R
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=size,
+                                    max_size=size)
+                           .filter(lambda c: sum(c) > 0)), dtype=float)
+    upper = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size * size,
+                                   max_size=size * size))).reshape(size, size)
+    marginals = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                       max_size=3)))
+    return DictGadget(R=R, eps=0.1, vertex_weights=counts / counts.sum(),
+                      edge_weights=(upper + upper.T) / 2,
+                      vertex_marginals=marginals,
+                      source_weights=np.full(marginals.size, 1 / marginals.size),
+                      provenance={})
+
+
+@settings(max_examples=60, deadline=None)
+@given(gadget=_any_gadget(), tau=st.sampled_from([1.0, 0.8, 0.3, 0.0]),
+       mode=st.sampled_from(["boolean_exhaustive", "grid"]))
+def test_soundness_pairs_negations_on_any_tables(gadget, tau, mode):
+    """-F pairs with F on any tables, not only tensor powers."""
+    if mode == "grid" and gadget.R > 2:
+        mode = "boolean_exhaustive"
+    functions = (_grid_functions(gadget.R, 5) if mode == "grid"
+                 else _boolean_functions(gadget.R))
+    _assert_same_rows(soundness_enumerate(gadget, tau, mode=mode),
+                      _soundness_by_loop(gadget, tau, functions), gadget,
+                      functions)

@@ -456,6 +456,16 @@ def test_oracle_rejects_bad_weights_with_exit_2(tmp_path, capsys, text, line):
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
+@pytest.mark.parametrize("weights", ["", "vertex 0 4\nvertex 1 3\nvertex 2 3\n"])
+def test_oracle_exits_2_when_no_side_has_the_exact_weight(tmp_path, capsys,
+                                                          weights):
+    path = tmp_path / "tri.edges"
+    path.write_text(weights + "0 1\n1 2\n0 2\n")
+    assert main(["oracle", str(path)]) == 2
+    assert "no assignment satisfies the cardinality constraint" in \
+        capsys.readouterr().err
+
+
 def test_capacity_errors_exit_3(tmp_path):
     big = tmp_path / "big.edges"
     lines = ["kind maxcut-bisection"]

@@ -54,6 +54,30 @@ def test_brute_force_mincut():
     assert brute_force(inst).optimum == pytest.approx(0.5)
 
 
+_TRIANGLE = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+
+
+@pytest.mark.parametrize("weights", [None, [0.4, 0.3, 0.3]])
+def test_brute_force_demands_the_exact_side_weight(weights):
+    # no side of these triangles weighs 1/2; sides off by half the lightest
+    # weight used to pass, while the relaxation's rows demand the exact weight
+    inst = cut_instance(3, _TRIANGLE, vertex_weights=weights)
+    with pytest.raises(CardCspError, match="no assignment satisfies"):
+        brute_force(inst)
+    assert brute_force(inst, respect_cardinality=False).optimum == \
+        pytest.approx(2 / 3)
+
+
+def test_brute_force_admits_a_split_exact_up_to_rounding():
+    # sides {0, 1, 2, 3} and {4} both weigh 7/14; in floating point the first
+    # sums to 1/2 - 2^-54
+    inst = cut_instance(5, _TRIANGLE + [(2, 3, 1.0), (3, 4, 1.0)],
+                        vertex_weights=np.array([1, 2, 2, 2, 7]) / 14)
+    res = brute_force(inst)
+    assert res.witness == (0, 0, 0, 0, 1)
+    assert res.optima_count == 2
+
+
 def test_brute_force_capacity():
     with pytest.raises(CapacityError):
         brute_force(generate("cycle", 26))

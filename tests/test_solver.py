@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardcsp import sdp_solver
+from cardcsp.errors import CardCspError
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               cut_instance, generate, max2sat_instance)
 from cardcsp.lasserre import build_relaxation, check_feasibility
@@ -309,13 +310,14 @@ def test_solver_logs_its_certificate(caplog):
     (cut_instance(5, _CYCLE5, vertex_weights=[0.6, 0.1, 0.1, 0.1, 0.1]), 3),
 ])
 def test_infeasible_relaxations_end_infeasible(inst, level):
-    # no side weighs within 0.05 of 1/2, so no integral point is feasible,
-    # and level 3 = n is exact for the triangles (brute_force admits a side
-    # off by half the lightest weight, so it accepts the triangles' splits)
+    # no side weighs within 0.05 of 1/2, so no integral point is feasible
+    # and brute_force finds no split; level 3 = n is exact for the triangles
     w = inst.weights_array
     assert all(abs(w[list(side)].sum() - 0.5) > 0.05
                for r in range(inst.n + 1)
                for side in combinations(range(inst.n), r))
+    with pytest.raises(CardCspError, match="no assignment satisfies"):
+        brute_force(inst)
     _, report = sdp_solver.solve(build_relaxation(inst, level))
     assert report.status == "infeasible"
     assert report.iterations <= 100
