@@ -163,8 +163,14 @@ def dict_value(gadget: DictGadget, F):
 
 
 def gadget_balance(gadget: DictGadget, F):
-    """E[F] under the gadget vertex distribution, for functions F (..., 2^R)."""
-    return _per_function(_on_cube(gadget, F) @ gadget.vertex_weights)
+    """E[F] under the gadget vertex distribution, for functions F (..., 2^R).
+
+    Each function's sum is einsum's dot product over its own row, from
+    +0.0: unlike a BLAS matrix product, which may block rows by their
+    position, it does not depend on the functions stacked with it, -F gets
+    exactly 0.0 - b, and an exact zero is +0.0."""
+    return _per_function(np.einsum("...z,z->...", _on_cube(gadget, F),
+                                   gadget.vertex_weights))
 
 
 def dictator(R: int, ell: int) -> np.ndarray:

@@ -20,7 +20,8 @@ from scipy.special import ndtr
 
 from cardcsp import dictator
 from cardcsp.dictator import (DictGadget, build_gadget, dict_value,
-                              hypercube_labels, soundness_enumerate)
+                              gadget_balance, hypercube_labels,
+                              soundness_enumerate)
 from cardcsp.instance import generate
 from cardcsp.landscape import (SDP_FLOOR, EdgeConfig, _ratio_on_grid,
                                bvn_cdf, bvn_cdf_grid,
@@ -422,7 +423,12 @@ def _assert_same_rows(report, rows, gadget, functions):
         assert got[1:] == pytest.approx(want[1:], abs=1e-12)
     np.testing.assert_array_equal(
         _bits(report.balances),
-        _bits(functions[ids] @ gadget.vertex_weights if ids else []))
+        _bits(gadget_balance(gadget, functions)[ids] if ids else []))
+    if ids:
+        # the subset alone, as a matrix product would block it differently
+        np.testing.assert_array_equal(
+            _bits(report.balances),
+            _bits(gadget_balance(gadget, functions[ids])))
     if rows:
         assert report.max_value == pytest.approx(max(r[3] for r in rows),
                                                  abs=1e-12)
@@ -523,3 +529,15 @@ def test_soundness_pairs_negations_on_any_tables(gadget, tau, mode):
     _assert_same_rows(soundness_enumerate(gadget, tau, mode=mode),
                       _soundness_by_loop(gadget, tau, functions), gadget,
                       functions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gadget=_any_gadget())
+def test_balance_of_a_function_does_not_depend_on_its_stack(gadget):
+    """Each balance in a stack is, bit for bit, the function's own, and -F's
+    is 0.0 - b: the mirrored rows of soundness_enumerate rely on both."""
+    functions = _boolean_functions(gadget.R)
+    stacked = gadget_balance(gadget, functions)
+    alone = np.array([gadget_balance(gadget, F) for F in functions])
+    np.testing.assert_array_equal(_bits(stacked), _bits(alone))
+    np.testing.assert_array_equal(_bits(stacked[::-1]), _bits(0.0 - stacked))
