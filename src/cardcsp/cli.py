@@ -69,8 +69,7 @@ def cmd_solve(args):
 
     instance = _read_instance(args.input)
     program = build_relaxation(instance, args.level)
-    solution, report = sdp_solver.solve(program, _solver_config(args),
-                                        keep_history=args.trace)
+    solution, report = sdp_solver.solve(program, _solver_config(args))
     feas = check_feasibility(solution, instance)
     doc = {
         "schema": "cardcsp.solve/1",
@@ -138,13 +137,13 @@ def cmd_landscape(args):
 
 
 def cmd_dict(args):
-    from . import sdp_solver
     from .dictator import build_gadget, completeness, soundness_enumerate
-    from .lasserre import build_relaxation, solution_objective
+    from .lasserre import solution_objective
+    from .rounding import solve_feasible
 
     instance = _read_instance(args.input)
-    program = build_relaxation(instance, args.level)
-    solution, report = sdp_solver.solve(program, _solver_config(args))
+    solution, report = solve_feasible(instance, args.level,
+                                      _solver_config(args))
     gadget = build_gadget(solution, instance, args.eps, args.R,
                           provenance={"input": args.input, "level": args.level})
     value = solution_objective(solution, instance)

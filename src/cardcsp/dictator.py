@@ -44,6 +44,21 @@ def hypercube_labels(R: int) -> np.ndarray:
     return 1 - 2 * pts  # value 0 -> +1
 
 
+def _check_cube(R, eps):
+    """The one rule for a gadget's R and eps: R a plain int in 1..R_CAP
+    (above the cap, ``CapacityError``) and eps a number in [0, 1]."""
+    if type(R) is not int:
+        raise CardCspError(f"R must be an int, got {R!r}")
+    if R < 1:
+        raise CardCspError(f"R must be at least 1, got {R}")
+    if R > R_CAP:
+        raise CapacityError(f"R={R} over cap {R_CAP} (the edge table holds "
+                            "4^R entries)")
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not 0 <= eps <= 1):
+        raise CardCspError(f"eps must lie in [0, 1], got {eps}")
+
+
 @dataclass
 class DictGadget:
     R: int
@@ -53,6 +68,20 @@ class DictGadget:
     vertex_marginals: np.ndarray      # per source vertex i: P(x_i = 0)
     source_weights: np.ndarray        # W over source vertices
     provenance: dict
+
+    def __post_init__(self):
+        _check_cube(self.R, self.eps)
+        size = 1 << self.R
+        if (np.shape(self.vertex_weights) != (size,)
+                or np.shape(self.edge_weights) != (size, size)):
+            raise CardCspError(f"the R={self.R} cube needs {size} vertex "
+                               f"weights and {size} x {size} edge weights")
+        sources = np.shape(self.source_weights)
+        if sources in ((), (0,)) or np.shape(self.vertex_marginals) != sources:
+            raise CardCspError("vertex marginals and source weights need "
+                               "one entry per source vertex")
+        if not isinstance(self.provenance, dict):
+            raise CardCspError("provenance must be an object")
 
     def to_json(self):
         return json.dumps({
@@ -70,28 +99,12 @@ class DictGadget:
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
         with _document(text, "cardcsp.gadget/1", "gadget") as doc:
-            gadget = cls(R=_integer(doc["R"]), eps=_number(doc["eps"]),
-                         vertex_weights=_numbers(doc["vertex_weights"]),
-                         edge_weights=_numbers(doc["edge_weights"], _numbers),
-                         vertex_marginals=_numbers(doc["vertex_marginals"]),
-                         source_weights=_numbers(doc["source_weights"]),
-                         provenance=doc["provenance"])
-            if not 1 <= gadget.R <= R_CAP:
-                raise CardCspError(f"R must be in 1..{R_CAP}, got {gadget.R}")
-            if not 0 <= gadget.eps <= 1:
-                raise CardCspError(f"eps must lie in [0, 1], got {gadget.eps}")
-            size = 1 << gadget.R
-            if (gadget.vertex_weights.shape != (size,)
-                    or gadget.edge_weights.shape != (size, size)):
-                raise CardCspError(f"the R={gadget.R} cube needs {size} vertex "
-                                   f"weights and {size} x {size} edge weights")
-            sources = gadget.source_weights.shape
-            if sources[0] == 0 or gadget.vertex_marginals.shape != sources:
-                raise CardCspError("vertex marginals and source weights need "
-                                   "one entry per source vertex")
-            if not isinstance(gadget.provenance, dict):
-                raise CardCspError("provenance must be an object")
-            return gadget
+            return cls(R=_integer(doc["R"]), eps=_number(doc["eps"]),
+                       vertex_weights=_numbers(doc["vertex_weights"]),
+                       edge_weights=_numbers(doc["edge_weights"], _numbers),
+                       vertex_marginals=_numbers(doc["vertex_marginals"]),
+                       source_weights=_numbers(doc["source_weights"]),
+                       provenance=doc["provenance"])
 
 
 def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
@@ -102,14 +115,7 @@ def build_gadget(solution: MomentSolution, instance: CspInstance, eps: float,
     independently resampled from the endpoint marginal with probability
     eps; the R-fold product is an exact tensor power.
     """
-    if R < 1:
-        raise CardCspError(f"R must be at least 1, got {R}")
-    if not 0 <= eps <= 1:
-        raise CardCspError(f"eps must lie in [0, 1], got {eps}")
-    if R > R_CAP:
-        need = (4 ** R) * 8
-        raise CapacityError(f"R={R} over cap {R_CAP} (edge table would need "
-                            f"~{need / 1e9:.1f} GB)")
+    _check_cube(R, eps)
     if instance.q != 2:
         raise CardCspError("gadget construction supports q = 2 only")
     _check_same_shape(solution, instance)
@@ -349,20 +355,13 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
     """
     F = np.asarray(F, dtype=float)
     R = _dimension(F)
-    if R > R_CAP:
-        raise CapacityError(f"R={R} over cap {R_CAP}")
-    if not 0 <= eps <= 1:
-        raise CardCspError(f"eps must lie in [0, 1], got {eps}")
+    _check_cube(R, eps)
     profile = bias_decompose(solution)
     rng = np.random.default_rng(seed)
     zeta = rng.standard_normal((R, profile.w.shape[1]))
     y = profile.mu[:, None] + (1 - eps) * (profile.w @ zeta.T)  # (n, R)
-    # weights[i, z] = prod_ell (1 + z_ell y_i,ell)/2, coordinate 0 the
-    # most significant bit of z
-    weights = np.ones((profile.n, 1))
-    for y_ell in y.T:
-        halves = np.stack([1 + y_ell, 1 - y_ell], axis=1) / 2  # z_ell = +1, -1
-        weights = (weights[:, :, None] * halves[:, None, :]).reshape(profile.n, -1)
+    # weights[i, z] = prod_ell (1 + z_ell y_i,ell)/2
+    weights = np.prod((1 + hypercube_labels(R) * y[:, None]) / 2, axis=2)
     p_star = np.clip(weights @ F, -1.0, 1.0)
     labels = np.where(rng.random(profile.n) < (1 + p_star) / 2, 1, -1)
     return RoundedAssignment(labels=labels,

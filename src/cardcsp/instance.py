@@ -176,8 +176,7 @@ class CspInstance:
     def from_json(cls, text: str) -> "CspInstance":
         """Parse a ``cardcsp.instance/1`` document; a malformed or invalid
         one raises ``ParseError``."""
-        try:
-            doc = json.loads(text)
+        with _document(text, "cardcsp.instance/1", "instance") as doc:
             q = _integer(doc["q"])
             payoffs = tuple(
                 PayoffTerm(
@@ -196,11 +195,6 @@ class CspInstance:
                 cardinality=CardinalityFunction(tuple(Fraction(p) for p in doc["cardinality"])),
                 kind=doc["kind"],
             )
-        except KeyError as exc:
-            raise ParseError(f"instance document lacks {exc}") from None
-        except (CardCspError, TypeError, ValueError, ZeroDivisionError,
-                OverflowError) as exc:
-            raise ParseError(f"bad instance document: {exc}") from None
 
 
 def _integer(value):
@@ -238,7 +232,8 @@ def _document(text, schema, what):
         yield doc
     except KeyError as exc:
         raise ParseError(f"{what} document lacks {exc}") from None
-    except (CardCspError, TypeError, ValueError) as exc:
+    except (CardCspError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise ParseError(f"bad {what} document: {exc}") from None
 
 

@@ -29,6 +29,7 @@ _TOP_K = 24             # cells the ratio search refines around
 _RATIO_ROUNDS = 3       # refinement rounds of the ratio search
 _SEPARATION_ROUNDS = 4  # refinement rounds of the worst-separation search
 _SWEEP_CELLS = 1 << 14  # cells per call of a rho sweep, at least one slice
+_VALID_TOL = 1e-9       # slack on |rhobar| <= 1 and p_ab >= 0
 # points per axis: a (mu1, mu2, rho) grid of at most 2^24 cells, so a CSV of
 # at most about 8 million rows and a ratio search of a few seconds
 _RESOLUTION_CAP = 256
@@ -190,8 +191,8 @@ class EdgeConfig:
     mu2: float
     rhobar: float  # <wbar_i, wbar_j>
 
-    def is_valid(self, tol=1e-9):
-        return bool(config_valid_mask(self.mu1, self.mu2, self.rhobar, tol))
+    def is_valid(self):
+        return bool(config_valid_mask(self.mu1, self.mu2, self.rhobar))
 
 
 def config_m(mu1, mu2, rhobar):
@@ -200,14 +201,14 @@ def config_m(mu1, mu2, rhobar):
         np.clip((1 - mu1**2) * (1 - mu2**2), 0.0, None))
 
 
-def config_valid_mask(mu1, mu2, rhobar, tol=1e-9):
+def config_valid_mask(mu1, mu2, rhobar):
     """|rhobar| <= 1 and p_ab = (1 + a mu1 + b mu2 + ab m)/4 >= 0 for a, b
-    in {+1, -1}, up to tol."""
+    in {+1, -1}, up to ``_VALID_TOL``."""
     m = config_m(mu1, mu2, rhobar)
-    ok = np.abs(rhobar) <= 1 + tol
+    ok = np.abs(rhobar) <= 1 + _VALID_TOL
     for a in (1, -1):
         for b in (1, -1):
-            ok = ok & ((1 + a * mu1 + b * mu2 + a * b * m) / 4 >= -tol)
+            ok = ok & ((1 + a * mu1 + b * mu2 + a * b * m) / 4 >= -_VALID_TOL)
     return ok
 
 

@@ -137,6 +137,16 @@ class RoundedAssignment:
     seed: int
     repair_moves: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if not np.isin(self.labels, (-1, 1)).all():
+            raise CardCspError("labels must be +1 or -1")
+        n, moves = len(self.labels), self.repair_moves
+        if len(set(moves)) < len(moves) or not all(0 <= v < n for v in moves):
+            raise CardCspError(f"repair moves must be distinct vertices "
+                               f"in 0..{n - 1}, got {moves}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise CardCspError(f"seed must be an int >= 0, got {self.seed!r}")
+
     def to_json(self):
         return json.dumps({
             "schema": "cardcsp.assignment/1",
@@ -151,22 +161,12 @@ class RoundedAssignment:
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
         with _document(text, "cardcsp.assignment/1", "assignment") as doc:
-            out = cls(labels=_numbers(doc["labels"], _integer),
-                      value=_number(doc["value"], optional=True),
-                      balance=_number(doc["balance"], optional=True),
-                      seed=_integer(doc["seed"]),
-                      repair_moves=_numbers(doc["repair_moves"],
-                                            _integer).tolist())
-            if not np.isin(out.labels, (-1, 1)).all():
-                raise CardCspError("labels must be +1 or -1")
-            n, moves = len(out.labels), out.repair_moves
-            if len(set(moves)) < len(moves) or not all(0 <= v < n
-                                                       for v in moves):
-                raise CardCspError(f"repair moves must be distinct vertices "
-                                   f"in 0..{n - 1}, got {moves}")
-            if out.seed < 0:
-                raise CardCspError(f"seed must be >= 0, got {out.seed}")
-            return out
+            return cls(labels=_numbers(doc["labels"], _integer),
+                       value=_number(doc["value"], optional=True),
+                       balance=_number(doc["balance"], optional=True),
+                       seed=_integer(doc["seed"]),
+                       repair_moves=_numbers(doc["repair_moves"],
+                                             _integer).tolist())
 
 
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
@@ -229,6 +229,18 @@ def repair_many(instance: CspInstance, labels) -> Repair:
     return Repair(out, moves, moved_weight, failed)
 
 
+def solve_feasible(instance: CspInstance, level: int, solver_config=None):
+    """Solve the level-``level`` relaxation; one that ends ``infeasible``
+    leaves no moment solution to use and raises ``NumericalError``."""
+    solution, report = sdp_solver.solve(build_relaxation(instance, level),
+                                        solver_config)
+    if report.status == "infeasible":
+        raise NumericalError(f"the level-{level} relaxation is infeasible "
+                             f"(certified after {report.iterations} "
+                             "iterations)")
+    return solution, report
+
+
 @dataclass
 class PipelineResult:
     best: RoundedAssignment
@@ -252,9 +264,7 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     repair fails, a ``CardCspError`` names the smallest move fraction one
     would have needed.  Sub-seeds are spawned from the master seed with
     numpy's SeedSequence splitting rule.  ``solution`` may be supplied to
-    skip the solve.  A solve that ends ``infeasible`` raises
-    ``NumericalError``, since there is no moment solution to round; one that
-    ends ``max_iter`` is rounded as it stands.
+    skip the solve (``solve_feasible``).
     """
     if type(trials) is not int or trials < 1:
         raise CardCspError(f"trials must be at least 1 and an int, got "
@@ -263,12 +273,7 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
         raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")
     report = None
     if solution is None:
-        program = build_relaxation(instance, level)
-        solution, report = sdp_solver.solve(program, solver_config)
-        if report.status == "infeasible":
-            raise NumericalError(f"the level-{level} relaxation is infeasible "
-                                 f"(certified after {report.iterations} "
-                                 "iterations)")
+        solution, report = solve_feasible(instance, level, solver_config)
     _check_same_shape(solution, instance)
     dec = decorrelate(solution, instance, alpha_target, seed=seed, depth=depth)
     sol = dec.solution

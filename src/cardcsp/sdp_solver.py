@@ -84,9 +84,9 @@ class SolveReport:
     primal_residual: float
     dual_residual: float
     objective: float
-    residual_history: list = None
-    rho: float = None  # the penalty at the last iteration
-    seconds: float = None  # wall time of the solve
+    residual_history: list  # (iteration, primal, dual) per residual check
+    rho: float  # the penalty at the last iteration
+    seconds: float  # wall time of the solve
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -165,8 +165,8 @@ class _Anderson:
         return self.f - theta @ self.df[:m]
 
 
-def solve(program: ConicProgram, config: SolverConfig | None = None,
-          keep_history: bool = False) -> tuple[MomentSolution, SolveReport]:
+def solve(program: ConicProgram, config: SolverConfig | None = None
+          ) -> tuple[MomentSolution, SolveReport]:
     """Run the splitting method on the reduced block G' = G[R, R] and
     return the lifted moment matrix G = P G' P^T."""
     start = time.perf_counter()
@@ -218,8 +218,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
             pri = lifted_norm(X - Z)
             dual = rho * lifted_norm(Z - Z_prev)
             scale = max(1.0, np.linalg.norm(X))
-            if keep_history:
-                history.append((it, pri, dual))
+            history.append((it, pri, dual))
             if (pri <= config.tolerance * scale
                     and dual <= config.tolerance * scale):
                 status = "optimal"
@@ -258,5 +257,5 @@ def solve(program: ConicProgram, config: SolverConfig | None = None,
     return solution, SolveReport(
         status=status, iterations=it, primal_residual=float(pri),
         dual_residual=float(dual), objective=objective,
-        residual_history=history if keep_history else None, rho=rho,
+        residual_history=history, rho=rho,
         seconds=time.perf_counter() - start)

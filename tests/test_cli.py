@@ -128,8 +128,8 @@ def test_bench_exits_4_unless_every_solve_is_optimal(tmp_path, monkeypatch):
     real_solve = sdp_solver.solve
     calls = []
 
-    def second_solve_capped(program, config=None, keep_history=False):
-        solution, report = real_solve(program, config, keep_history)
+    def second_solve_capped(program, config=None):
+        solution, report = real_solve(program, config)
         calls.append(program)
         if len(calls) == 2:
             report.status = "max_iter"
@@ -378,13 +378,16 @@ def test_dict_gadget_out_reads_back(c4_file, tmp_path):
     assert gadget.edge_weights.sum() == pytest.approx(1.0)
 
 
-def test_dict_exits_4_on_an_infeasible_relaxation(triangle_file, tmp_path):
-    out = tmp_path / "dict.json"
-    assert main(["dict", triangle_file, "--level", "3",
+def test_dict_exits_4_on_an_infeasible_relaxation(triangle_file, tmp_path,
+                                                  capsys):
+    """No moment solution, so no gadget: neither the JSON nor the gadget
+    file is written, even with --soundness."""
+    out, gadget = tmp_path / "dict.json", tmp_path / "gadget.json"
+    assert main(["dict", triangle_file, "--level", "3", "-R", "2",
+                 "--soundness", "--gadget-out", str(gadget),
                  "--out", str(out)]) == 4
-    doc = json.loads(out.read_text())
-    assert doc["status"] == "infeasible"
-    assert 0 < doc["iterations"] <= 100
+    assert not out.exists() and not gadget.exists()
+    assert "relaxation is infeasible" in capsys.readouterr().err
 
 
 def test_bench_with_config(tmp_path):

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cardcsp.errors import CapacityError, CardCspError
+from cardcsp.errors import CapacityError, CardCspError, ParseError
 from cardcsp.dictator import (DictGadget, build_gadget, completeness,
                               dict_value, dictator, gadget_balance,
                               hypercube_labels, influence,
@@ -117,6 +119,32 @@ def test_soundness_grid_mode():
     g = build_gadget(sol, inst, 0.1, R=2)
     rep = soundness_enumerate(g, tau=1.0, mode="grid")
     assert not rep.empty
+
+
+def _r1_gadget(**change):
+    """An R = 1 gadget's fields, with ``change`` applied."""
+    return dict(dict(R=1, eps=0.1, vertex_weights=np.full(2, 0.5),
+                     edge_weights=np.full((2, 2), 0.25),
+                     vertex_marginals=np.full(2, 0.5),
+                     source_weights=np.full(2, 0.5), provenance={}), **change)
+
+
+@pytest.mark.parametrize("R, eps", [
+    (0, 0.1), (13, 0.1), (2.5, 0.1), (True, 0.1),
+    (1, -0.1), (1, 1.5), (1, float("nan")), (1, True)])
+def test_every_gadget_path_refuses_the_same_r_and_eps(R, eps):
+    """The builder, the constructor and the reader share one rule: R a plain
+    int in 1..12 (above, CapacityError) and eps a number in [0, 1]."""
+    inst, sol = _mixture_solution()
+    error = CapacityError if R == 13 else CardCspError
+    with pytest.raises(error):
+        build_gadget(sol, inst, eps, R)
+    with pytest.raises(error):
+        DictGadget(**_r1_gadget(R=R, eps=eps))
+    doc = json.loads(DictGadget(**_r1_gadget()).to_json()) | {"R": R,
+                                                               "eps": eps}
+    with pytest.raises(ParseError):
+        DictGadget.from_json(json.dumps(doc))
 
 
 def test_capacity_caps():

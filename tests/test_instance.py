@@ -246,6 +246,18 @@ def test_unknown_kind_is_rejected():
         cut_instance(4, [(0, 1, 1.0)], kind="mincut_bisection")
 
 
+@pytest.mark.parametrize("schema", ["cardcsp.gadget/1", "cardcsp.instance/2",
+                                    None, "missing"])
+def test_instance_reader_checks_the_schema_tag(schema):
+    doc = json.loads(generate("cycle", 4).to_json())
+    if schema == "missing":
+        del doc["schema"]
+    else:
+        doc["schema"] = schema
+    with pytest.raises(ParseError, match="schema is not cardcsp.instance/1"):
+        CspInstance.from_json(json.dumps(doc))
+
+
 # JSON instance documents with one value replaced, a key dropped or the
 # text cut short
 JSON_VALUES = st.recursive(

@@ -164,7 +164,7 @@ def test_clauses_are_not_invariant_under_negation():
 def test_ratio_search_small_grid():
     cert = ratio_search("cut", resolution=60)
     assert 0.84 <= cert.minimum_ratio <= 0.87
-    assert cert.argmin.is_valid(tol=1e-6)
+    assert cert.argmin.is_valid()
     doc = cert.to_json()
     assert "minimum_ratio" in doc
 
@@ -203,7 +203,7 @@ def test_resolution_gate_fires_before_any_grid(monkeypatch, entry, resolution,
 
 def test_resolution_gate_admits_its_cap():
     worst, config = worst_separation(0.3, resolution=landscape._RESOLUTION_CAP)
-    assert 0 < worst < 1 and config.is_valid(tol=1e-6)
+    assert 0 < worst < 1 and config.is_valid()
 
 
 def test_landscape_csv_shape():
@@ -219,7 +219,7 @@ def test_worst_separation_decreases_with_eps():
     s1, cfg1 = worst_separation(0.01, resolution=100)
     s2, cfg2 = worst_separation(0.04, resolution=100)
     assert 0 < s1 < s2 < 1
-    assert cfg1.is_valid(tol=1e-6)
+    assert cfg1.is_valid()
     # configs sit on the sdp = eps boundary
     assert edge_sdp_value("cut", cfg1) == pytest.approx(0.01, abs=1e-9)
 

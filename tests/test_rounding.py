@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
 
 from cardcsp import rounding, sdp_solver
-from cardcsp.errors import CardCspError
+from cardcsp.errors import CardCspError, ParseError
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
 from cardcsp.independence import decorrelate
@@ -217,6 +218,22 @@ def test_assignment_json_round_trip(a):
     assert _same_number(a.value, b.value) and _same_number(a.balance, b.balance)
     assert (a.seed, a.repair_moves) == (b.seed, b.repair_moves)
     assert b.to_json() == text
+
+
+@pytest.mark.parametrize("change", [
+    {"labels": [2, 7]}, {"labels": [1, 0]}, {"repair_moves": [9]},
+    {"repair_moves": [-1]}, {"repair_moves": [1, 1]}, {"seed": -4},
+    {"seed": 2.5}, {"seed": True}, {"seed": None},
+    {"labels": [1, 0, 2], "seed": -5, "repair_moves": [7, 7]}])
+def test_assignment_constructor_and_reader_refuse_the_same_values(change):
+    fields = dict(labels=[1, -1], value=0.5, balance=0.0, seed=3,
+                  repair_moves=[1]) | change
+    with pytest.raises(CardCspError):
+        RoundedAssignment(**fields)
+    doc = json.loads(RoundedAssignment(np.array([1, -1]), 0.5, 0.0, 3,
+                                       [1]).to_json()) | change
+    with pytest.raises(ParseError):
+        RoundedAssignment.from_json(json.dumps(doc))
 
 
 def test_pipeline_on_exact_solution():

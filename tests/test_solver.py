@@ -98,8 +98,8 @@ def test_determinism():
     inst = generate("cycle", 6)
     program = build_relaxation(inst, 2)
     sol_a, rep_a = sdp_solver.solve(program)
-    sol_b, rep_b = sdp_solver.solve(program, keep_history=True)
-    sol_c, rep_c = sdp_solver.solve(program, keep_history=True)
+    sol_b, rep_b = sdp_solver.solve(program)
+    sol_c, rep_c = sdp_solver.solve(program)
     assert rep_a.iterations == rep_b.iterations == rep_c.iterations
     assert np.array_equal(sol_a.gram, sol_b.gram)
     assert np.array_equal(sol_b.gram, sol_c.gram)
@@ -120,7 +120,7 @@ def test_mincut_sense():
 def test_history_recording():
     inst = generate("cycle", 4)
     program = build_relaxation(inst, 2)
-    _, report = sdp_solver.solve(program, keep_history=True)
+    _, report = sdp_solver.solve(program)
     assert report.residual_history
     assert report.residual_history[-1][0] == report.iterations
 
