@@ -18,8 +18,8 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, CardCspError
-from .instance import (CspInstance, CUT_TABLE, _document, _integer, _number,
-                       _numbers)
+from .instance import (CspInstance, CUT_TABLE, _check_seed, _document,
+                       _integer, _number, _numbers)
 from .lasserre import MomentSolution, _check_same_shape, local_distributions
 from .rounding import RoundedAssignment, bias_decompose
 
@@ -71,6 +71,7 @@ class DictGadget:
 
     def __post_init__(self):
         _check_cube(self.R, self.eps)
+        self.eps = float(self.eps)  # so an int eps reads back the same bytes
         size = 1 << self.R
         if (np.shape(self.vertex_weights) != (size,)
                 or np.shape(self.edge_weights) != (size, size)):
@@ -356,6 +357,7 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
     F = np.asarray(F, dtype=float)
     R = _dimension(F)
     _check_cube(R, eps)
+    _check_seed(seed)
     profile = bias_decompose(solution)
     rng = np.random.default_rng(seed)
     zeta = rng.standard_normal((R, profile.w.shape[1]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CardCspError
-from .instance import CspInstance
+from .instance import CspInstance, _check_seed
 from .lasserre import (MomentSolution, _layout, _positions, local_distribution,
                        local_distributions, PROB_FLOOR)
 
@@ -163,6 +163,7 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
     first solution that reaches alpha is returned, or else the least
     correlated one seen.
     """
+    _check_seed(seed)
     if depth is None:
         depth = min(4, solution.level - 2)
     depth = min(depth, solution.level - 2)

@@ -197,6 +197,13 @@ class CspInstance:
             )
 
 
+def _check_seed(seed):
+    """The one rule for a seed, checked before any generator is made: a
+    plain int >= 0 (numpy refuses a negative one with a bare ValueError)."""
+    if type(seed) is not int or seed < 0:
+        raise CardCspError(f"seed must be an int >= 0, got {seed!r}")
+
+
 def _integer(value):
     """An int from a JSON document; floats, strings and booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -410,6 +417,7 @@ def generate(family: str, n: int, seed: int = 0, **params) -> CspInstance:
     probability p), two_cliques, planted (near-bisectable with parameter
     eps).  A ``params`` key the family does not read raises
     ``CardCspError``."""
+    _check_seed(seed)
     if n < 2:
         raise CardCspError("n must be at least 2")
     if n % 2 != 0:

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .errors import CapacityError, CardCspError
@@ -58,8 +57,12 @@ def bvn_cdf(t1: float, t2: float, rho: float) -> float:
 
     Adaptive quadrature of the correlation-path integral with the arcsine
     substitution, which makes the integrand analytic; absolute accuracy well
-    below 1e-10.  rho = +-1 handled analytically.
+    below 1e-10.  rho = +-1 handled analytically.  scipy.integrate (and the
+    scipy.optimize it loads) is imported on the first call, not with the
+    package, since no solve, round or bench path integrates.
     """
+    from scipy.integrate import quad
+
     if not -1.0 <= rho <= 1.0:
         raise CardCspError(f"correlation {rho} out of [-1, 1]")
     closed = _phi2_closed(t1, t2, rho)

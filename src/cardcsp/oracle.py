@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, CardCspError
-from .instance import CspInstance
+from .instance import CspInstance, _check_seed
 from .lasserre import MomentSolution, _layout, _lift_vectors
 
 _BISECTION_CAP = 24  # largest n brute_force enumerates under the cardinality rule
@@ -94,6 +94,7 @@ def mc_bvn(t1: float, t2: float, rho: float, samples: int = 10**6,
     sigma, via Cholesky-correlated normal sampling."""
     if samples < 10**4:
         raise CardCspError("need at least 1e4 samples")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     hits = 0
     chunk = 10**6

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.special import ndtri
@@ -20,7 +21,8 @@ from scipy.special import ndtri
 from . import sdp_solver
 from .errors import CardCspError, NumericalError
 from .independence import decorrelate
-from .instance import CspInstance, _document, _integer, _number, _numbers
+from .instance import (CspInstance, _check_seed, _document, _integer, _number,
+                       _numbers)
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
                        build_relaxation, local_distributions,
                        solution_objective)
@@ -144,8 +146,16 @@ class RoundedAssignment:
         if len(set(moves)) < len(moves) or not all(0 <= v < n for v in moves):
             raise CardCspError(f"repair moves must be distinct vertices "
                                f"in 0..{n - 1}, got {moves}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise CardCspError(f"seed must be an int >= 0, got {self.seed!r}")
+        _check_seed(self.seed)
+        # floats, so an int value or balance reads back the same bytes
+        for name in ("value", "balance"):
+            number = getattr(self, name)
+            if number is None:
+                continue
+            if isinstance(number, bool) or not isinstance(number, Real):
+                raise CardCspError(f"{name} must be a number or None, "
+                                   f"got {number!r}")
+            setattr(self, name, float(number))
 
     def to_json(self):
         return json.dumps({
@@ -269,6 +279,7 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     if type(trials) is not int or trials < 1:
         raise CardCspError(f"trials must be at least 1 and an int, got "
                            f"{trials!r}")
+    _check_seed(seed)
     if instance.q != 2:
         raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")
     report = None

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CapacityError, CardCspError, ParseError
-from .instance import CspInstance, _integer, generate
+from .instance import CspInstance, _check_seed, _integer, generate
 from .oracle import _BISECTION_CAP, brute_force
 from .rounding import pipeline
 
@@ -74,6 +74,7 @@ def run_bench(entries=None, level: int = 2, trials: int = 32, seed: int = 0,
         entries = default_suite()
     if not entries:
         raise CardCspError("empty benchmark configuration")
+    _check_seed(seed)
     report = BenchReport()
     seeds = np.random.SeedSequence(seed).spawn(len(entries))
     for (name, instance), sub in zip(entries, seeds):

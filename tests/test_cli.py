@@ -279,6 +279,13 @@ def test_bench_rejects_trials_below_one(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+def test_round_rejects_a_negative_seed_with_exit_2(c4_file, tmp_path, capsys):
+    out = tmp_path / "round.json"
+    assert main(["round", c4_file, "--seed", "-5", "--out", str(out)]) == 2
+    assert "seed must be an int >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_round_is_deterministic(c4_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["round", c4_file, "--trials", "4", "--seed", "9", "--out", str(a)])

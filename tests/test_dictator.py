@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -180,6 +180,10 @@ def gadgets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(gadgets())
+@example(DictGadget(R=1, eps=0, vertex_weights=np.zeros(2),
+                    edge_weights=np.zeros((2, 2)),
+                    vertex_marginals=np.array([0.5]),
+                    source_weights=np.array([1.0]), provenance={}))
 def test_gadget_json_round_trip(g):
     text = g.to_json()
     back = DictGadget.from_json(text)

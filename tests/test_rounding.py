@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr
@@ -211,6 +211,8 @@ def _same_number(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(assignments())
+@example(RoundedAssignment(labels=np.array([1, -1]), value=1, balance=0,
+                           seed=0))
 def test_assignment_json_round_trip(a):
     text = a.to_json()
     b = RoundedAssignment.from_json(text)
@@ -223,7 +225,8 @@ def test_assignment_json_round_trip(a):
 @pytest.mark.parametrize("change", [
     {"labels": [2, 7]}, {"labels": [1, 0]}, {"repair_moves": [9]},
     {"repair_moves": [-1]}, {"repair_moves": [1, 1]}, {"seed": -4},
-    {"seed": 2.5}, {"seed": True}, {"seed": None},
+    {"seed": 2.5}, {"seed": True}, {"seed": None}, {"value": "1.5"},
+    {"balance": True}, {"value": [1.0]},
     {"labels": [1, 0, 2], "seed": -5, "repair_moves": [7, 7]}])
 def test_assignment_constructor_and_reader_refuse_the_same_values(change):
     fields = dict(labels=[1, -1], value=0.5, balance=0.0, seed=3,
@@ -234,6 +237,33 @@ def test_assignment_constructor_and_reader_refuse_the_same_values(change):
                                        [1]).to_json()) | change
     with pytest.raises(ParseError):
         RoundedAssignment.from_json(json.dumps(doc))
+
+
+def _seeded_entry_points():
+    from cardcsp.dictator import dictator, round_with_function
+    from cardcsp.oracle import mc_bvn
+    from cardcsp.suite import run_bench
+
+    inst = generate("cycle", 4)
+    sol = integral_lift(inst, (0, 1, 0, 1))
+    return {
+        "generate": lambda seed: generate("gnp", 6, seed=seed, p=0.5),
+        "decorrelate": lambda seed: decorrelate(sol, inst, 0.1, seed=seed),
+        "pipeline": lambda seed: pipeline(inst, trials=4, seed=seed,
+                                          solution=sol),
+        "round_with_function": lambda seed: round_with_function(
+            sol, inst, dictator(2, 0), 0.1, seed),
+        "mc_bvn": lambda seed: mc_bvn(0.0, 0.0, 0.5, samples=10**4, seed=seed),
+        "run_bench": lambda seed: run_bench([("c4", inst)], trials=4,
+                                            seed=seed),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_seeded_entry_points()))
+@pytest.mark.parametrize("seed", [-1, 2.0, True])
+def test_seeded_entry_points_refuse_a_bad_seed_with_a_typed_error(entry, seed):
+    with pytest.raises(CardCspError, match="seed must be an int >= 0"):
+        _seeded_entry_points()[entry](seed)
 
 
 def test_pipeline_on_exact_solution():
