@@ -1,13 +1,13 @@
 """The certificate kernels against references that do every cell's work.
 
-`bvn_cdf_grid` evaluates the path nodes once per distinct correlation and
-integrates each band of |rho| in place with that band's Gauss-Legendre rule
-(whose accuracy is checked here too); the searches sweep one (mu1, mu2)
-cell of each symmetry orbit and integrate valid configurations only; the
-soundness enumeration filters on balance first and scores the kept
-functions in one quadratic form.  Each is checked here against a reference
-that evaluates every cell (or every function) one by one; the searches also
-against the full-plane sweep.
+`bvn_cdf_grid` evaluates the nodes once per distinct correlation and
+integrates each band of |rho| in place with that band's rule; the searches
+sweep one (mu1, mu2) cell of each symmetry orbit and integrate valid
+configurations only; the soundness enumeration filters on balance first and
+scores the kept functions in one quadratic form.  Each is checked here
+against a reference that evaluates every cell (or every function) one by
+one; the searches also against the full-plane sweep.  The kernel's accuracy
+is checked against the independent references of `bvn_reference`.
 """
 
 import tracemalloc
@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from cardcsp import dictator
+from bvn_reference import mpmath_bvn, quad_bvn
+from cardcsp import dictator, landscape
 from cardcsp.dictator import (DictGadget, build_gadget, dict_value,
                               gadget_balance, hypercube_labels,
                               soundness_enumerate)
@@ -32,9 +33,11 @@ from cardcsp.landscape import (SDP_FLOOR, EdgeConfig, _ratio_on_grid,
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import threshold
 
-# Gauss-Legendre node counts by band of |rho|: 6 below 0.3, 12 below 0.75,
-# 20 below 0.925 and 48 above (Genz 2004)
-_BANDS = ((0.3, 6), (0.75, 12), (0.925, 20), (np.inf, 48))
+# Gauss-Legendre node counts on the arcsine path by band of |rho|: 6 below
+# 0.3, 12 below 0.75 and 20 below 0.925 (Genz 2004); from there to 1 the
+# high-correlation form with 20 nodes
+_BANDS = ((0.3, 6), (0.75, 12), (0.925, 20))
+_HIGH = 0.925
 
 
 def _bits(x):
@@ -43,33 +46,69 @@ def _bits(x):
 
 # -- reference kernel and searches: every cell, nodes per cell --------------
 
+def _high_every_cell(a, b, rho):
+    """Genz's BVND for 0.925 <= |rho| < 1, nodes per cell: Phi2 minus its
+    value at rho = sign(rho), at finite thresholds a, b.  The kernel's
+    arithmetic, so that the two agree bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    sign = np.sign(rho)[:, None]
+    a, b = a[:, None], b[:, None]
+    hk, bs = sign * a * b, (a - sign * b) ** 2
+    c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+    r2 = ((1.0 - np.abs(rho)) * (1.0 + np.abs(rho)))[:, None]
+    x = 0.5 * np.sqrt(r2) * (nodes + 1.0)
+    xs, rs = x * x, np.sqrt(1.0 - x * x)
+    r, root = np.sqrt(r2), np.sqrt(bs)
+    closed = (r * np.exp(-0.5 * (bs / r2 + hk))
+              * (1.0 - c * (bs - r2) * (1.0 - d * bs) / 3.0 + c * d * r2 * r2)
+              - np.sqrt(2.0 * np.pi) * np.exp(log_ndtr(-root / r) - 0.5 * hk)
+              * root * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+    asr = -0.5 * (bs / xs + hk)
+    rest = (np.exp(asr) * (1.0 + c * xs * (1.0 + 5.0 * d * xs))
+            - np.exp(asr - 0.5 * hk * xs / (1.0 + rs) ** 2) / rs)
+    rest = 0.5 * r[:, 0] * np.einsum("ck,k->c", rest, weights)
+    return sign[:, 0] * (rest - closed[:, 0]) / (2.0 * np.pi)
+
+
 def _bvn_every_cell(t1, t2, rho, bands=_BANDS):
+    """Phi2 with the arcsine-path rules of ``bands`` below 0.925, the
+    high-correlation form from there, then the closed forms at |rho| = 1
+    and at infinite thresholds."""
     t1, t2, rho = np.broadcast_arrays(np.asarray(t1, dtype=float),
                                       np.asarray(t2, dtype=float),
                                       np.asarray(rho, dtype=float))
-    integral = np.empty(rho.shape)
+    a = np.where(np.isfinite(t1), t1, 0.0)
+    b = np.where(np.isfinite(t2), t2, 0.0)
+    integral = np.zeros(rho.shape)
     low = 0.0
     for high, k in bands:
         cells = (np.abs(rho) >= low) & (np.abs(rho) < high)
         low = high
         nodes, weights = np.polynomial.legendre.leggauss(k)
-        upper = np.arcsin(np.clip(rho[cells], -1.0, 1.0))
+        upper = np.arcsin(rho[cells])
         theta = 0.5 * upper[:, None] * (nodes + 1.0)
         s = np.sin(theta)
-        c2 = np.maximum(np.cos(theta) ** 2, 1e-300)
-        a = np.where(np.isfinite(t1), t1, 0.0)[cells][:, None]
-        b = np.where(np.isfinite(t2), t2, 0.0)[cells][:, None]
-        integrand = np.exp(-(a * a - 2.0 * s * a * b + b * b) / (2.0 * c2))
+        c2 = np.cos(theta) ** 2
+        ak, bk = a[cells][:, None], b[cells][:, None]
+        integrand = np.exp(-(ak * ak - 2.0 * s * ak * bk + bk * bk)
+                           / (2.0 * c2))
         integral[cells] = 0.5 * upper * np.einsum("ck,k->c", integrand,
                                                   weights)
-    out = ndtr(t1) * ndtr(t2) + integral / (2.0 * np.pi)
+    p1, p2 = ndtr(t1), ndtr(t2)
+    out = p1 * p2 + integral / (2.0 * np.pi)
+    high = (np.abs(rho) >= _HIGH) & (np.abs(rho) < 1.0)
+    if high.any():
+        rest = _high_every_cell(a[high], b[high], rho[high])
+        at_one = np.where(rho[high] > 0, np.minimum(p1, p2)[high],
+                          np.maximum(0.0, p1 + p2 - 1.0)[high])
+        out[high] = at_one + rest
+    out = np.where(rho >= 1.0, np.minimum(p1, p2), out)
+    out = np.where(rho <= -1.0, np.maximum(0.0, p1 + p2 - 1.0), out)
     out = np.where(t1 == -np.inf, 0.0, out)
     out = np.where(t2 == -np.inf, 0.0, out)
-    out = np.where((t1 == np.inf) & np.isfinite(t2), ndtr(t2), out)
-    out = np.where((t2 == np.inf) & np.isfinite(t1), ndtr(t1), out)
+    out = np.where((t1 == np.inf) & np.isfinite(t2), p2, out)
+    out = np.where((t2 == np.inf) & np.isfinite(t1), p1, out)
     out = np.where((t1 == np.inf) & (t2 == np.inf), 1.0, out)
-    out = np.where(rho >= 1.0, np.minimum(ndtr(t1), ndtr(t2)), out)
-    out = np.where(rho <= -1.0, np.maximum(0.0, ndtr(t1) + ndtr(t2) - 1.0), out)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -136,11 +175,12 @@ def _ratio_search_every_cell(kind, resolution, refinement_rounds, top_k=24,
         best = sorted(new_best)[:top_k]
         step = step * 2.0 / 8
         trace.append({"stage": f"refine{round_idx}", "min_ratio": best[0][0]})
-    _, m1, m2, rh = best[0]
+    minimum, m1, m2, rh = best[0]
     argmin = EdgeConfig(m1, m2, rh)
     sdp = edge_sdp_value(kind, argmin)
-    error_bar = 1e-10 / max(sdp, SDP_FLOOR) + lipschitz * float(np.max(step))
-    return rounded_value(kind, argmin) / sdp, argmin, trace, error_bar
+    error_bar = (landscape._BVN_ERROR / max(sdp, SDP_FLOOR)
+                 + lipschitz * float(np.max(step)))
+    return minimum, argmin, trace, error_bar
 
 
 def _worst_separation_every_cell(eps, resolution, refinement_rounds=4,
@@ -218,15 +258,18 @@ def test_bvn_grid_cell_alone_equals_the_cell_in_a_batch(data, size):
     np.testing.assert_array_equal(_bits(batch), _bits(wide[:, 0]))
 
 
-def test_rounded_value_is_the_adaptive_kernel():
+def test_scalar_entry_points_are_the_grid_kernel_on_one_cell():
     rng = np.random.default_rng(3)
     for _ in range(20):
         config = EdgeConfig(*rng.uniform(-0.95, 0.95, size=3))
         assert rounded_value("cut", config) == separation_prob(config)
         for kind in ("cut", "max2sat"):
-            grid = float(rounded_value_grid(kind, config.mu1, config.mu2,
-                                            config.rhobar))
-            assert rounded_value(kind, config) == pytest.approx(grid, abs=1e-10)
+            grid = rounded_value_grid(kind, config.mu1, config.mu2,
+                                      config.rhobar)
+            assert _bits(rounded_value(kind, config)) == _bits(grid)
+        t1, t2 = threshold(config.mu1), threshold(config.mu2)
+        assert _bits(bvn_cdf(t1, t2, config.rhobar)) == _bits(
+            bvn_cdf_grid(t1, t2, config.rhobar))
 
 
 def _accuracy_battery(low, high, size=300, seed=11):
@@ -249,21 +292,59 @@ def _accuracy_battery(low, high, size=300, seed=11):
 def test_bvn_grid_band_rule_is_as_accurate_as_48_nodes(low, high):
     t1, t2, rho = _accuracy_battery(low, high)
     got = bvn_cdf_grid(t1, t2, rho)
-    nodes48 = _bvn_every_cell(t1, t2, rho, bands=((np.inf, 48),))
-    adaptive = np.array([bvn_cdf(*cell) for cell in zip(t1, t2, rho)])
+    nodes48 = _bvn_every_cell(t1, t2, rho, bands=((_HIGH, 48),))
     assert np.abs(got - nodes48).max() <= 4.5e-16
-    assert np.abs(got - adaptive).max() <= 1e-13
+    finite = np.isfinite(t1) & np.isfinite(t2)
+    adaptive = np.array([quad_bvn(*cell) for cell in
+                         zip(t1[finite], t2[finite], rho[finite])])
+    assert np.abs(got[finite] - adaptive).max() <= 1e-13
+
+
+def _mpmath_battery(band, size, seed):
+    """Finite cells with |rho| in ``band``, both signs, thresholds in
+    [-6, 6]: t2 at random for half of them and t2 = +-t1 + delta (the sign
+    of rho), delta up to 0.01, for the other half."""
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(*band, size) * np.where(np.arange(size) % 2, 1.0, -1.0)
+    t1 = rng.uniform(-6.0, 6.0, size)
+    near = np.sign(rho) * t1 + rng.uniform(-0.01, 0.01, size)
+    t2 = np.where(np.arange(size) % 4 < 2, rng.uniform(-6.0, 6.0, size), near)
+    return t1, t2, rho
+
+
+def _mpmath_error(t1, t2, rho):
+    exact = np.array([mpmath_bvn(*cell) for cell in zip(t1, t2, rho)])
+    return np.abs(bvn_cdf_grid(t1, t2, rho) - exact).max()
+
+
+@pytest.mark.parametrize("band", [(0.0, 0.3), (0.3, 0.75), (0.75, 0.925),
+                                  (0.925, 1.0)])
+def test_bvn_grid_is_within_its_bound_of_mpmath(band):
+    # the bound is stated with a margin: 2.2e-16 at most when measured
+    assert landscape._BVN_ERROR <= 1e-14
+    assert _mpmath_error(*_mpmath_battery(band, 50, seed=17)) <= (
+        landscape._BVN_ERROR)
 
 
 def test_bvn_grid_high_correlation_accuracy():
-    # the 48-node rule as it stands for 0.99 <= |rho| < 1, on thresholds
-    # spread over [-6, 6]; with t2 close to t1 (rho > 0) or to -t1 (rho < 0)
-    # its gap to the adaptive kernel is larger: 1.1e-7 at rho = -1 + 8.4e-6,
-    # t1 = 0.791, t2 = -0.786, and 5.2e-5 at rho = 1 - 3.1e-10, t1 = -0.0510,
-    # t2 = -0.0490
-    t1, t2, rho = _accuracy_battery(0.99, 1.0)
-    adaptive = np.array([bvn_cdf(*cell) for cell in zip(t1, t2, rho)])
-    assert np.abs(bvn_cdf_grid(t1, t2, rho) - adaptive).max() <= 1e-9
+    """rho = +-(1 - 10^u), u in [-12, -2], with t2 near t1 (rho > 0) or -t1
+    (rho < 0), where the arcsine path is sharp, and the cells where the
+    48-node rule missed by 1.1e-7 and 5.2e-5 and adaptive quadrature by
+    4.1e-7."""
+    rng = np.random.default_rng(23)
+    size = 240
+    rho = (1.0 - 10.0 ** rng.uniform(-12.0, -2.0, size)) * np.where(
+        np.arange(size) % 2, 1.0, -1.0)
+    t1 = rng.uniform(-3.0, 3.0, size)
+    t2 = np.sign(rho) * t1 + rng.normal(size=size) * 10.0 ** rng.uniform(
+        -8.0, 0.0, size)
+    found = np.array([(0.791, -0.786, -1.0 + 8.4e-6),
+                      (-0.0510, -0.0490, 1.0 - 3.1e-10),
+                      (-0.43825437576067561, -0.43825048675792211,
+                       0.99999999999783307)])
+    t1, t2, rho = (np.concatenate([x, f]) for x, f in zip((t1, t2, rho),
+                                                           found.T))
+    assert _mpmath_error(t1, t2, rho) <= landscape._BVN_ERROR
 
 
 # -- searches -----------------------------------------------------------------

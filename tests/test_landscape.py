@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bvn_reference import quad_bvn
 from cardcsp import landscape
 from cardcsp.errors import CapacityError, CardCspError
 from cardcsp.landscape import (EdgeConfig, bvn_cdf, bvn_cdf_grid,
@@ -41,9 +42,25 @@ def test_bvn_infinite_thresholds():
     assert float(bvn_cdf_grid(np.inf, np.inf, 0.2)) == 1.0
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.95, -0.95, 1.0 - 1e-9, -1.0])
+def test_bvn_huge_thresholds_are_the_infinite_limit(rho):
+    # the squares of thresholds this large overflow unless clipped
+    t = np.array([-6.0, 0.3, 6.0, np.inf, -np.inf])
+    for huge in (41.0, 1e20, 1e300):
+        t_huge = np.where(np.isinf(t), np.sign(t) * huge, t)
+        for sign in (1.0, -1.0):
+            for got, want in [
+                    (bvn_cdf_grid(sign * huge, t_huge, rho),
+                     bvn_cdf_grid(sign * np.inf, t, rho)),
+                    (bvn_cdf_grid(t_huge, sign * huge, rho),
+                     bvn_cdf_grid(t, sign * np.inf, rho))]:
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=landscape._BVN_ERROR)
+
+
 @pytest.mark.parametrize("rho", [1e-306, -1.2e-306, 7e-307, 1e-120])
 def test_bvn_tiny_correlation_is_the_independent_value(rho):
-    # quad warned on paths this short; the value is the independent one
+    # on a path this short the value is the independent one
     from scipy.special import ndtr
     for t1, t2 in [(-0.3, -0.3), (0.0, 0.5), (1.2, -0.4)]:
         assert bvn_cdf(t1, t2, rho) == pytest.approx(ndtr(t1) * ndtr(t2),
@@ -51,12 +68,13 @@ def test_bvn_tiny_correlation_is_the_independent_value(rho):
 
 
 def test_bvn_grid_matches_adaptive():
+    # adaptive quadrature is a reference below |rho| = 0.925 only
     rng = np.random.default_rng(5)
     for _ in range(40):
         t1, t2 = rng.normal(size=2) * 1.5
-        rho = rng.uniform(-0.999, 0.999)
+        rho = rng.uniform(-0.92, 0.92)
         assert float(bvn_cdf_grid(t1, t2, rho)) == pytest.approx(
-            bvn_cdf(t1, t2, rho), abs=1e-10)
+            quad_bvn(t1, t2, rho), abs=1e-13)
 
 
 def test_bvn_matches_monte_carlo():
@@ -67,6 +85,19 @@ def test_bvn_matches_monte_carlo():
 def test_bvn_rejects_bad_correlation():
     with pytest.raises(CardCspError):
         bvn_cdf(0.0, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("rho", [1.5, -7.0, 1.0 + 2.0**-52, np.nan,
+                                 [0.2, 1.5], [[np.nan], [0.3]]])
+def test_entry_points_refuse_a_bad_correlation(rho):
+    calls = [lambda: bvn_cdf_grid(0.2, 0.1, rho),
+             lambda: rounded_value_grid("cut", 0.1, -0.2, rho)]
+    if np.ndim(rho) == 0:
+        calls += [lambda: bvn_cdf(0.2, 0.1, rho),
+                  lambda: rounded_value("cut", EdgeConfig(0.1, -0.2, rho))]
+    for call in calls:
+        with pytest.raises(CardCspError, match="out of"):
+            call()
 
 
 def test_edge_config_validity():
@@ -110,7 +141,7 @@ _UNIT = st.floats(-1.0, 1.0)
 
 
 def _payoffs(kind, config):
-    """Rounded value (adaptive and grid kernels) and SDP value of a config."""
+    """Rounded value (scalar and grid entry points) and SDP value."""
     grid = rounded_value_grid(kind, config.mu1, config.mu2, config.rhobar)
     return np.array([rounded_value(kind, config), float(grid),
                      edge_sdp_value(kind, config)])
