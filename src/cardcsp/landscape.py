@@ -23,12 +23,17 @@ bs = (t1 - t2)^2,
 s = sqrt(1 - x^2).  The last factor's terms to x^4, 1 + c x^2 (1 + 5 d x^2),
 c = (4 - hk)/8, d = (12 - hk)/80, integrate in closed form; the 20-node rule
 takes the smooth rest.  For rho < 0, Phi2(t1, t2; rho) =
-Phi(t1) - Phi2(t1, -t2; -rho), which is max(0, Phi(t1) + Phi(t2) - 1) at -1.
-The error bound ``_BVN_ERROR`` = 1e-14 is measured, with a margin of 45: the
-largest absolute error against 30-digit mpmath (phi(x) Phi((t2 - rho x) /
-sqrt(1 - rho^2)) integrated over x <= t1) was 2.2e-16 on 903 seeded cells (150
-per band, half with t2 near +-t1; 300 at rho = +-(1 - 10^u), u in [-12, -2];
-cells where earlier kernels missed).  The tests keep such a battery.
+Phi(t1) - Phi2(t1, -t2; -rho), which is max(0, Phi(t1) + Phi(t2) - 1) at -1,
+taken as Phi(t2) - Phi(-t1) when t1 >= 0 and Phi(t1) - Phi(-t2) otherwise, so
+that a small value does not cancel against 1.  The error bound
+``_BVN_ERROR`` = 1e-14 is measured, with a margin of 45: the largest absolute
+error against 30-digit mpmath (phi(x) Phi((t2 - rho x) / sqrt(1 - rho^2))
+integrated over x <= t1) is 2.2e-16 on 903 seeded cells (150 per band, half
+with t2 near +-t1; 300 at rho = +-(1 - 10^u), u in [-12, -2]; cells where
+earlier kernels missed), measured again with this form at rho = -1.  The
+tests keep such a battery.  Phi and log Phi come from ``scipy.special``,
+imported by the functions that call them, so that importing the package and
+running the pipeline load no scipy.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import CapacityError, CardCspError
 from .rounding import threshold
@@ -74,6 +78,8 @@ def bvn_cdf(t1: float, t2: float, rho: float) -> float:
 def bvn_cdf_grid(t1, t2, rho):
     """P(Z1 <= t1, Z2 <= t2) on broadcastable t1, t2, rho, to within
     ``_BVN_ERROR``.  A correlation outside [-1, 1], or NaN, is an error."""
+    from scipy.special import ndtr
+
     t1, t2, rho = (np.asarray(x, dtype=float) for x in (t1, t2, rho))
     values, inverse = _distinct(rho)
     _require_correlations(values)
@@ -154,6 +160,8 @@ def _high_remainder(a, b, rho, u, nodes, weights):
     """Phi2 minus its value at rho = sign(rho), for 0.925 <= |rho| < 1, at
     the thresholds a, b of each cell (a column) and the correlation rho[u]:
     the closed-form terms and the rule on the rest (Genz's BVND)."""
+    from scipy.special import log_ndtr
+
     sign = np.sign(rho)[u, None]
     hk, bs = sign * a * b, (a - sign * b) ** 2
     c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
@@ -177,11 +185,22 @@ def _bvn_finish(integral, t1, t2, rho, p1, p2):
     """P(Z1 <= t1, Z2 <= t2) from `_bvn_integral` and p1 = Phi(t1),
     p2 = Phi(t2): the value at rho = +-1 plus the remainder from
     |rho| = 0.925 on, else p1 p2 plus the path integral over 2 pi (exact at
-    an infinite threshold, where the integral is 0)."""
-    at_one = np.where(rho > 0.0, np.minimum(p1, p2),
-                      np.maximum(0.0, p1 + p2 - 1.0))
+    an infinite threshold, where the integral is 0).  At rho = -1 the value
+    Phi(t1) + Phi(t2) - 1 is taken as Phi(t2) - Phi(-t1) when t1 >= 0 and
+    Phi(t1) - Phi(-t2) otherwise (Genz 2004), clipped at 0, so a small
+    value does not cancel against 1."""
+    from scipy.special import ndtr
+
     path = (np.abs(rho) < _GL_BANDS[2]) | ~(np.isfinite(t1) & np.isfinite(t2))
-    out = np.where(path, p1 * p2 + integral / (2.0 * np.pi), at_one + integral)
+    out = np.where(path, p1 * p2 + integral / (2.0 * np.pi),
+                   np.minimum(p1, p2) + integral)
+    low = (rho < 0.0) & ~path
+    if low.any():
+        a, b, pa, pb, rest = (_on_cells(x, low)
+                              for x in (t1, t2, p1, p2, integral))
+        first = a >= 0.0
+        at_one = np.where(first, pb, pa) - ndtr(-np.where(first, a, b))
+        out[low] = np.maximum(0.0, at_one) + rest
     return np.clip(out, 0.0, 1.0)
 
 
@@ -262,6 +281,8 @@ def rounded_value_grid(kind, mu1, mu2, rhobar):
 
 def _phi(mu):
     """The threshold t of the bias mu, and Phi(t)."""
+    from scipy.special import ndtr
+
     t = threshold(mu)
     return t, ndtr(t)
 

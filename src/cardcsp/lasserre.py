@@ -38,7 +38,6 @@ from itertools import chain, combinations, islice, product
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, CardCspError, InconsistentSolutionError
 from .instance import CspInstance, _document
@@ -203,17 +202,18 @@ class ConstraintOperator:
 
     Consistency row 1 + i reads G[r[i], c[i]] - G[0, tie[i]] = 0, with
     1 <= r <= c, and tie[i] = -1 where the two assignments clash and the
-    entry is 0.  Every other row is a linear form on row 0 of G: row i of
-    ``forms`` (d columns; empty on the consistency rows).  ``event`` holds,
-    for each cardinality row, the gram column of its conditioning event, and
-    -1 on every other row.  Every array is read-only, and all but those of
-    ``forms`` are the shape's ``_layout`` arrays.
+    entry is 0.  Every other row is a linear form on row 0 of G: ``forms``
+    is (rows, columns, coefficients), one term each, none on the consistency
+    rows and no (row, column) pair twice.  ``event`` holds, for each
+    cardinality row, the gram column of its conditioning event, and -1 on
+    every other row.  Every array is read-only, and all but the coefficients
+    are the shape's ``_layout`` arrays.
     """
 
     r: np.ndarray
     c: np.ndarray
     tie: np.ndarray
-    forms: sp.csr_matrix
+    forms: tuple[np.ndarray, np.ndarray, np.ndarray]
     b: np.ndarray
     event: np.ndarray
 
@@ -223,7 +223,9 @@ class ConstraintOperator:
     def residual(self, gram) -> np.ndarray:
         """Each row's value on the symmetric part of G, minus b."""
         row0 = (gram[0] + gram[:, 0]) / 2
-        out = self.forms @ row0 - self.b
+        rows, columns, coefs = self.forms
+        out = np.bincount(rows, weights=coefs * row0[columns],
+                          minlength=len(self.b)) - self.b
         # a clash reads the appended 0
         out[1:1 + len(self.r)] += ((gram[self.r, self.c] + gram[self.c, self.r])
                                    / 2 - np.append(row0, 0.0)[self.tie])
@@ -344,10 +346,9 @@ def _consistency_pairs(values, q, level):
 
 
 def _read_only(*arrays):
-    """The arrays, sparse ones included, made read-only."""
+    """The arrays, made read-only."""
     for a in arrays:
-        for held in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
-            held.flags.writeable = False
+        a.flags.writeable = False
     return arrays
 
 
@@ -365,9 +366,9 @@ class _Layout:
 
     @cached_property
     def basis(self):
-        """R, the lift P as a sparse matrix, and T from P = Q T."""
+        """R, the lift P (dense), and T from P = Q T."""
         red, P = _reduced_basis(self.values, self.q)
-        return _read_only(red, sp.csr_matrix(P), np.linalg.qr(P, mode="r"))
+        return _read_only(red, P, np.linalg.qr(P, mode="r"))
 
     @cached_property
     def rows(self):
@@ -408,7 +409,9 @@ class _Layout:
     def block(self):
         """The rows on the block G[R, R]: each entry's class, row-major (its
         canonical position in R, k = |R| on a clash, k + 1 if free), the k
-        class sizes, and the form rows whose columns all lie in R."""
+        class sizes, the form rows whose columns all lie in R, and their
+        terms: the terms' positions in the forms and their flat positions in
+        the dense (form rows x k) matrix B of those rows on R."""
         red = self.basis[0]
         r, c, tie, *_, (at_rows, at_cols) = self.rows
         k = len(red)
@@ -421,7 +424,10 @@ class _Layout:
         cls[r, c] = cls[c, r] = np.where(tie < 0, k, where[tie])
         cls = cls.reshape(-1)
         forms = np.setdiff1d(at_rows, at_rows[where[at_cols] < 0])
-        return _read_only(cls, np.bincount(cls)[:k], forms)
+        terms = np.flatnonzero(np.isin(at_rows, forms))
+        place = (np.searchsorted(forms, at_rows[terms]) * k
+                 + where[at_cols[terms]])
+        return _read_only(cls, np.bincount(cls)[:k], forms, terms, place)
 
 
 def _layout(n, q, level) -> _Layout:
@@ -454,10 +460,7 @@ def _rows(instance: CspInstance, level: int) -> ConstraintOperator:
     base = (onehot * w[:, None]).sum(axis=1) - instance.cardinality.as_floats()
     coefs = np.concatenate([[1.0], np.full(len(j), -1.0), np.ones(len(j) * q),
                             base.ravel(), np.repeat(w[j], q)])
-    forms = sp.csr_matrix((coefs, at), shape=(len(b), len(layout.indices)))
-    forms.eliminate_zeros()
-    _read_only(forms)
-    return ConstraintOperator(r, c, tie, forms, b, event)
+    return ConstraintOperator(r, c, tie, (*at, *_read_only(coefs)), b, event)
 
 
 def build_relaxation(instance: CspInstance, level: int = 2) -> ConicProgram:
@@ -532,14 +535,21 @@ def _psd_violation(gram, layout) -> float:
     A = gram[np.ix_(red, red)]
     A = (A + A.T) / 2
     APt = np.ascontiguousarray((lift @ A).T)  # A P^T, as A is symmetric
-    # sym and E in row blocks read off G, so no second d x d array is formed
+    # sym and E in row blocks read off G, so no second d x d array is formed;
+    # E is symmetric, so each block is formed up to its diagonal only and its
+    # part left of the diagonal also counts for the rows it mirrors; row i of
+    # P is 0 past the columns of R at or before i (P reads subsets only)
     d = len(gram)
     block = max(1, (1 << 18) // d)
-    eps = 0.0
+    sums = np.zeros(d)
     for lo in range(0, d, block):
-        E = (gram[lo:lo + block] + gram[:, lo:lo + block].T) / 2 \
-            - lift[lo:lo + block] @ APt
-        eps = max(eps, float(np.abs(E).sum(axis=1).max()))
+        hi = min(lo + block, d)
+        k = np.searchsorted(red, hi)
+        E = np.abs((gram[lo:hi, :hi] + gram[:hi, lo:hi].T) / 2
+                   - lift[lo:hi, :k] @ APt[:k, :hi])
+        sums[lo:hi] += E.sum(axis=1)
+        sums[:lo] += E[:, :lo].sum(axis=0)
+    eps = float(sums.max())
     if eps > _LIFT_TOL:
         sym = gram + gram.T
         sym /= 2

@@ -14,9 +14,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from numbers import Real
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import sdp_solver
 from .errors import CardCspError, NumericalError
@@ -60,18 +60,20 @@ class BiasProfile:
         return threshold(self.mu)
 
 
+_INV_CDF = NormalDist().inv_cdf  # Wichura's AS241
+
+
 def threshold(mu):
-    """Phi^{-1}(mu/2 + 1/2); +-inf sentinels at mu = +-1."""
+    """Phi^{-1}(mu/2 + 1/2); +-inf sentinels at mu = +-1.  A bias outside
+    [-1, 1] (1e-12 of slack), or NaN, is an error."""
     mu = np.asarray(mu, dtype=float)
-    scalar = mu.ndim == 0
-    mu = np.atleast_1d(mu)
-    if np.any((mu < -1 - 1e-12) | (mu > 1 + 1e-12)):
+    # written so that NaN fails the test
+    if not np.all((mu >= -1 - 1e-12) & (mu <= 1 + 1e-12)):
         raise CardCspError("bias out of [-1, 1]")
-    with np.errstate(divide="ignore"):
-        t = ndtri(np.clip((1.0 + mu) / 2.0, 0.0, 1.0))
-    t[mu >= 1.0] = np.inf
-    t[mu <= -1.0] = -np.inf
-    return float(t[0]) if scalar else t
+    p = np.clip((1.0 + mu) / 2.0, 0.0, 1.0)
+    t = np.array([_INV_CDF(x) if 0.0 < x < 1.0 else -np.inf if x == 0.0
+                  else np.inf for x in p.ravel().tolist()]).reshape(p.shape)
+    return float(t) if t.ndim == 0 else t
 
 
 def bias_decompose(solution: MomentSolution) -> BiasProfile:

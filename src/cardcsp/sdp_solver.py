@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .errors import NumericalError
 from .lasserre import ConicProgram, MomentSolution, _layout
@@ -109,11 +108,11 @@ def _affine_projection(constraints, layout):
     classes (clashes 0, free entries kept), corrected for the form rows
     B y = e by y = mean - N^-1/2 pinv(B N^-1/2) (B mean - e) with N the
     class sizes (a pseudo-inverse: q = 3 rows are dependent)."""
-    red = layout.basis[0]
-    cls, size, rows = layout.block
-    k = len(red)
+    cls, size, rows, terms, place = layout.block
+    k = len(size)
     free = cls == k + 1
-    B = constraints.forms[rows][:, red].toarray()
+    B = np.bincount(place, weights=constraints.forms[2][terms],
+                    minlength=len(rows) * k).reshape(len(rows), k)
     e = constraints.b[rows]
     # equal to N^-1 B^T pinv(B N^-1 B^T), without squaring the condition number
     M = np.linalg.pinv(B / np.sqrt(size)) / np.sqrt(size)[:, None]
@@ -158,9 +157,14 @@ class _Anderson:
         if m == 0:
             return self.f
         gram = self.gram[:m, :m]
-        _, theta, info = dposv(gram + _RIDGE * gram.trace() * np.eye(m),
-                               self.dg[:m] @ self.g)
-        if info or not np.isfinite(theta).all():
+        # the ridge keeps the matrix positive definite: what fails is a
+        # singular matrix in floating point or a non-finite theta
+        try:
+            theta = np.linalg.solve(gram + _RIDGE * gram.trace() * np.eye(m),
+                                    self.dg[:m] @ self.g)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(theta).all():
             return None
         return self.f - theta @ self.df[:m]
 
@@ -173,7 +177,6 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
     config = config or SolverConfig()
     layout = _layout(program.n, program.q, program.level)
     red, P, T = layout.basis
-    P = P.toarray()
     d = len(red)
     project_affine = _affine_projection(program.constraints, layout)
     # the objective on the block, negated for a minimization

@@ -70,6 +70,14 @@ def _high_every_cell(a, b, rho):
     return sign[:, 0] * (rest - closed[:, 0]) / (2.0 * np.pi)
 
 
+def _at_minus_one(t1, t2, p1, p2):
+    """Phi2 at rho = -1, Phi(t1) + Phi(t2) - 1 clipped at 0, as Phi(t2) -
+    Phi(-t1) when t1 >= 0 and Phi(t1) - Phi(-t2) otherwise."""
+    first = t1 >= 0
+    return np.maximum(0.0, np.where(first, p2, p1)
+                      - ndtr(-np.where(first, t1, t2)))
+
+
 def _bvn_every_cell(t1, t2, rho, bands=_BANDS):
     """Phi2 with the arcsine-path rules of ``bands`` below 0.925, the
     high-correlation form from there, then the closed forms at |rho| = 1
@@ -100,10 +108,10 @@ def _bvn_every_cell(t1, t2, rho, bands=_BANDS):
     if high.any():
         rest = _high_every_cell(a[high], b[high], rho[high])
         at_one = np.where(rho[high] > 0, np.minimum(p1, p2)[high],
-                          np.maximum(0.0, p1 + p2 - 1.0)[high])
+                          _at_minus_one(t1, t2, p1, p2)[high])
         out[high] = at_one + rest
     out = np.where(rho >= 1.0, np.minimum(p1, p2), out)
-    out = np.where(rho <= -1.0, np.maximum(0.0, p1 + p2 - 1.0), out)
+    out = np.where(rho <= -1.0, _at_minus_one(t1, t2, p1, p2), out)
     out = np.where(t1 == -np.inf, 0.0, out)
     out = np.where(t2 == -np.inf, 0.0, out)
     out = np.where((t1 == np.inf) & np.isfinite(t2), p2, out)
@@ -345,6 +353,16 @@ def test_bvn_grid_high_correlation_accuracy():
     t1, t2, rho = (np.concatenate([x, f]) for x, f in zip((t1, t2, rho),
                                                            found.T))
     assert _mpmath_error(t1, t2, rho) <= landscape._BVN_ERROR
+
+
+def test_bvn_grid_at_minus_one_does_not_cancel_against_one():
+    # Phi(t1) + Phi(t2) - 1 would lose Phi(-6) to the rounding of 1 + Phi(-6)
+    # (a relative error of 5.6e-8); beyond the clip at 40, the value is its
+    # t1 = +inf limit to the bit
+    assert bvn_cdf_grid(41.0, -6.0, -0.95) == ndtr(-6.0)
+    assert bvn_cdf_grid(-6.0, 41.0, -0.95) == ndtr(-6.0)
+    assert bvn_cdf_grid(41.0, -6.0, -1.0) == ndtr(-6.0)
+    assert bvn_cdf_grid(7.0, -6.0, -1.0) == ndtr(-6.0) - ndtr(-7.0)
 
 
 # -- searches -----------------------------------------------------------------

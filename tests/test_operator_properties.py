@@ -157,20 +157,22 @@ def _vec_rows(constraints, d):
     on an off-diagonal entry split in halves over the entry and its mirror:
     A vec(G) - b is the residual on a symmetric G, and the least-squares
     correction of a symmetric matrix stays symmetric."""
-    forms = constraints.forms.tocoo()
+    rows, cols, coefs = constraints.forms
     cons = 1 + np.arange(len(constraints.r))
     tied = constraints.tie >= 0
-    row = np.concatenate([forms.row, cons, cons[tied]])
-    r = np.concatenate([np.zeros_like(forms.col), constraints.r,
+    row = np.concatenate([rows, cons, cons[tied]])
+    r = np.concatenate([np.zeros_like(cols), constraints.r,
                         np.zeros(tied.sum(), dtype=int)])
-    c = np.concatenate([forms.col, constraints.c, constraints.tie[tied]])
-    coef = np.concatenate([forms.data, np.ones(len(cons)), -np.ones(tied.sum())])
+    c = np.concatenate([cols, constraints.c, constraints.tie[tied]])
+    coef = np.concatenate([coefs, np.ones(len(cons)), -np.ones(tied.sum())])
     off = r != c
-    return sp.csr_matrix(
+    A = sp.csr_matrix(
         (np.concatenate([np.where(off, coef / 2, coef), coef[off] / 2]),
          (np.concatenate([row, row[off]]),
           np.concatenate([r * d + c, c[off] * d + r[off]]))),
         shape=(len(constraints), d * d))
+    A.eliminate_zeros()  # the forms keep zero coefficients
+    return A
 
 
 @settings(max_examples=15, deadline=None)
@@ -193,8 +195,11 @@ def test_operator_matches_rows_written_one_at_a_time(case):
             for r, c, v in row:
                 assert r == 0
                 expected[c] = expected.get(c, 0.0) + v
-        got = ops.forms.getrow(i)
-        assert dict(zip(got.indices.tolist(), got.data.tolist())) == \
+        mine = ops.forms[0] == i
+        got = dict(zip(ops.forms[1][mine].tolist(),
+                       ops.forms[2][mine].tolist()))
+        assert len(got) == mine.sum()  # no column twice in a row
+        assert {col: v for col, v in got.items() if v != 0.0} == \
             {col: v for col, v in expected.items() if v != 0.0}
     y = np.random.default_rng(len(rows)).standard_normal((d, d))
     y += y.T
@@ -250,9 +255,9 @@ def _full_psd_violation(gram):
 
 
 def _basis(n, q, level):
-    """R and the lift P, dense, of the shape's layout."""
+    """R and the lift P of the shape's layout."""
     red, lift, _ = _layout(n, q, level).basis
-    return red, lift.toarray()
+    return red, lift
 
 
 def _lift_residual(gram, n, q, level):
@@ -349,15 +354,16 @@ def test_rows_are_those_of_the_instance_not_of_the_last_one_built():
     second = build_relaxation(skewed, 2).constraints
     # the shape-only rows are the layout's own arrays; the forms are each
     # instance's, as a build from a fresh layout writes them
-    r, c, tie, b, event, _, _ = _layout(4, 2, 2).rows
+    r, c, tie, b, event, _, (at_rows, at_cols) = _layout(4, 2, 2).rows
     for ops in (first, second):
-        for got, held in zip((ops.r, ops.c, ops.tie, ops.b, ops.event),
-                             (r, c, tie, b, event)):
+        for got, held in zip((ops.r, ops.c, ops.tie, ops.b, ops.event,
+                              *ops.forms[:2]),
+                             (r, c, tie, b, event, at_rows, at_cols)):
             assert got is held
     _cached_layout.cache_clear()
     fresh = _rows(skewed, 2)
-    assert (second.forms != fresh.forms).nnz == 0
-    assert (second.forms != first.forms).nnz > 0
+    assert np.array_equal(second.forms[2], fresh.forms[2])
+    assert not np.array_equal(second.forms[2], first.forms[2])
     # meets the uniform target, misses the skewed one by (1 + 3 - 5) / 10
     lift = integral_lift(skewed, (0, 1, 0, 1), 2)
     assert check_feasibility(lift, skewed).cardinality_violation == \
@@ -366,13 +372,11 @@ def test_rows_are_those_of_the_instance_not_of_the_last_one_built():
 
 def test_rows_refuse_writes():
     rows = build_relaxation(generate("cycle", 4), 2).constraints
-    held = [rows.r, rows.c, rows.tie, rows.b, rows.event, rows.forms.data,
-            rows.forms.indices, rows.forms.indptr]
+    held = [rows.r, rows.c, rows.tie, rows.b, rows.event, *rows.forms]
     layout = _layout(4, 2, 2)
-    red, lift, T = layout.basis
     *shape_rows, (at_rows, at_cols) = layout.rows
-    held += [layout.values, layout.offsets, red, lift.data, lift.indices,
-             lift.indptr, T, *shape_rows, at_rows, at_cols, *layout.block]
+    held += [layout.values, layout.offsets, *layout.basis, *shape_rows,
+             at_rows, at_cols, *layout.block]
     assert isinstance(layout.indices, tuple)
     for array in held:
         with pytest.raises(ValueError, match="read-only"):
@@ -399,13 +403,14 @@ def test_row_counts(n, level, rows):
 
 
 def _held_arrays(obj):
-    """(shape, stored entries) of every array a dataclass holds, at any
-    depth; a sparse matrix counts its stored entries."""
+    """(shape, entries) of every array a dataclass holds, at any depth,
+    tuples of arrays included."""
     if is_dataclass(obj):
         for f in fields(obj):
             yield from _held_arrays(getattr(obj, f.name))
-    elif sp.issparse(obj):
-        yield obj.shape, obj.nnz
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _held_arrays(item)
     elif isinstance(obj, np.ndarray):
         yield obj.shape, obj.size
 
@@ -417,7 +422,7 @@ def test_program_holds_no_array_of_d_squared_entries():
     held = list(_held_arrays(program))
     for shape, entries in held:
         assert max(shape) < d * d and entries < d * d
-    assert len(held) == 7  # c, and the six arrays of the rows
+    assert len(held) == 9  # c, and the eight arrays of the rows
 
 
 # -- the reduced basis G' = G[R, R] the solver runs on ----------------------
@@ -445,6 +450,8 @@ def test_lift_recovers_mixtures_of_any_assignments(case):
     red, P = _basis(n, q, level)
     assert np.abs(P @ gram[np.ix_(red, red)] @ P.T - gram).max() <= 1e-12
     assert np.linalg.matrix_rank(P) == len(red)
+    # row i reads only events at or before i, as _psd_violation assumes
+    assert not P[np.arange(len(P))[:, None] < red].any()
     # T is the triangular factor of P = Q T
     T = _layout(n, q, level).basis[2]
     assert np.abs(T.T @ T - P.T @ P).max() <= 1e-9

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from cardcsp import rounding, sdp_solver
 from cardcsp.errors import CardCspError, ParseError
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
 from cardcsp.independence import decorrelate
+from cardcsp.landscape import EdgeConfig, rounded_value
 from cardcsp.sdp_solver import SolverConfig
 from cardcsp.lasserre import build_relaxation, integral_lift
 from cardcsp.oracle import exact_mixture_moments
@@ -52,6 +53,30 @@ def test_threshold_reference_values():
 def test_threshold_oddness():
     mus = np.linspace(-0.95, 0.95, 21)
     assert np.allclose(threshold(mus), -threshold(-mus))
+
+
+def test_threshold_refuses_nan():
+    for bad in (np.nan, [0.2, np.nan], np.full((2, 2), np.nan)):
+        with pytest.raises(CardCspError, match="bias"):
+            threshold(bad)
+    with pytest.raises(CardCspError, match="bias"):
+        rounded_value("cut", EdgeConfig(np.nan, 0.0, 0.0))
+
+
+def test_threshold_matches_ndtri_in_both_tails():
+    rng = np.random.default_rng(3)
+    # 1 + mu and 1 - mu down to 1e-16, where p = (1 + mu)/2 is as near 0
+    # and 1 as a bias can put it, and the biases +-1 themselves
+    tail = 10.0 ** rng.uniform(-16.0, 0.0, 3000)
+    mu = np.concatenate([tail - 1.0, 1.0 - tail, rng.uniform(-1, 1, 3000),
+                         [-1.0, 0.0, 1.0]])
+    got = threshold(mu)
+    ref = ndtri((1.0 + mu) / 2.0)
+    assert (got[[-3, -1]] == [-np.inf, np.inf]).all()
+    finite = np.isfinite(ref)
+    assert (got[~finite] == ref[~finite]).all()
+    got, ref = got[finite], ref[finite]
+    assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
 
 
 def test_bias_decompose_recovers_geometry():
@@ -511,7 +536,12 @@ def test_conditioning_and_repair_are_logged(family, caplog):
 
 def test_chosen_trial_repair_moves_are_logged(caplog):
     inst = generate("two_cliques", 6)
-    sol, _ = sdp_solver.solve(build_relaxation(inst, 3))
+    # vertices 0, 1 and 4, 5 take opposite sides in both halves of the
+    # mixture and 2, 3 side 0 in both, so every trial rounds to one of the
+    # two assignments, each with four vertices on side 0: the chosen trial
+    # is repaired whatever the Gaussians
+    sol = exact_mixture_moments(inst, [(0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0)],
+                                [0.5, 0.5], level=3)
     caplog.set_level(logging.DEBUG, logger="cardcsp.rounding")
     best = pipeline(inst, trials=8, seed=0, solution=sol).best
     assert best.repair_moves  # the chosen trial moves at least one vertex

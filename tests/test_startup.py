@@ -31,3 +31,21 @@ def test_no_kernel_call_loads_scipy_integrate_or_optimize():
     out = subprocess.run([sys.executable, "-c", PROBE.format(src=SRC)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[:3] == ["[]", "[]", "[]"]
+
+
+SOLVE_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import cardcsp
+import cardcsp.cli
+inst = cardcsp.generate("cycle", 4)
+result = cardcsp.pipeline(inst, trials=4)
+assert cardcsp.check_feasibility(result.solution, inst).passes(1e-5)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_relax_solve_round_and_check_load_no_scipy():
+    out = subprocess.run([sys.executable, "-c", SOLVE_PROBE.format(src=SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
