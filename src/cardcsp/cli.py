@@ -57,10 +57,7 @@ def _solver_config(args):
     from .sdp_solver import SolverConfig
 
     flags = {"max_iterations": args.max_iterations, "tolerance": args.tolerance}
-    try:
-        return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
-    except ValueError as exc:  # a flag outside the solver's range
-        raise CardCspError(str(exc)) from exc
+    return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_solve(args):
@@ -101,7 +98,7 @@ def cmd_round(args):
 
     instance = _read_instance(args.input)
     result = pipeline(instance, level=args.level, alpha_target=args.alpha,
-                      trials=args.trials, seed=args.seed, depth=args.depth,
+                      trials=args.trials, seed=args.seed,
                       solver_config=_solver_config(args))
     report = result.solve_report
     doc = {
@@ -147,7 +144,7 @@ def cmd_dict(args):
     gadget = build_gadget(solution, instance, args.eps, args.R,
                           provenance={"input": args.input, "level": args.level})
     value = solution_objective(solution, instance)
-    comp = completeness(gadget, value, balance_tol=args.balance_tol)
+    comp = completeness(gadget, value)
     doc = {
         "schema": "cardcsp.dict/1",
         "status": report.status,
@@ -160,8 +157,7 @@ def cmd_dict(args):
         "completeness_ok": comp.ok,
     }
     if args.soundness:
-        sound = soundness_enumerate(gadget, args.tau, mode=args.sound_mode,
-                                    balance_tol=args.balance_tol)
+        sound = soundness_enumerate(gadget, args.tau, mode=args.sound_mode)
         doc["soundness"] = {
             "tau": sound.tau, "mode": sound.mode, "empty": sound.empty,
             "max_value": sound.max_value, "candidates": sound.candidates,
@@ -228,10 +224,11 @@ def build_parser():
     p = sub.add_parser("round", help="solve, decorrelate, round, and repair")
     p.add_argument("input")
     p.add_argument("--level", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=0.1,
+                   help="average pairwise mutual information (bits) at "
+                        "which conditioning stops; 1 turns it off")
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_round)
@@ -251,7 +248,6 @@ def build_parser():
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("-R", "--R", type=int, default=3, dest="R")
-    p.add_argument("--balance-tol", type=float, default=1e-9)
     p.add_argument("--soundness", action="store_true")
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--sound-mode", default="boolean_exhaustive",

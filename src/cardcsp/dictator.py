@@ -25,6 +25,7 @@ from .rounding import RoundedAssignment, bias_decompose
 
 R_CAP = 12
 VALUE_SLACK = 1e-9  # rounding slack on the completeness bound val - 2 eps
+_BALANCE_TOL = 1e-9  # |E[F]| a function may have and count as balanced
 _GRID_POINTS = 5    # values per cube point in the grid soundness mode
 
 
@@ -194,8 +195,7 @@ class CompletenessReport:
     worst_dictator: int
 
 
-def completeness(gadget: DictGadget, sdp_value: float,
-                 balance_tol=1e-9) -> CompletenessReport:
+def completeness(gadget: DictGadget, sdp_value: float) -> CompletenessReport:
     """Min dictator value and max dictator balance, checked against
     val - 2 eps and exact balance."""
     dictators = hypercube_labels(gadget.R).T.astype(float)  # row ell: F = z_ell
@@ -208,7 +208,7 @@ def completeness(gadget: DictGadget, sdp_value: float,
         max_abs_balance=spread,
         sdp_value=sdp_value,
         eps=gadget.eps,
-        ok=low >= sdp_value - 2 * gadget.eps - VALUE_SLACK and spread <= balance_tol,
+        ok=low >= sdp_value - 2 * gadget.eps - VALUE_SLACK and spread <= _BALANCE_TOL,
         worst_dictator=worst,
     )
 
@@ -281,10 +281,10 @@ class SoundnessReport:
 
 
 def soundness_enumerate(gadget: DictGadget, tau: float,
-                        mode: str = "boolean_exhaustive",
-                        balance_tol: float = 1e-9) -> SoundnessReport:
+                        mode: str = "boolean_exhaustive") -> SoundnessReport:
     """Max gadget value over balanced functions with all influences <= tau
-    under every source-vertex measure.
+    under every source-vertex measure.  tau is a finite number >= 0 (any
+    tau >= 1 admits every balanced function: influences lie in [0, 1]).
 
     Row N-1-k of the N-row function table (the +-1 table, or the grid's
     symmetric mesh) is -F of row k.  Negation is exact in floating point,
@@ -296,6 +296,9 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     ones are scored together as 0.5 (1 - F E F^T).  The witness is the
     lowest-id maximizer, always a scored row, returned as a writable copy.
     """
+    if (isinstance(tau, bool) or not isinstance(tau, (int, float))
+            or not 0 <= tau < np.inf):
+        raise CardCspError(f"tau must be a finite number >= 0, got {tau!r}")
     R = gadget.R
     size = 1 << R
     if mode == "boolean_exhaustive":
@@ -313,7 +316,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     half = F_all[:last // 2 + 1]  # rows k <= last - k
 
     balances = gadget_balance(gadget, half)
-    balanced = np.flatnonzero(np.abs(balances) <= balance_tol)
+    balanced = np.flatnonzero(np.abs(balances) <= _BALANCE_TOL)
     F = half[balanced]
     # influence filter under every distinct vertex measure
     distinct = np.unique(np.round(gadget.vertex_marginals, 12))

@@ -1,7 +1,11 @@
 """Information measures on local distributions and the conditioning loop
 that drives a moment solution towards alpha-independence.
 
-All entropies and mutual informations are measured in bits.
+All entropies and mutual informations are measured in bits.  Conditioning
+on an event gathers a principal submatrix (``condition``), so it keeps PSD
+and drops one level; ``decorrelate`` takes at most min(``_MAX_STEPS``,
+level - 2) steps, so that rounding still reads level-2 moments.  Steps and
+results are logged at DEBUG on ``cardcsp.independence``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .lasserre import (MomentSolution, _layout, _positions, local_distribution,
 
 log = logging.getLogger(__name__)
 
+_MAX_STEPS = 4  # conditioning steps decorrelate takes at most
+
 
 def entropy(dist):
     """Shannon entropy in bits over the last axis, with 0 log 0 = 0."""
@@ -29,26 +35,14 @@ def entropy(dist):
 
 def mutual_information(joint):
     """Mutual information in bits of joint distributions over the last two
-    axes.
-
-    Computed directly from the definition; the entropy identity
-    H(X) + H(Y) - H(X,Y) is evaluated as a cross-check.
-    """
+    axes, from the definition sum p(x, y) log p(x, y) / (p(x) p(y)), with
+    negative entries read as 0 and the result clipped at 0."""
     j = np.clip(np.asarray(joint, dtype=float), 0.0, None)
     px = j.sum(axis=-1)
     py = j.sum(axis=-2)
     outer = px[..., :, None] * py[..., None, :]
     ratio = np.divide(j, outer, out=np.ones_like(j), where=j > 0)
-    direct = (j * np.log2(ratio)).sum(axis=(-2, -1))
-    via_entropy = entropy(px) + entropy(py) - entropy(
-        j.reshape(j.shape[:-2] + (-1,)))
-    gap = np.abs(direct - via_entropy)
-    if np.any(gap > 1e-10):
-        k = int(np.argmax(gap))
-        raise CardCspError(
-            f"mutual information paths disagree: {np.ravel(direct)[k]} vs "
-            f"{np.ravel(via_entropy)[k]}")
-    mi = np.maximum(0.0, direct)
+    mi = np.maximum(0.0, (j * np.log2(ratio)).sum(axis=(-2, -1)))
     return float(mi) if mi.ndim == 0 else mi
 
 
@@ -147,36 +141,24 @@ class DecorrelateResult:
     reached_target: bool
 
 
-def _logged(result: DecorrelateResult) -> DecorrelateResult:
-    log.debug("decorrelate: %d steps, average MI %.6g, target %s",
-              len(result.steps), result.achieved_alpha,
-              "reached" if result.reached_target else "missed")
-    return result
-
-
 def decorrelate(solution: MomentSolution, instance: CspInstance,
-                alpha: float, seed: int = 0,
-                depth: int | None = None) -> DecorrelateResult:
+                alpha: float, seed: int = 0) -> DecorrelateResult:
     """Condition until the solution is alpha-independent (or budget ends).
 
+    The budget is min(_MAX_STEPS, level - 2) steps, none at level 2; an
+    alpha at or above the starting average MI turns conditioning off.
     Pivots are drawn from W and values from the current marginals.  The
     first solution that reaches alpha is returned, or else the least
     correlated one seen.
     """
     _check_seed(seed)
-    if depth is None:
-        depth = min(4, solution.level - 2)
-    depth = min(depth, solution.level - 2)
-    current = alpha_independence(solution, instance).average_mi
-    if current <= alpha or depth <= 0:
-        return _logged(DecorrelateResult(solution, [], current, current <= alpha))
-
     rng = np.random.default_rng(seed)
-    sol = solution
-    steps: list[ConditioningStep] = []
-    best = (current, sol, list(steps))
     w = instance.weights_array
-    for _ in range(depth):
+    sol, steps = solution, []
+    current = alpha_independence(sol, instance).average_mi
+    best = (current, sol, [])
+    budget = 0 if current <= alpha else min(_MAX_STEPS, sol.level - 2)
+    for _ in range(budget):
         pivot = int(rng.choice(sol.n, p=w))
         marg = local_distributions(sol, 1)[pivot]
         value = int(rng.choice(sol.q, p=marg))
@@ -187,8 +169,13 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
         current = alpha_independence(sol, instance).average_mi
         log.debug("condition on x_%d = %d (marginal %.6g): average MI %.6g",
                   pivot, value, marg[value], current)
+        if current <= alpha:
+            break
         if current < best[0]:
             best = (current, sol, list(steps))
-        if current <= alpha:
-            return _logged(DecorrelateResult(sol, steps, current, True))
-    return _logged(DecorrelateResult(best[1], best[2], best[0], False))
+    result = (DecorrelateResult(sol, steps, current, True) if current <= alpha
+              else DecorrelateResult(best[1], best[2], best[0], False))
+    log.debug("decorrelate: %d steps, average MI %.6g, target %s",
+              len(result.steps), result.achieved_alpha,
+              "reached" if result.reached_target else "missed")
+    return result

@@ -110,6 +110,8 @@ class CspInstance:
         for t in self.payoffs:
             if any(v < 0 or v >= self.n for v in t.scope):
                 raise CardCspError(f"scope {t.scope} out of range")
+            if t.q != self.q:
+                raise CardCspError(f"term {t.scope} has q = {t.q}, not {self.q}")
 
     @property
     def sense(self):
@@ -202,6 +204,14 @@ def _check_seed(seed):
     plain int >= 0 (numpy refuses a negative one with a bare ValueError)."""
     if type(seed) is not int or seed < 0:
         raise CardCspError(f"seed must be an int >= 0, got {seed!r}")
+
+
+def _sub_seeds(seed, count):
+    """``count`` seeds spawned from a checked ``seed`` by SeedSequence: the
+    first 32-bit word of each child's state."""
+    _check_seed(seed)
+    return [int(s.generate_state(1)[0])
+            for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _integer(value):

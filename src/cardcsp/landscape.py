@@ -34,6 +34,9 @@ earlier kernels missed), measured again with this form at rho = -1.  The
 tests keep such a battery.  Phi and log Phi come from ``scipy.special``,
 imported by the functions that call them, so that importing the package and
 running the pipeline load no scipy.
+
+The payoff kinds are "cut" and "max2sat" (a (+, +) clause), both maximized:
+rounded / SDP bounds maximization only, so Min Bisection has no certificate.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ from .errors import CapacityError, CardCspError
 from .rounding import threshold
 
 SDP_FLOOR = 1e-6  # configs below this payoff value are excluded from ratios
-_CUT_KINDS = ("cut", "maxcut-bisection", "mincut-bisection", "alpha-cut")
-_SAT_KINDS = ("max2sat", "2sat")
 _TOP_K = 24             # cells the ratio search refines around
 _RATIO_ROUNDS = 3       # refinement rounds of the ratio search
 _SEPARATION_ROUNDS = 4  # refinement rounds of the worst-separation search
@@ -240,15 +241,20 @@ def edge_sdp_value(kind: str, config: EdgeConfig) -> float:
                                      np.asarray(config.rhobar)))
 
 
+def _is_cut(kind):
+    """True for "cut", False for "max2sat"; any other kind is an error."""
+    if kind not in ("cut", "max2sat"):
+        raise CardCspError(f"unknown payoff kind {kind!r} (cut or max2sat)")
+    return kind == "cut"
+
+
 def edge_sdp_value_grid(kind, mu1, mu2, rhobar):
     m = config_m(mu1, mu2, rhobar)
-    if kind in _CUT_KINDS:
+    if _is_cut(kind):
         return (1.0 - m) / 2.0
-    if kind in _SAT_KINDS:
-        # clause (+, +): unsatisfied only when both literals are false
-        p_mm = (1.0 - mu1 - mu2 + m) / 4.0
-        return 1.0 - p_mm
-    raise CardCspError(f"unknown payoff kind {kind!r}")
+    # clause (+, +): unsatisfied only when both literals are false
+    p_mm = (1.0 - mu1 - mu2 + m) / 4.0
+    return 1.0 - p_mm
 
 
 def _rounded(kind, p1, p2, orthant):
@@ -256,12 +262,10 @@ def _rounded(kind, p1, p2, orthant):
     p2 = Phi(t2) and the orthant value P(Z1 <= t1, Z2 <= t2): the
     separation probability for a cut, one minus the both-false probability
     for a clause."""
-    if kind in _CUT_KINDS:
+    if _is_cut(kind):
         value = p1 + p2 - 2.0 * orthant
-    elif kind in _SAT_KINDS:
-        value = 1.0 - (1.0 - p1 - p2 + orthant)
     else:
-        raise CardCspError(f"unknown payoff kind {kind!r}")
+        value = 1.0 - (1.0 - p1 - p2 + orthant)
     return np.clip(value, 0.0, 1.0)
 
 
@@ -355,7 +359,7 @@ def _orbits(kind, m):
     orbit."""
     i, j = np.ogrid[:m, :m]
     keep = i <= j
-    if kind in _CUT_KINDS:
+    if _is_cut(kind):
         keep &= i + j <= m - 1
     return np.nonzero(keep)
 
@@ -399,7 +403,8 @@ def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
 
     Grid sweep over one (mu1, mu2) cell of each symmetry orbit
     (`_orbits`), followed by local shrinking searches around the best cells;
-    deterministic.
+    deterministic.  The error bar is ``_BVN_ERROR`` over the SDP value plus
+    the refinement's Lipschitz estimate times its last step.
     """
     _require_resolution(resolution, least=50)
     mus = np.linspace(-1.0, 1.0, resolution)
@@ -461,7 +466,9 @@ def landscape_csv(kind: str, resolution: int = 60):
     """One CSV row per valid grid cell: mu1, mu2, rhobar, rounded, sdp,
     ratio.  Returns an iterator over the text: the header with the first
     rho chunk's rows, then one chunk's rows at a time, so the whole CSV
-    (about 3.9 M rows at resolution 200) is never held at once."""
+    (about 3.9 M rows at resolution 200) is never held at once.  The kind
+    and resolution are checked before the iterator is returned."""
+    _is_cut(kind)
     _require_resolution(resolution)
     mus = np.linspace(-1.0, 1.0, resolution)
 

@@ -3,9 +3,10 @@
 Each vertex vector splits as v_i = mu_i I + w_i.  One shared Gaussian
 vector is projected on the normalized orthogonal parts and compared against
 the threshold Phi^{-1}((1 + mu_i)/2), so every vertex keeps its SDP bias
-exactly.  A greedy least-degree repair step then restores the cardinality
-target.  ``pipeline`` rounds, repairs and scores all its trials as one
-(trials x n) label matrix.
+exactly (``threshold`` is the standard library's AS241 inverse).  A greedy
+least-degree repair step then restores the cardinality target.
+``pipeline`` rounds, repairs and scores all its trials as one (trials x n)
+label matrix, each row from its own sub-seed, so the best replays alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import sdp_solver
 from .errors import CardCspError, NumericalError
 from .independence import decorrelate
 from .instance import (CspInstance, _check_seed, _document, _integer, _number,
-                       _numbers)
+                       _numbers, _sub_seeds)
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
                        build_relaxation, local_distributions,
                        solution_objective)
@@ -268,33 +269,29 @@ class PipelineResult:
 
 
 def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
-             trials: int = 32, seed: int = 0, depth: int | None = None,
-             solver_config=None, solution: MomentSolution | None = None) -> PipelineResult:
+             trials: int = 32, seed: int = 0, solver_config=None,
+             solution: MomentSolution | None = None) -> PipelineResult:
     """solve -> decorrelate -> decompose -> round x trials -> repair -> best.
 
     The best trial is chosen among those whose repair succeeded; when every
     repair fails, a ``CardCspError`` names the smallest move fraction one
     would have needed.  Sub-seeds are spawned from the master seed with
-    numpy's SeedSequence splitting rule.  ``solution`` may be supplied to
-    skip the solve (``solve_feasible``).
+    numpy's SeedSequence splitting rule (`instance._sub_seeds`).
+    ``solution`` may be supplied to skip the solve (``solve_feasible``).
     """
     if type(trials) is not int or trials < 1:
         raise CardCspError(f"trials must be at least 1 and an int, got "
                            f"{trials!r}")
-    _check_seed(seed)
+    sub_seeds = _sub_seeds(seed, trials)
     if instance.q != 2:
         raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")
     report = None
     if solution is None:
         solution, report = solve_feasible(instance, level, solver_config)
     _check_same_shape(solution, instance)
-    dec = decorrelate(solution, instance, alpha_target, seed=seed, depth=depth)
+    dec = decorrelate(solution, instance, alpha_target, seed=seed)
     sol = dec.solution
     profile = bias_decompose(sol)
-    sub_seeds = [int(s.generate_state(1)[0])
-                 for s in np.random.SeedSequence(seed).spawn(trials)]
-    # each trial's Gaussian comes from its own sub-seed, so any trial can be
-    # replayed alone
     g = np.array([np.random.default_rng(s).standard_normal(profile.w.shape[1])
                   for s in sub_seeds])
     repair = repair_many(instance, labels_from_gaussian(profile, g))

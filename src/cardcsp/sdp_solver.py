@@ -10,7 +10,9 @@ The objective c . G[0] is <C, G'> with C = sym(outer(P[0], P^T c)).  On
 the block, the method alternates a closed-form projection onto the rows'
 affine subspace (class averaging plus one small cardinality system) and a
 PSD-cone projection by eigendecomposition, with over-relaxation; residuals
-are measured on the lifted matrices.  Deterministic; no external solver.
+are measured on the lifted matrices, the primal P (X' - Z') P^T and the
+dual rho P (Z' - Z'_prev) P^T, and scaled by max(1, ||X'||_F).
+Deterministic; no external solver.
 
 One iteration is one fixed-point map F on v = X_hat + U, the input of the
 PSD projection: Z = Pi_PSD(v), U = v - Z, X = Pi_A(Z - U + C/rho) and
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import CardCspError, NumericalError
 from .lasserre import ConicProgram, MomentSolution, _layout
 
 log = logging.getLogger(__name__)
@@ -70,10 +72,10 @@ class SolverConfig:
     def __post_init__(self):
         # written so that NaN fails the test
         if not 0 < self.tolerance < np.inf:
-            raise ValueError("tolerances must be positive and finite")
+            raise CardCspError("tolerances must be positive and finite")
         if type(self.max_iterations) is not int or self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1 and an int, "
-                             f"got {self.max_iterations!r}")
+            raise CardCspError("max_iterations must be at least 1 and an "
+                               f"int, got {self.max_iterations!r}")
 
 
 @dataclass

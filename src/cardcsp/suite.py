@@ -6,10 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .errors import CapacityError, CardCspError, ParseError
-from .instance import CspInstance, _check_seed, _integer, generate
+from .instance import CspInstance, _integer, _sub_seeds, generate
 from .oracle import _BISECTION_CAP, brute_force
 from .rounding import pipeline
 
@@ -74,11 +72,9 @@ def run_bench(entries=None, level: int = 2, trials: int = 32, seed: int = 0,
         entries = default_suite()
     if not entries:
         raise CardCspError("empty benchmark configuration")
-    _check_seed(seed)
     report = BenchReport()
-    seeds = np.random.SeedSequence(seed).spawn(len(entries))
-    for (name, instance), sub in zip(entries, seeds):
-        sub_seed = int(sub.generate_state(1)[0])
+    for (name, instance), sub_seed in zip(entries,
+                                          _sub_seeds(seed, len(entries))):
         exact = brute_force(instance)
         result = pipeline(instance, level=level, trials=trials, seed=sub_seed,
                           alpha_target=alpha_target, solver_config=solver_config)

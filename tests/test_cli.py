@@ -375,6 +375,25 @@ def test_dict_subcommand(c4_file, tmp_path):
     assert doc["iterations"] > 0
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+def test_dict_refuses_a_tau_that_is_not_finite_and_nonnegative(c4_file,
+                                                                tmp_path,
+                                                                capsys, tau):
+    out = tmp_path / "dict.json"
+    assert main(["dict", c4_file, "-R", "2", "--soundness", "--tau", tau,
+                 "--out", str(out)]) == 2
+    assert "tau must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["round", "--depth", "1"],
+                                  ["dict", "--balance-tol", "1e-9"]])
+def test_removed_flags_are_usage_errors(c4_file, tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main([argv[0], c4_file, "--out", str(out)] + argv[1:]) == 2
+    assert not out.exists()
+
+
 def test_dict_gadget_out_reads_back(c4_file, tmp_path):
     gadget_path = tmp_path / "gadget.json"
     assert main(["dict", c4_file, "--eps", "0.1", "-R", "2", "--gadget-out",

@@ -147,6 +147,32 @@ def test_every_gadget_path_refuses_the_same_r_and_eps(R, eps):
         DictGadget.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -0.1, True,
+                                 "0.5", None])
+def test_soundness_refuses_a_tau_that_is_not_a_finite_number_at_least_0(tau):
+    inst, sol = _mixture_solution()
+    g = build_gadget(sol, inst, 0.1, R=2)
+    with pytest.raises(CardCspError, match="tau must be"):
+        soundness_enumerate(g, tau)
+
+
+def test_soundness_tau_of_one_admits_every_balanced_function():
+    inst, sol = _mixture_solution()
+    g = build_gadget(sol, inst, 0.1, R=2)
+    at_one, huge, at_zero = (soundness_enumerate(g, tau) for tau in (1, 1e6, 0))
+    assert at_one.rows == huge.rows
+    assert at_zero.candidates <= at_one.candidates
+
+
+def test_the_balance_tolerance_is_not_a_setting():
+    inst, sol = _mixture_solution()
+    g = build_gadget(sol, inst, 0.1, R=2)
+    with pytest.raises(TypeError):
+        completeness(g, 0.5, balance_tol=1e-9)
+    with pytest.raises(TypeError):
+        soundness_enumerate(g, 1.0, balance_tol=1e-9)
+
+
 def test_capacity_caps():
     inst, sol = _mixture_solution()
     with pytest.raises(CapacityError):

@@ -31,6 +31,22 @@ def test_mutual_information_reference_values():
     assert mutual_information(joint) == pytest.approx(MI_SYMMETRIC, abs=1e-12)
 
 
+def test_mutual_information_is_the_entropy_identity():
+    """MI from the definition equals H(X) + H(Y) - H(X,Y), an identity for
+    any nonnegative joint; a third of the cells are zero."""
+    rng = np.random.default_rng(5)
+    for shape in [(2, 2), (3, 3), (2, 4)]:
+        joints = rng.dirichlet(np.ones(np.prod(shape)), size=300)
+        joints[rng.random(joints.shape) < 1 / 3] = 0.0
+        joints = joints[joints.sum(axis=1) > 0]
+        joints /= joints.sum(axis=1, keepdims=True)
+        joints = joints.reshape((-1,) + shape)
+        identity = (entropy(joints.sum(axis=-1)) + entropy(joints.sum(axis=-2))
+                    - entropy(joints.reshape(len(joints), -1)))
+        np.testing.assert_allclose(mutual_information(joints), identity,
+                                   rtol=0, atol=1e-10)
+
+
 def test_mutual_information_nonnegative_on_random_joints():
     rng = np.random.default_rng(1)
     for _ in range(200):
@@ -116,7 +132,7 @@ def test_chain_rule_on_mixture(n, level, seed, k):
 
 def test_decorrelate_sampled_reaches_target():
     inst, sol = _two_bisection_mixture(level=3)
-    result = decorrelate(sol, inst, alpha=1e-9, seed=0, depth=1)
+    result = decorrelate(sol, inst, alpha=1e-9, seed=0)
     assert result.reached_target
     assert result.achieved_alpha <= 1e-9
     assert len(result.steps) == 1
@@ -128,3 +144,17 @@ def test_decorrelate_respects_depth_budget():
     # level 2 leaves no conditioning budget
     assert result.steps == []
     assert not result.reached_target
+
+
+def test_an_alpha_above_the_average_mi_turns_conditioning_off():
+    inst, sol = _two_bisection_mixture(level=3)
+    start = alpha_independence(sol, inst).average_mi
+    result = decorrelate(sol, inst, alpha=start, seed=0)
+    assert result.steps == [] and result.reached_target
+    assert result.solution is sol
+
+
+def test_the_conditioning_budget_is_not_a_setting():
+    inst, sol = _two_bisection_mixture(level=3)
+    with pytest.raises(TypeError):
+        decorrelate(sol, inst, 1e-9, seed=0, depth=1)

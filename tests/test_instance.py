@@ -241,6 +241,14 @@ def test_edge_list_fuzz_raises_only_parse_errors(text):
     assert np.isfinite(inst.weights_array).all()
 
 
+def test_instances_refuse_a_term_of_another_domain_size():
+    """A q = 2 term read on a q = 3 instance would index the wrong table
+    entry (or none)."""
+    cut = PayoffTerm((0, 1), CUT_TABLE, 1.0)
+    with pytest.raises(CardCspError, match="has q = 2, not 3"):
+        CspInstance(3, 3, (cut,), (1 / 3,) * 3, bisection_cardinality(3))
+
+
 def test_unknown_kind_is_rejected():
     with pytest.raises(CardCspError, match="unknown problem kind"):
         cut_instance(4, [(0, 1, 1.0)], kind="mincut_bisection")

@@ -8,6 +8,7 @@ from cardcsp import landscape
 from cardcsp.errors import CapacityError, CardCspError
 from cardcsp.landscape import (EdgeConfig, bvn_cdf, bvn_cdf_grid,
                                config_valid_mask, edge_sdp_value,
+                               edge_sdp_value_grid,
                                landscape_csv, ratio_search, rounded_value,
                                rounded_value_grid, separation_prob,
                                sqrt_eps_curve, worst_separation)
@@ -203,6 +204,27 @@ def test_ratio_search_small_grid():
 def test_ratio_search_rejects_coarse_grid():
     with pytest.raises(CardCspError):
         ratio_search("cut", resolution=10)
+
+
+_KIND_ENTRY_POINTS = {
+    "edge_sdp_value": lambda k: edge_sdp_value(k, EdgeConfig(0.1, -0.2, 0.3)),
+    "edge_sdp_value_grid": lambda k: edge_sdp_value_grid(k, 0.1, -0.2, 0.3),
+    "rounded_value": lambda k: rounded_value(k, EdgeConfig(0.1, -0.2, 0.3)),
+    "rounded_value_grid": lambda k: rounded_value_grid(k, 0.1, -0.2, 0.3),
+    "ratio_search": lambda k: ratio_search(k, resolution=50),
+    # the call alone, with no next(): the kind is checked before it returns
+    "landscape_csv": lambda k: landscape_csv(k, resolution=20),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_KIND_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["maxcut-bisection", "mincut-bisection",
+                                  "alpha-cut", "2sat", "foo"])
+def test_entry_points_take_only_the_two_payoff_kinds(entry, kind):
+    """"cut" and "max2sat" only: an instance kind is not a payoff kind, and
+    a minimization has no ratio certificate here."""
+    with pytest.raises(CardCspError, match="unknown payoff kind"):
+        _KIND_ENTRY_POINTS[entry](kind)
 
 
 _GRID_ENTRY_POINTS = {

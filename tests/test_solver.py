@@ -22,9 +22,9 @@ from cardcsp.suite import default_suite
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(CardCspError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CardCspError):
         SolverConfig(max_iterations=0)
 
 
@@ -34,7 +34,7 @@ def test_config_validation():
     ("max_iterations", "100"),
 ])
 def test_config_rejects_values_that_break_the_solve(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(CardCspError):
         SolverConfig(**{field: value})
 
 
