@@ -11,7 +11,9 @@ results are logged at DEBUG on ``cardcsp.independence``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -133,6 +135,14 @@ def conditional_entropy_after(solution: MomentSolution, instance: CspInstance,
     return total
 
 
+def _check_alpha(alpha):
+    """The one rule for an independence target, checked before any work: a
+    finite number >= 0 (a NaN would never count as reached)."""
+    if (isinstance(alpha, bool) or not isinstance(alpha, Real)
+            or not 0 <= alpha < math.inf):
+        raise CardCspError(f"alpha must be a finite number >= 0, got {alpha!r}")
+
+
 @dataclass
 class DecorrelateResult:
     solution: MomentSolution
@@ -149,8 +159,9 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
     alpha at or above the starting average MI turns conditioning off.
     Pivots are drawn from W and values from the current marginals.  The
     first solution that reaches alpha is returned, or else the least
-    correlated one seen.
+    correlated one seen.  ``alpha`` must be a finite number >= 0.
     """
+    _check_alpha(alpha)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     w = instance.weights_array

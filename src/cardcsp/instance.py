@@ -206,12 +206,94 @@ def _check_seed(seed):
         raise CardCspError(f"seed must be an int >= 0, got {seed!r}")
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq) and the PCG64 multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(value, const, mult):
+    """One hashmix of uint32 ``value`` under the hash constant ``const`` (a
+    Python int); returns the mixed value and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _mix(x, y):
+    """seed_seq's mix of two uint32 pool words."""
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_state(entropy, words):
+    """``SeedSequence.generate_state(words)`` for every row of a (count, L)
+    uint32 array of assembled entropy, as a (count, words) uint32 array: the
+    first four words fill the pool, every pool word mixes into every other,
+    any further words mix into each, and the state is read off the pool.
+    The hash constants do not depend on the data, so every row shares them."""
+    width = entropy.shape[1]
+    pool = [entropy[:, i] if i < width else np.zeros(len(entropy), np.uint32)
+            for i in range(_POOL)]
+    const = _INIT_A
+    with np.errstate(over="ignore"):
+        for i in range(_POOL):
+            pool[i], const = _hash(pool[i], const, _MULT_A)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    h, const = _hash(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], h)
+        for src in range(_POOL, width):
+            for dst in range(_POOL):
+                h, const = _hash(entropy[:, src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+        const, state = _INIT_B, []
+        for i in range(words):
+            word, const = _hash(pool[i % _POOL], const, _MULT_B)
+            state.append(word)
+    return np.stack(state, axis=1)
+
+
 def _sub_seeds(seed, count):
-    """``count`` seeds spawned from a checked ``seed`` by SeedSequence: the
-    first 32-bit word of each child's state."""
+    """``count`` seeds spawned from a checked ``seed`` by numpy's
+    SeedSequence rule: the first 32-bit word of each child's state.  A
+    child's entropy is the seed's 32-bit words, zero-padded up to the pool
+    size, then its index."""
     _check_seed(seed)
-    return [int(s.generate_state(1)[0])
-            for s in np.random.SeedSequence(seed).spawn(count)]
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((count, max(len(words), _POOL) + 1), dtype=np.uint32)
+    entropy[:, :len(words)] = words
+    entropy[:, -1] = np.arange(count)
+    return _seed_state(entropy, 1)[:, 0].tolist()
+
+
+def _trial_gaussians(sub_seeds, r):
+    """(len(sub_seeds), r) array whose row k is, bit for bit,
+    ``np.random.default_rng(sub_seeds[k]).standard_normal(r)``.  The 32-bit
+    sub-seeds are hashed at once into PCG64's four seed words, and one
+    PCG64 takes each trial's state in turn."""
+    words = _seed_state(np.asarray(sub_seeds, dtype=np.uint32).reshape(-1, 1),
+                        8).tolist()
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(words), r))
+    for k, w in enumerate(words):
+        # seed word u_j = w[2j] + 2^32 w[2j + 1]; initstate is u0 2^64 + u1,
+        # the stream u2 2^64 + u3.  Set-seq seeding (O'Neill 2014): state 0,
+        # one step, add initstate, one step.
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        out[k] = gen.standard_normal(r)
+    return out
 
 
 def _integer(value):

@@ -571,14 +571,21 @@ def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSo
 def _payoff_vector(instance: CspInstance, level: int) -> np.ndarray:
     """c over the level's index set with
     E_{S ~ W} sum_beta P_S(beta) mu_S(beta) = c . G[0, :]: entry (S, beta)
-    sums weight * payoff over the terms on S."""
+    sums weight * payoff over the terms on S.  The rows are written one
+    arity at a time; a bin holds terms of one arity only, so each still
+    sums its terms in instance order."""
     n, q = instance.n, instance.q
     values, coefs = [], []
-    for term in instance.payoffs:
-        rows = np.full((q ** len(term.scope), n), -1, dtype=np.int8)
-        rows[:, term.scope] = list(product(range(q), repeat=len(term.scope)))
-        values.append(rows)
-        coefs.append(term.weight * np.asarray(term.table, dtype=float))
+    for k in sorted({len(t.scope) for t in instance.payoffs}):
+        terms = [t for t in instance.payoffs if len(t.scope) == k]
+        m = len(terms)
+        scopes = np.array([t.scope for t in terms], dtype=int).reshape(m, 1, k)
+        rows = np.full((m, q ** k, n), -1, dtype=np.int8)
+        rows[np.arange(m)[:, None, None], np.arange(q ** k)[:, None],
+             scopes] = list(product(range(q), repeat=k))
+        values.append(rows.reshape(-1, n))
+        coefs.append((np.array([t.weight for t in terms])[:, None]
+                      * np.array([t.table for t in terms], dtype=float)).ravel())
     return np.bincount(_positions(np.concatenate(values), q, level),
                        weights=np.concatenate(coefs),
                        minlength=_offsets(n, q, level)[-1])

@@ -7,6 +7,10 @@ exactly (``threshold`` is the standard library's AS241 inverse).  A greedy
 least-degree repair step then restores the cardinality target.
 ``pipeline`` rounds, repairs and scores all its trials as one (trials x n)
 label matrix, each row from its own sub-seed, so the best replays alone.
+The trial Gaussians come from one batched seeding kernel
+(`instance._trial_gaussians`): row k equals, bit for bit,
+``np.random.default_rng(sub_seed_k).standard_normal(r)``, and those
+per-seed generators are its test reference.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import numpy as np
 
 from . import sdp_solver
 from .errors import CardCspError, NumericalError
-from .independence import decorrelate
+from .independence import _check_alpha, decorrelate
 from .instance import (CspInstance, _check_seed, _document, _integer, _number,
-                       _numbers, _sub_seeds)
+                       _numbers, _sub_seeds, _trial_gaussians)
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
                        build_relaxation, local_distributions,
                        solution_objective)
@@ -276,12 +280,14 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     The best trial is chosen among those whose repair succeeded; when every
     repair fails, a ``CardCspError`` names the smallest move fraction one
     would have needed.  Sub-seeds are spawned from the master seed with
-    numpy's SeedSequence splitting rule (`instance._sub_seeds`).
+    numpy's SeedSequence splitting rule (`instance._sub_seeds`), and trial k
+    rounds with ``default_rng(sub_seed_k).standard_normal(r)``.
     ``solution`` may be supplied to skip the solve (``solve_feasible``).
     """
     if type(trials) is not int or trials < 1:
         raise CardCspError(f"trials must be at least 1 and an int, got "
                            f"{trials!r}")
+    _check_alpha(alpha_target)
     sub_seeds = _sub_seeds(seed, trials)
     if instance.q != 2:
         raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")
@@ -292,8 +298,7 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     dec = decorrelate(solution, instance, alpha_target, seed=seed)
     sol = dec.solution
     profile = bias_decompose(sol)
-    g = np.array([np.random.default_rng(s).standard_normal(profile.w.shape[1])
-                  for s in sub_seeds])
+    g = _trial_gaussians(sub_seeds, profile.w.shape[1])
     repair = repair_many(instance, labels_from_gaussian(profile, g))
     # failed rows keep no moves, so a row with a first move was repaired
     log.debug("repair: %d of %d rows repaired, %d failed; moved weight "

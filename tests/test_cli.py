@@ -386,6 +386,22 @@ def test_dict_refuses_a_tau_that_is_not_finite_and_nonnegative(c4_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, alpha", [("round", "nan"), ("round", "-1"),
+                                            ("round", "inf"), ("bench", "-1"),
+                                            ("bench", "nan")])
+def test_round_and_bench_refuse_an_alpha_that_is_not_finite_and_nonnegative(
+        c4_file, tmp_path, capsys, monkeypatch, command, alpha):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before alpha was checked")
+
+    monkeypatch.setattr(sdp_solver, "solve", no_solve)
+    out = tmp_path / "out.json"
+    inputs = [c4_file] if command == "round" else []
+    assert main([command, *inputs, "--alpha", alpha, "--out", str(out)]) == 2
+    assert "alpha must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["round", "--depth", "1"],
                                   ["dict", "--balance-tol", "1e-9"]])
 def test_removed_flags_are_usage_errors(c4_file, tmp_path, argv):

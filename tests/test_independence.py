@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardcsp import independence
 from cardcsp.errors import CardCspError
 from cardcsp.independence import (alpha_independence, condition,
                                   conditional_entropy_after, decorrelate,
@@ -158,3 +159,23 @@ def test_the_conditioning_budget_is_not_a_setting():
     inst, sol = _two_bisection_mixture(level=3)
     with pytest.raises(TypeError):
         decorrelate(sol, inst, 1e-9, seed=0, depth=1)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -0.1, float("inf"),
+                                   -float("inf"), True, False, "0.1", None])
+def test_decorrelate_refuses_an_alpha_that_is_not_a_finite_number_at_least_0(
+        alpha, monkeypatch):
+    inst, sol = _two_bisection_mixture(level=3)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("decorrelate worked before it checked alpha")
+
+    monkeypatch.setattr(independence, "alpha_independence", no_work)
+    with pytest.raises(CardCspError, match="alpha must be a finite number"):
+        decorrelate(sol, inst, alpha, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [0, 0.0, np.float64(0.3), np.float32(1.0)])
+def test_decorrelate_takes_any_finite_real_alpha_at_least_0(alpha):
+    inst, sol = _two_bisection_mixture(level=3)
+    assert decorrelate(sol, inst, alpha, seed=0).achieved_alpha >= 0

@@ -5,7 +5,7 @@ itself, on random mixtures of balanced assignments (n 4 to 8, levels 3 and
 4) of cut instances whose edges come in either orientation."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,7 +15,8 @@ from cardcsp.dictator import build_gadget
 from cardcsp.independence import alpha_independence, condition
 from cardcsp.instance import (CUT_TABLE, CardinalityFunction, CspInstance,
                               PayoffTerm, bisection_cardinality)
-from cardcsp.lasserre import (build_index_set, check_feasibility,
+from cardcsp.lasserre import (_offsets, _payoff_vector, _positions,
+                              build_index_set, check_feasibility,
                               local_distributions)
 from cardcsp.oracle import exact_mixture_moments
 from cardcsp.rounding import bias_decompose
@@ -173,3 +174,37 @@ def test_build_gadget_matches_the_edge_loop(case, eps, R):
     assert np.abs(gadget.vertex_marginals - marginals).max() <= 1e-12
     assert np.abs(gadget.edge_weights - (edge + edge.T) / 2).max() <= 1e-12
     assert np.abs(gadget.vertex_weights - vertex).max() <= 1e-12
+
+
+def _payoff_vector_by_term(instance, level):
+    """The payoff vector one term at a time, in instance order."""
+    n, q = instance.n, instance.q
+    values, coefs = [], []
+    for term in instance.payoffs:
+        rows = np.full((q ** len(term.scope), n), -1, dtype=np.int8)
+        rows[:, term.scope] = list(product(range(q), repeat=len(term.scope)))
+        values.append(rows)
+        coefs.append(term.weight * np.asarray(term.table, dtype=float))
+    return np.bincount(_positions(np.concatenate(values), q, level),
+                       weights=np.concatenate(coefs),
+                       minlength=_offsets(n, q, level)[-1])
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(2, 6), q=st.sampled_from([2, 3]),
+       level=st.integers(1, 3))
+def test_payoff_vector_matches_the_term_loop(data, n, q, level):
+    # terms of mixed arities 1..level in any order and scope orientation
+    scopes = st.integers(1, min(level, n)).flatmap(
+        lambda k: st.permutations(range(n)).map(lambda p: tuple(p[:k])))
+    scope_list = data.draw(st.lists(scopes, min_size=1, max_size=12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.random(len(scope_list)) + 0.1
+    weights /= weights.sum()
+    terms = tuple(PayoffTerm(s, tuple(rng.random(q ** len(s))), float(w), q=q)
+                  for s, w in zip(scope_list, weights))
+    inst = CspInstance(n, q, terms, (1.0 / n,) * n,
+                       CardinalityFunction((Fraction(1, q),) * q))
+    # bit for bit: every bin sums its terms in the same order
+    assert (_payoff_vector(inst, level).tobytes()
+            == _payoff_vector_by_term(inst, level).tobytes())
