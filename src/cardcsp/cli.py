@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CardCspError, json.JSONDecodeError, KeyError, OSError) as exc:
+    except (CardCspError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_CAPACITY if isinstance(exc, CapacityError) else
                 EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_USAGE)

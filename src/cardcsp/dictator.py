@@ -11,19 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import product
 
 import numpy as np
 
-from .errors import CapacityError, CardCspError
-from .instance import (CspInstance, CUT_TABLE, _check_seed, _document,
-                       _integer, _number, _numbers)
+from .errors import CapacityError, CardCspError, _admit_int, _admit_real
+from .instance import CspInstance, CUT_TABLE, _document, _numbers
 from .lasserre import MomentSolution, _check_same_shape, local_distributions
 from .rounding import RoundedAssignment, bias_decompose
 
-R_CAP = 12
+R_CAP = 12  # the edge table holds 4^R entries
 VALUE_SLACK = 1e-9  # rounding slack on the completeness bound val - 2 eps
 _BALANCE_TOL = 1e-9  # |E[F]| a function may have and count as balanced
 _GRID_POINTS = 5    # values per cube point in the grid soundness mode
@@ -46,18 +46,10 @@ def hypercube_labels(R: int) -> np.ndarray:
 
 
 def _check_cube(R, eps):
-    """The one rule for a gadget's R and eps: R a plain int in 1..R_CAP
-    (above the cap, ``CapacityError``) and eps a number in [0, 1]."""
-    if type(R) is not int:
-        raise CardCspError(f"R must be an int, got {R!r}")
-    if R < 1:
-        raise CardCspError(f"R must be at least 1, got {R}")
-    if R > R_CAP:
-        raise CapacityError(f"R={R} over cap {R_CAP} (the edge table holds "
-                            "4^R entries)")
-    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
-            or not 0 <= eps <= 1):
-        raise CardCspError(f"eps must lie in [0, 1], got {eps}")
+    """A gadget's R, an int >= 1 (above ``R_CAP``, ``CapacityError``), and
+    eps, a real in [0, 1]."""
+    _admit_int("R", R, 1, cap=R_CAP)
+    _admit_real("eps", eps, 0, 1, "[]")
 
 
 @dataclass
@@ -100,12 +92,14 @@ class DictGadget:
     @classmethod
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
+        real = partial(_admit_real, "gadget table entry")
         with _document(text, "cardcsp.gadget/1", "gadget") as doc:
-            return cls(R=_integer(doc["R"]), eps=_number(doc["eps"]),
-                       vertex_weights=_numbers(doc["vertex_weights"]),
-                       edge_weights=_numbers(doc["edge_weights"], _numbers),
-                       vertex_marginals=_numbers(doc["vertex_marginals"]),
-                       source_weights=_numbers(doc["source_weights"]),
+            return cls(R=doc["R"], eps=doc["eps"],
+                       vertex_weights=_numbers(doc["vertex_weights"], real),
+                       edge_weights=_numbers(doc["edge_weights"],
+                                             partial(_numbers, read=real)),
+                       vertex_marginals=_numbers(doc["vertex_marginals"], real),
+                       source_weights=_numbers(doc["source_weights"], real),
                        provenance=doc["provenance"])
 
 
@@ -229,8 +223,7 @@ def influence(F, ell: int, marginal: float) -> float:
     under the product measure with P(value 0) = marginal per coordinate."""
     F = np.asarray(F, dtype=float)
     R = _dimension(F)
-    if not 0 <= ell < R:
-        raise CardCspError(f"coordinate {ell} outside 0..{R - 1}")
+    _admit_int("ell", ell, 0, R - 1)
     return float(_influence(F, ell, marginal))
 
 
@@ -283,7 +276,7 @@ class SoundnessReport:
 def soundness_enumerate(gadget: DictGadget, tau: float,
                         mode: str = "boolean_exhaustive") -> SoundnessReport:
     """Max gadget value over balanced functions with all influences <= tau
-    under every source-vertex measure.  tau is a finite number >= 0 (any
+    under every source-vertex measure.  tau is a finite real >= 0 (any
     tau >= 1 admits every balanced function: influences lie in [0, 1]).
 
     Row N-1-k of the N-row function table (the +-1 table, or the grid's
@@ -296,9 +289,7 @@ def soundness_enumerate(gadget: DictGadget, tau: float,
     ones are scored together as 0.5 (1 - F E F^T).  The witness is the
     lowest-id maximizer, always a scored row, returned as a writable copy.
     """
-    if (isinstance(tau, bool) or not isinstance(tau, (int, float))
-            or not 0 <= tau < np.inf):
-        raise CardCspError(f"tau must be a finite number >= 0, got {tau!r}")
+    _admit_real("tau", tau, 0, math.inf, "[)")
     R = gadget.R
     size = 1 << R
     if mode == "boolean_exhaustive":
@@ -360,7 +351,7 @@ def round_with_function(solution: MomentSolution, instance: CspInstance,
     F = np.asarray(F, dtype=float)
     R = _dimension(F)
     _check_cube(R, eps)
-    _check_seed(seed)
+    _admit_int("seed", seed, 0)
     profile = bias_decompose(solution)
     rng = np.random.default_rng(seed)
     zeta = rng.standard_normal((R, profile.w.shape[1]))

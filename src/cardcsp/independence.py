@@ -13,12 +13,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import CardCspError
-from .instance import CspInstance, _check_seed
+from .errors import CardCspError, _admit_int, _admit_real
+from .instance import CspInstance
 from .lasserre import (MomentSolution, _layout, _positions, local_distribution,
                        local_distributions, PROB_FLOOR)
 
@@ -135,14 +134,6 @@ def conditional_entropy_after(solution: MomentSolution, instance: CspInstance,
     return total
 
 
-def _check_alpha(alpha):
-    """The one rule for an independence target, checked before any work: a
-    finite number >= 0 (a NaN would never count as reached)."""
-    if (isinstance(alpha, bool) or not isinstance(alpha, Real)
-            or not 0 <= alpha < math.inf):
-        raise CardCspError(f"alpha must be a finite number >= 0, got {alpha!r}")
-
-
 @dataclass
 class DecorrelateResult:
     solution: MomentSolution
@@ -159,10 +150,11 @@ def decorrelate(solution: MomentSolution, instance: CspInstance,
     alpha at or above the starting average MI turns conditioning off.
     Pivots are drawn from W and values from the current marginals.  The
     first solution that reaches alpha is returned, or else the least
-    correlated one seen.  ``alpha`` must be a finite number >= 0.
+    correlated one seen.  ``alpha`` must be a finite real >= 0 (a NaN would
+    never count as reached), checked before any work.
     """
-    _check_alpha(alpha)
-    _check_seed(seed)
+    _admit_real("alpha", alpha, 0, math.inf, "[)")
+    _admit_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     w = instance.weights_array
     sol, steps = solution, []

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import ParseError, CardCspError
+from .errors import ParseError, CardCspError, _admit_int, _admit_real
 
 CUT_KINDS = ("maxcut-bisection", "mincut-bisection", "alpha-cut")
 KNOWN_KINDS = CUT_KINDS + ("max2sat",)
@@ -70,8 +70,7 @@ class PayoffTerm:
             raise CardCspError("payoff table size does not match scope")
         if not all(-1e-12 <= v <= 1 + 1e-12 for v in self.table):
             raise CardCspError("payoff values must lie in [0, 1]")
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise CardCspError("payoff weight must be finite and nonnegative")
+        _admit_real("payoff weight", self.weight, 0, math.inf, "[)")
 
     def value(self, local_assignment):
         idx = 0
@@ -92,6 +91,8 @@ class CspInstance:
     kind: str = "maxcut-bisection"
 
     def __post_init__(self):
+        _admit_int("n", self.n, 1)
+        _admit_int("q", self.q, 1)
         if self.kind not in KNOWN_KINDS:
             raise CardCspError(f"unknown problem kind {self.kind!r}")
         if not self.payoffs:
@@ -179,10 +180,11 @@ class CspInstance:
         """Parse a ``cardcsp.instance/1`` document; a malformed or invalid
         one raises ``ParseError``."""
         with _document(text, "cardcsp.instance/1", "instance") as doc:
-            q = _integer(doc["q"])
+            q = doc["q"]
             payoffs = tuple(
                 PayoffTerm(
-                    scope=tuple(_integer(v) for v in t["scope"]),
+                    scope=tuple(_admit_int("scope vertex", v, 0)
+                                for v in t["scope"]),
                     table=tuple(float(v) for v in t["table"]),
                     weight=float(t["weight"]),
                     q=q,
@@ -190,20 +192,13 @@ class CspInstance:
                 for t in doc["payoffs"]
             )
             return cls(
-                n=_integer(doc["n"]),
+                n=doc["n"],
                 q=q,
                 payoffs=payoffs,
                 vertex_weights=tuple(float(w) for w in doc["vertex_weights"]),
                 cardinality=CardinalityFunction(tuple(Fraction(p) for p in doc["cardinality"])),
                 kind=doc["kind"],
             )
-
-
-def _check_seed(seed):
-    """The one rule for a seed, checked before any generator is made: a
-    plain int >= 0 (numpy refuses a negative one with a bare ValueError)."""
-    if type(seed) is not int or seed < 0:
-        raise CardCspError(f"seed must be an int >= 0, got {seed!r}")
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq) and the PCG64 multiplier
@@ -264,7 +259,7 @@ def _sub_seeds(seed, count):
     SeedSequence rule: the first 32-bit word of each child's state.  A
     child's entropy is the seed's 32-bit words, zero-padded up to the pool
     size, then its index."""
-    _check_seed(seed)
+    _admit_int("seed", seed, 0)
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.zeros((count, max(len(words), _POOL) + 1), dtype=np.uint32)
     entropy[:, :len(words)] = words
@@ -296,28 +291,11 @@ def _trial_gaussians(sub_seeds, r):
     return out
 
 
-def _integer(value):
-    """An int from a JSON document; floats, strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _number(value, optional=False):
-    """A float from a JSON number (null too if ``optional``); strings and
-    booleans are refused."""
-    if optional and value is None:
-        return None
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(values, kind=_number):
-    """An array of a JSON list, each entry read by ``kind``."""
+def _numbers(values, read):
+    """An array of a JSON list, each entry read by ``read``."""
     if not isinstance(values, list):
         raise TypeError(f"expected a list, got {values!r}")
-    return np.array([kind(v) for v in values])
+    return np.array([read(v) for v in values])
 
 
 @contextmanager
@@ -509,9 +487,8 @@ def generate(family: str, n: int, seed: int = 0, **params) -> CspInstance:
     probability p), two_cliques, planted (near-bisectable with parameter
     eps).  A ``params`` key the family does not read raises
     ``CardCspError``."""
-    _check_seed(seed)
-    if n < 2:
-        raise CardCspError("n must be at least 2")
+    _admit_int("seed", seed, 0)
+    _admit_int("n", n, 2)
     if n % 2 != 0:
         raise CardCspError("bisection instances require an even number of vertices")
     reads = {"cycle": (), "complete": (), "gnp": ("p",), "two_cliques": (),
@@ -527,9 +504,7 @@ def generate(family: str, n: int, seed: int = 0, **params) -> CspInstance:
     elif family == "complete":
         edges = [(i, j, 1.0) for i, j in combinations(range(n), 2)]
     elif family == "gnp":
-        p = params.get("p", 0.5)
-        if not 0 < p <= 1:
-            raise CardCspError("gnp requires edge probability in (0, 1]")
+        p = _admit_real("p", params.get("p", 0.5), 0, 1, "(]")
         rng = np.random.default_rng(seed)
         edges = [(i, j, 1.0) for i, j in combinations(range(n), 2)
                  if rng.random() < p]
@@ -544,9 +519,7 @@ def generate(family: str, n: int, seed: int = 0, **params) -> CspInstance:
         if not edges:
             edges = [(0, 1, 1.0)]
     elif family == "planted":
-        eps = params.get("eps", 0.05)
-        if not 0 <= eps < 1:
-            raise CardCspError("planted requires eps in [0, 1)")
+        eps = _admit_real("eps", params.get("eps", 0.05), 0, 1, "[)")
         rng = np.random.default_rng(seed)
         half = n // 2
         crossing = [(i, half + j) for i in range(half) for j in range(half)]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, CardCspError
+from .errors import CardCspError, _admit_int, _admit_real
 from .rounding import threshold
 
 SDP_FLOOR = 1e-6  # configs below this payoff value are excluded from ratios
@@ -336,18 +336,6 @@ class RatioCertificate:
         }, indent=2)
 
 
-def _require_resolution(resolution, least=2):
-    """Admit a grid of ``resolution`` points per axis: a plain int from
-    ``least`` to ``_RESOLUTION_CAP``, checked before anything is allocated."""
-    if isinstance(resolution, bool) or not isinstance(resolution, int):
-        raise CardCspError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < least:
-        raise CardCspError(f"resolution must be at least {least} points per axis")
-    if resolution > _RESOLUTION_CAP:
-        raise CapacityError(f"resolution {resolution} exceeds the cap of "
-                            f"{_RESOLUTION_CAP} points per axis")
-
-
 def _orbits(kind, m):
     """Index arrays (i, j), in row-major order, of one cell of each orbit of
     the m x m plane of an axis symmetric about 0 (entry m - 1 - i is minus
@@ -406,7 +394,7 @@ def ratio_search(kind: str, resolution: int = 200) -> RatioCertificate:
     deterministic.  The error bar is ``_BVN_ERROR`` over the SDP value plus
     the refinement's Lipschitz estimate times its last step.
     """
-    _require_resolution(resolution, least=50)
+    _admit_int("resolution", resolution, 50, cap=_RESOLUTION_CAP)
     mus = np.linspace(-1.0, 1.0, resolution)
     rhos = np.linspace(-1.0, 1.0, resolution)
     (mu1, mu2), phi = _orbit_plane(kind, mus)
@@ -469,7 +457,7 @@ def landscape_csv(kind: str, resolution: int = 60):
     (about 3.9 M rows at resolution 200) is never held at once.  The kind
     and resolution are checked before the iterator is returned."""
     _is_cut(kind)
-    _require_resolution(resolution)
+    _admit_int("resolution", resolution, 2, cap=_RESOLUTION_CAP)
     mus = np.linspace(-1.0, 1.0, resolution)
 
     def pieces():
@@ -502,9 +490,8 @@ def worst_separation(eps: float, resolution: int = 200):
     (mu1, mu2) square with rhobar solved from the boundary equation.  The
     first grid holds one cell of each symmetry orbit (`_orbits`).
     """
-    if not 0 < eps < 0.5:
-        raise CardCspError("eps must be in (0, 1/2)")
-    _require_resolution(resolution)
+    _admit_real("eps", eps, 0, 0.5, "()")
+    _admit_int("resolution", resolution, 2, cap=_RESOLUTION_CAP)
     m_target = 1.0 - 2.0 * eps
 
     def eval_grid(m1, m2, phi=None):

@@ -6,12 +6,13 @@ matrices of finite assignment mixtures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, CardCspError
-from .instance import CspInstance, _check_seed
+from .errors import CapacityError, CardCspError, _admit_int, _admit_real
+from .instance import CspInstance
 from .lasserre import MomentSolution, _layout, _lift_vectors
 
 _BISECTION_CAP = 24  # largest n brute_force enumerates under the cardinality rule
@@ -92,9 +93,8 @@ def mc_bvn(t1: float, t2: float, rho: float, samples: int = 10**6,
            seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of P(Z1 <= t1, Z2 <= t2) with its binomial
     sigma, via Cholesky-correlated normal sampling."""
-    if samples < 10**4:
-        raise CardCspError("need at least 1e4 samples")
-    _check_seed(seed)
+    _admit_int("samples", samples, 10**4)
+    _admit_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     hits = 0
     chunk = 10**6
@@ -116,13 +116,12 @@ def exact_mixture_moments(instance: CspInstance, assignments, probabilities,
     """Moment matrix of a finite mixture of deterministic assignments.
 
     Feasible by convexity whenever every assignment respects the
-    cardinality constraint.
+    cardinality constraint.  Each probability is a finite real >= 0.
     """
-    probabilities = np.asarray(probabilities, dtype=float)
+    probabilities = np.array([_admit_real("probability", p, 0, math.inf, "[)")
+                              for p in probabilities])
     if abs(probabilities.sum() - 1.0) > 1e-9:
         raise CardCspError(f"mixture probabilities sum to {probabilities.sum()}")
-    if np.any(probabilities < 0):
-        raise CardCspError("mixture probabilities must be nonnegative")
     assignments = [tuple(int(a) for a in x) for x in assignments]
     # evaluate refuses an assignment that does not fit the instance
     objective = float(sum(p * instance.evaluate(x)

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
-from numbers import Real
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
 from . import sdp_solver
-from .errors import CardCspError, NumericalError
-from .independence import _check_alpha, decorrelate
-from .instance import (CspInstance, _check_seed, _document, _integer, _number,
-                       _numbers, _sub_seeds, _trial_gaussians)
+from .errors import CardCspError, NumericalError, _admit_int, _admit_real
+from .independence import decorrelate
+from .instance import (CspInstance, _document, _numbers, _sub_seeds,
+                       _trial_gaussians)
 from .lasserre import (MomentSolution, _check_same_shape, _positions,
                        build_relaxation, local_distributions,
                        solution_objective)
@@ -153,16 +154,11 @@ class RoundedAssignment:
         if len(set(moves)) < len(moves) or not all(0 <= v < n for v in moves):
             raise CardCspError(f"repair moves must be distinct vertices "
                                f"in 0..{n - 1}, got {moves}")
-        _check_seed(self.seed)
-        # floats, so an int value or balance reads back the same bytes
+        _admit_int("seed", self.seed, 0)
+        # finite reals or None; floats, so an int reads back the same bytes
         for name in ("value", "balance"):
-            number = getattr(self, name)
-            if number is None:
-                continue
-            if isinstance(number, bool) or not isinstance(number, Real):
-                raise CardCspError(f"{name} must be a number or None, "
-                                   f"got {number!r}")
-            setattr(self, name, float(number))
+            if getattr(self, name) is not None:
+                setattr(self, name, _admit_real(name, getattr(self, name)))
 
     def to_json(self):
         return json.dumps({
@@ -177,13 +173,13 @@ class RoundedAssignment:
     @classmethod
     def from_json(cls, text):
         """Read ``to_json`` text; a malformed document raises ParseError."""
+        label = partial(_admit_int, "label", low=-1, high=1)
+        move = partial(_admit_int, "repair move", low=0)
         with _document(text, "cardcsp.assignment/1", "assignment") as doc:
-            return cls(labels=_numbers(doc["labels"], _integer),
-                       value=_number(doc["value"], optional=True),
-                       balance=_number(doc["balance"], optional=True),
-                       seed=_integer(doc["seed"]),
-                       repair_moves=_numbers(doc["repair_moves"],
-                                             _integer).tolist())
+            return cls(labels=_numbers(doc["labels"], label),
+                       value=doc["value"], balance=doc["balance"],
+                       seed=doc["seed"],
+                       repair_moves=_numbers(doc["repair_moves"], move).tolist())
 
 
 def labels_from_gaussian(profile: BiasProfile, g) -> np.ndarray:
@@ -284,10 +280,8 @@ def pipeline(instance: CspInstance, level: int = 2, alpha_target: float = 0.1,
     rounds with ``default_rng(sub_seed_k).standard_normal(r)``.
     ``solution`` may be supplied to skip the solve (``solve_feasible``).
     """
-    if type(trials) is not int or trials < 1:
-        raise CardCspError(f"trials must be at least 1 and an int, got "
-                           f"{trials!r}")
-    _check_alpha(alpha_target)
+    _admit_int("trials", trials, 1)
+    _admit_real("alpha", alpha_target, 0, math.inf, "[)")
     sub_seeds = _sub_seeds(seed, trials)
     if instance.q != 2:
         raise CardCspError(f"rounding supports q = 2 only, got q = {instance.q}")

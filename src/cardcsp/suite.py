@@ -6,8 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .errors import CapacityError, CardCspError, ParseError
-from .instance import CspInstance, _integer, _sub_seeds, generate
+from .errors import CapacityError, CardCspError, ParseError, _admit_int
+from .instance import CspInstance, _sub_seeds, generate
 from .oracle import _BISECTION_CAP, brute_force
 from .rounding import pipeline
 
@@ -129,16 +129,17 @@ def _entry(item) -> tuple[str, CspInstance]:
         raise ParseError(f"unknown keys {', '.join(unknown)} (allowed: "
                          f"{', '.join(_ENTRY_KEYS)})")
     try:
-        family, n = item["family"], _integer(item["n"])
-        seed, params = _integer(item.get("seed", 0)), item.get("params", {})
+        family, n = item["family"], item["n"]
+        seed, params = item.get("seed", 0), item.get("params", {})
         name = item.get("name", family)
         if not (isinstance(family, str) and isinstance(name, str)
                 and isinstance(params, dict)):
             raise TypeError("family and name must be strings, params an object")
-        if n > _BISECTION_CAP:
-            raise CapacityError(f"n={n} exceeds enumeration cap {_BISECTION_CAP}")
+        _admit_int("n", n, 2, cap=_BISECTION_CAP)
         return name, generate(family, n, seed=seed, **params)
     except KeyError as exc:
         raise ParseError(f"lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except CapacityError:
+        raise
+    except (CardCspError, TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None

@@ -187,11 +187,19 @@ def test_round_exits_2_on_a_ternary_instance(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["-R", "0"], "R must be at least 1, got 0"),
-    (["-R", "-1"], "R must be at least 1, got -1"),
-    (["--eps", "-0.5"], "eps must lie in [0, 1], got -0.5"),
-    (["--eps", "1.5"], "eps must lie in [0, 1], got 1.5"),
-    (["--eps", "nan"], "eps must lie in [0, 1], got nan"),
+    pytest.param(["-R", "0"], "R must be an int >= 1, got 0",
+                 id="flags0-R must be at least 1, got 0"),
+    pytest.param(["-R", "-1"], "R must be an int >= 1, got -1",
+                 id="flags1-R must be at least 1, got -1"),
+    pytest.param(["--eps", "-0.5"],
+                 "eps must be a finite real in [0, 1], got -0.5",
+                 id="flags2-eps must lie in [0, 1], got -0.5"),
+    pytest.param(["--eps", "1.5"],
+                 "eps must be a finite real in [0, 1], got 1.5",
+                 id="flags3-eps must lie in [0, 1], got 1.5"),
+    pytest.param(["--eps", "nan"],
+                 "eps must be a finite real in [0, 1], got nan",
+                 id="flags4-eps must lie in [0, 1], got nan"),
 ])
 def test_dict_rejects_meaningless_r_or_eps_with_exit_2(c4_file, tmp_path, capsys,
                                                       flags, message):
@@ -256,14 +264,14 @@ def test_bench_rejects_instances_the_oracle_cannot_score_with_exit_3(tmp_path,
     config.write_text(json.dumps({"instances": [
         {"family": "cycle", "n": 4}, {"family": "cycle", "n": 10**12}]}))
     assert main(["bench", "--config", str(config)]) == 3
-    assert "exceeds enumeration cap 24" in capsys.readouterr().err
+    assert "n=1000000000000 exceeds the cap of 24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_round_rejects_trials_below_one(c4_file, tmp_path, capsys, trials):
     out = tmp_path / "round.json"
     assert main(["round", c4_file, "--trials", trials, "--out", str(out)]) == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
+    assert "trials must be an int >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -275,7 +283,7 @@ def test_bench_rejects_trials_below_one(tmp_path, capsys, trials):
     out = tmp_path / "bench_out.json"
     assert main(["bench", "--config", str(config), "--trials", trials,
                  "--out", str(out)]) == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
+    assert "trials must be an int >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,9 +333,15 @@ def test_landscape_sqrt_eps_rejects_lists_that_cannot_fit(tmp_path, capsys,
 
 @pytest.mark.parametrize("flags, message", [
     (["--max-iterations", "0"], "max_iterations"),
-    (["--tolerance", "-1"], "tolerances"),
-    (["--tolerance", "0"], "tolerances"),
-    (["--tolerance", "nan"], "tolerances"),
+    pytest.param(["--tolerance", "-1"],
+                 "tolerance must be a finite real in (0, inf), got -1.0",
+                 id="flags1-tolerances"),
+    pytest.param(["--tolerance", "0"],
+                 "tolerance must be a finite real in (0, inf), got 0.0",
+                 id="flags2-tolerances"),
+    pytest.param(["--tolerance", "nan"],
+                 "tolerance must be a finite real in (0, inf), got nan",
+                 id="flags3-tolerances"),
 ])
 def test_solve_rejects_bad_solver_flags_with_exit_2(c4_file, tmp_path, capsys,
                                                    flags, message):
@@ -360,7 +374,7 @@ def test_landscape_rejects_grids_too_small_to_step(tmp_path, capsys, mode,
     out = tmp_path / "landscape.out"
     assert main(["landscape", mode, "--resolution", resolution,
                  "--out", str(out)]) == 2
-    assert "resolution must be at least 2" in capsys.readouterr().err
+    assert "resolution must be an int >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -382,7 +396,7 @@ def test_dict_refuses_a_tau_that_is_not_finite_and_nonnegative(c4_file,
     out = tmp_path / "dict.json"
     assert main(["dict", c4_file, "-R", "2", "--soundness", "--tau", tau,
                  "--out", str(out)]) == 2
-    assert "tau must be a finite number >= 0" in capsys.readouterr().err
+    assert "tau must be a finite real in [0, inf)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -398,7 +412,7 @@ def test_round_and_bench_refuse_an_alpha_that_is_not_finite_and_nonnegative(
     out = tmp_path / "out.json"
     inputs = [c4_file] if command == "round" else []
     assert main([command, *inputs, "--alpha", alpha, "--out", str(out)]) == 2
-    assert "alpha must be a finite number >= 0" in capsys.readouterr().err
+    assert "alpha must be a finite real in [0, inf)" in capsys.readouterr().err
     assert not out.exists()
 
 

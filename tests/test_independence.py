@@ -171,7 +171,8 @@ def test_decorrelate_refuses_an_alpha_that_is_not_a_finite_number_at_least_0(
         raise AssertionError("decorrelate worked before it checked alpha")
 
     monkeypatch.setattr(independence, "alpha_independence", no_work)
-    with pytest.raises(CardCspError, match="alpha must be a finite number"):
+    with pytest.raises(CardCspError,
+                       match=r"alpha must be a finite real in \[0, inf\)"):
         decorrelate(sol, inst, alpha, seed=0)
 
 

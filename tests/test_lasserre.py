@@ -210,7 +210,7 @@ def test_build_relaxation_refuses_level_1_before_any_layout(monkeypatch):
         raise AssertionError("a layout was built")
     monkeypatch.setattr(lasserre, "_Layout", no_layout)
     _cached_layout.cache_clear()
-    with pytest.raises(CardCspError, match="level must be at least 2"):
+    with pytest.raises(CardCspError, match="level must be an int >= 2"):
         build_relaxation(generate("cycle", 4), 1)
 
 
@@ -469,10 +469,10 @@ def test_solution_shape_must_be_positive_ints(name, value):
     sol = integral_lift(generate("cycle", 4), (0, 1, 0, 1))
     doc = json.loads(sol.to_json())
     doc[name] = value
-    with pytest.raises(ParseError, match=f"{name} must be a positive int"):
+    with pytest.raises(ParseError, match=f"{name} must be an int >= 1"):
         MomentSolution.from_json(json.dumps(doc))
     shape = {"level": 2, "n": 4, "q": 2, name: value}
-    with pytest.raises(CardCspError, match=f"{name} must be a positive int"):
+    with pytest.raises(CardCspError, match=f"{name} must be an int >= 1"):
         MomentSolution(shape["level"], shape["n"], shape["q"], sol.indices,
                        sol.gram)
 

@@ -118,3 +118,6 @@ def test_mixture_moments_validation():
         exact_mixture_moments(inst, [(0, 1, 0, 1)], [0.5])
     with pytest.raises(CardCspError):
         exact_mixture_moments(inst, [(0, 1)], [1.0])
+    # a NaN once passed the sum and the sign test: a zero gram, objective NaN
+    with pytest.raises(CardCspError, match="probability must be a finite real"):
+        exact_mixture_moments(inst, [(0, 1, 0, 1)], [np.nan])
