@@ -76,6 +76,7 @@ def cmd_solve(args):
         "primal_residual": report.primal_residual,
         "dual_residual": report.dual_residual,
         "rho": report.rho,
+        "blocks": report.blocks,
         "seconds": report.seconds,
         "level": args.level,
         "feasibility": {

@@ -220,10 +220,12 @@ def _influence(F, ell: int, p0: float):
 
 def influence(F, ell: int, marginal: float) -> float:
     """E over the other coordinates of the variance along coordinate ell,
-    under the product measure with P(value 0) = marginal per coordinate."""
+    under the product measure with P(value 0) = marginal per coordinate,
+    a finite real in [0, 1]."""
     F = np.asarray(F, dtype=float)
     R = _dimension(F)
     _admit_int("ell", ell, 0, R - 1)
+    marginal = _admit_real("marginal", marginal, 0, 1, "[]")
     return float(_influence(F, ell, marginal))
 
 

@@ -8,8 +8,9 @@ G[S, T] equals the moment G[0, S u T], or 0 on clashing assignments
 G[0, 0] = 1, marginalization, and the cardinality constraint on every
 conditioning event.  The objective is c . G[0, :] with c the payoff
 vector.  ``_layout(n, q, level)`` is the one place the index order, the
-reduced basis R, its lift P and T from P = Q T, the rows' shape-only parts
-and their part on the block G[R, R] are derived, once per shape; ``_rows``
+reduced basis R, its lift P and T from P = Q T, the rows' shape-only parts,
+their part on the block G[R, R] and the solver's scaled basis are derived,
+once per shape and each on first use; ``_rows``
 adds an instance's cardinality coefficients.  ``_layout`` is also the one
 gate for a shape: every entry point, relaxation or moment solution, reaches
 it before anything is built, and it refuses an n, q or level that is not a
@@ -91,17 +92,17 @@ class MomentSolution:
                                f"{self.gram[r, c]}, not finite")
 
     def _position(self, subset, assignment) -> int:
-        """Position of the index of the event x_S = alpha, S in any order."""
-        subset = [int(v) for v in subset]
-        alpha = [int(a) for a in assignment]
+        """Position of the index of the event x_S = alpha, S in any order;
+        each vertex and value passes the int rule."""
         n, q = self.n, self.q
-        if len(set(subset)) != len(subset) or not all(0 <= v < n for v in subset):
-            raise CardCspError(
-                f"vertices {tuple(subset)} must be distinct and in 0..{n - 1}")
-        if len(alpha) != len(subset) or not all(0 <= a < q for a in alpha):
+        subset = [_admit_int("vertex", v, 0, n - 1) for v in subset]
+        alpha = [_admit_int("value", a, 0, q - 1) for a in assignment]
+        if len(set(subset)) != len(subset):
+            raise CardCspError(f"vertices {tuple(subset)} must be distinct")
+        if len(alpha) != len(subset):
             raise CardCspError(
                 f"assignment {tuple(alpha)} must give each vertex of "
-                f"{tuple(subset)} a value in 0..{q - 1}")
+                f"{tuple(subset)} a value")
         if len(subset) > self.level:
             raise CardCspError(
                 f"subset size {len(subset)} exceeds level {self.level}")
@@ -428,6 +429,44 @@ class _Layout:
                  + where[at_cols[terms]])
         return _read_only(cls, np.bincount(cls)[:k], forms, terms, place)
 
+    @cached_property
+    def scaled(self):
+        """The basis ``sdp_solver`` works in, M with G' = G[R, R] = W M W^T:
+        the lift L = P W, so G = L M L^T; T W, so ||L D L^T|| =
+        ||T W D W^T T^T||; each entry of M's class, row-major (as in
+        ``block``) and amplitude a, so a constrained entry is a m_U; the map
+        C from the class values m to G'[0, R] = C m (None for C = I); the
+        parity |S| mod 2 of each index of R (None: no label flip); and each
+        index's position under the flip x -> 1 - x.
+
+        For q = 2, M[S, T] = 2^-(|S|+|T|)/2 E[chi_S chi_T] with chi_S =
+        prod_{i in S} (1 - 2 x_i): the parity basis, scaled so that M's
+        diagonal, 2^-|S|, is G''s scale.  [x_S = 0] = prod (1 + chi_i)/2
+        gives W[S, T] = 2^-|S| 2^(|T|/2) [T in S] and C[U, V] = 2^-|U|
+        [V in U]; an entry with |S u T| <= k is 2^-(|S|+|T|)/2 m_{S ^ T},
+        m_U = E[chi_U].  For q >= 3, M = G' (W = I, amplitude 1)."""
+        red, P, T = self.basis
+        cls = self.block[0]
+        if self.q != 2:
+            return _read_only(P, T, cls, np.ones(len(cls))) + (None,) * 3
+        k = len(red)
+        inside = (self.values[red] >= 0).astype(float)
+        size = inside.sum(axis=1)
+        C = ((1.0 - inside) @ inside.T == 0) * 2.0 ** -size[:, None]
+        W = C * 2.0 ** (size / 2)
+        at = np.flatnonzero(cls < k)  # no clash: every value of R is 0
+        r, c = np.divmod(at, k)
+        where = np.full(len(self.indices), -1)
+        where[red] = np.arange(k)
+        cls = cls.copy()
+        cls[at] = where[_positions(np.where(inside[r] != inside[c], 0, -1),
+                                   2, self.level)]
+        amp = 2.0 ** -((size[:, None] + size) / 2)
+        flip = _positions(np.where(self.values >= 0, 1 - self.values, -1), 2,
+                          self.level)
+        return _read_only(P @ W, T @ W, cls, amp.ravel(), C,
+                          size.astype(int) % 2, flip)
+
 
 def _layout(n, q, level) -> _Layout:
     """The layout of (n, q, level), built once per shape; the one gate for a
@@ -483,8 +522,8 @@ class FeasibilityReport:
     def passes(self, tol=1e-6):
         """Every violation at most ``tol``.  A solve that ends ``optimal``
         need not pass at 1e-6: the solver's test is on scaled, lifted
-        residuals (planted10_e05 at level 3 ends ``optimal`` with
-        psd_violation 7.6e-6)."""
+        residuals (gnp12 at level 3 ends ``optimal`` with psd_violation
+        5.1e-6)."""
         return (self.psd_violation <= tol
                 and self.consistency_violation <= tol
                 and self.cardinality_violation <= tol)

@@ -92,7 +92,9 @@ def brute_force(instance: CspInstance, respect_cardinality: bool = True) -> Exac
 def mc_bvn(t1: float, t2: float, rho: float, samples: int = 10**6,
            seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of P(Z1 <= t1, Z2 <= t2) with its binomial
-    sigma, via Cholesky-correlated normal sampling."""
+    sigma, via Cholesky-correlated normal sampling; ``rho`` is a finite
+    real in [-1, 1]."""
+    rho = _admit_real("rho", rho, -1, 1, "[]")
     _admit_int("samples", samples, 10**4)
     _admit_int("seed", seed, 0)
     rng = np.random.default_rng(seed)

@@ -73,6 +73,8 @@ INT_ARGUMENTS = {
     "MomentSolution q": (lambda v: _solution(q=v), 2),
     "build_relaxation level": (lambda v: build_relaxation(_inst(), v), 2),
     "local_distributions size": (lambda v: local_distributions(_sol(), v), 1),
+    "MomentSolution.prob vertex": (lambda v: _sol().prob((v,), (0,)), 1),
+    "MomentSolution.prob value": (lambda v: _sol().prob((1,), (v,)), 0),
     "SolverConfig max_iterations": (lambda v: SolverConfig(max_iterations=v),
                                     1),
     "decorrelate seed": (lambda v: decorrelate(_sol(), _inst(), 0.1, seed=v),
@@ -122,9 +124,11 @@ REAL_ARGUMENTS = {
     "worst_separation eps": (lambda v: landscape.worst_separation(v, 8), 0.1),
     "exact_mixture_moments probability": (
         lambda v: exact_mixture_moments(_inst(), [(0, 1, 0, 1)], [v]), 1.0),
+    "influence marginal": (lambda v: influence(dictator(3, 0), 0, v), 0.5),
+    "mc_bvn rho": (lambda v: mc_bvn(0.0, 0.0, v, samples=10**4), 0.5),
 }
 HOLDS_MINUS_ONE = {"RoundedAssignment value", "RoundedAssignment balance",
-                   "assignment value"}
+                   "assignment value", "mc_bvn rho"}
 
 
 def _int_cases(table):

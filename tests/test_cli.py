@@ -48,6 +48,23 @@ def test_solve_reports_its_residuals_and_penalty(c4_file, tmp_path):
     assert "residual_history" not in doc
 
 
+def test_solve_reports_its_blocks(c4_file, tmp_path):
+    # max bisection is invariant under the label flip: the solve runs on the
+    # 1 + 6 even-size subsets of the 4 vertices and the 4 odd-size ones
+    out = tmp_path / "sol.json"
+    assert main(["solve", c4_file, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["blocks"] == [7, 4]
+    # a 2-Sat clause is not: one block of all 11
+    path = tmp_path / "sat.json"
+    path.write_text(CspInstance(4, 2, (PayoffTerm((0, 1), (0.0, 1.0, 1.0, 1.0),
+                                                  1.0),),
+                                (0.25,) * 4, CardinalityFunction(
+                                    (Fraction(1, 2), Fraction(1, 2))),
+                                "max2sat").to_json())
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["blocks"] == [11]
+
+
 def test_solve_trace_adds_the_residual_history(c4_file, tmp_path):
     out = tmp_path / "sol.json"
     assert main(["solve", c4_file, "--trace", "--out", str(out)]) == 0

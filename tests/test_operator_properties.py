@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardcsp import sdp_solver
@@ -569,15 +569,64 @@ def _program_layout(program):
     return _layout(program.n, program.q, program.level)
 
 
+def _working_basis(n, q, level):
+    """W with G[R, R] = W M W^T for the solver's M, from its definition: for
+    q = 2, W[S, T] = 2^-|S| 2^(|T|/2) [T in S] over R's subsets (M the
+    scaled parity moments); for q >= 3, the identity."""
+    red = _layout(n, q, level).basis[0]
+    if q != 2:
+        return np.eye(len(red))
+    subsets = [set(build_index_set(n, q, level)[i][0]) for i in red]
+    return np.array([[2.0 ** (len(T) / 2 - len(S)) if T <= S else 0.0
+                      for T in subsets] for S in subsets])
+
+
+def _projection(program, red):
+    """The solver's projection on its blocks of M, embedded in the full
+    matrix (0 outside the blocks), and the program's rows on vec(M): the
+    reduced rows through G[R, R] = W M W^T, on the blocks' entries."""
+    layout = _program_layout(program)
+    d = len(red)
+    sel = np.concatenate([(b[:, None] * d + b).ravel()
+                          for b in sdp_solver._blocks(program, layout)])
+    project = _affine_projection(program.constraints, layout, sel)
+
+    def embedded(m):
+        out = np.zeros(d * d)
+        out[sel] = project(m.reshape(-1)[sel])
+        return out.reshape(d, d)
+
+    A, b = _reduced_rows(program.constraints, program.dim, red)
+    W = _working_basis(program.n, program.q, program.level)
+    return embedded, W, (A.toarray() @ np.kron(W, W))[:, sel], b, sel
+
+
+def _flip_invariant_case(parts, level):
+    """A case whose program is invariant under the label flip (all-ones
+    payoffs, half the weight on each value): the solver splits M in two."""
+    n = len(parts)
+    program = build_relaxation(_instance(2, parts, [1, 1]), level)
+    red, P = _basis(n, 2, level)
+    y = np.random.default_rng(n).standard_normal((len(red), len(red)))
+    return program, red, P, (y + y.T) / 2
+
+
+FLIP_INVARIANT = [_flip_invariant_case([1, 1, 2, 2], 2),
+                  _flip_invariant_case([1, 1, 2], 3)]
+
+
 @settings(max_examples=25, deadline=None)
+@example(FLIP_INVARIANT[0])
+@example(FLIP_INVARIANT[1])
 @given(projection_cases())
 def test_projection_is_the_least_squares_projection(case):
+    """On two blocks, the least-squares point with the entries between the
+    parities held at 0."""
     program, red, _, y = case
-    project = _affine_projection(program.constraints, _program_layout(program))
-    A, b = _reduced_rows(program.constraints, program.dim, red)
-    A = A.toarray()
-    v = y.reshape(-1)
-    expected = v - np.linalg.lstsq(A, A @ v - b, rcond=None)[0]
+    project, _, A, b, sel = _projection(program, red)
+    v = y.reshape(-1)[sel]
+    expected = np.zeros(y.size)
+    expected[sel] = v - np.linalg.lstsq(A, A @ v - b, rcond=None)[0]
     scale = max(1.0, np.abs(y).max())
     assert np.abs(project(y).reshape(-1) - expected).max() <= 1e-10 * scale
 
@@ -586,7 +635,7 @@ def test_projection_is_the_least_squares_projection(case):
 @given(projection_cases())
 def test_projection_is_idempotent_and_keeps_symmetry(case):
     program, red, _, y = case
-    project = _affine_projection(program.constraints, _program_layout(program))
+    project = _projection(program, red)[0]
     once = project(y)
     assert np.array_equal(once, once.T)
     scale = max(1.0, np.abs(y).max())
@@ -594,15 +643,16 @@ def test_projection_is_idempotent_and_keeps_symmetry(case):
 
 
 @settings(max_examples=25, deadline=None)
+@example(FLIP_INVARIANT[0])
+@example(FLIP_INVARIANT[1])
 @given(projection_cases())
 def test_projection_meets_the_reduced_and_the_full_rows(case):
     program, red, P, y = case
-    project = _affine_projection(program.constraints, _program_layout(program))
-    A, b = _reduced_rows(program.constraints, program.dim, red)
+    project, W, A, b, sel = _projection(program, red)
     block = project(y)
     scale = max(1.0, np.abs(y).max())
-    assert np.abs(A @ block.reshape(-1) - b).max() <= 1e-12 * scale
-    gram = P @ block @ P.T
+    assert np.abs(A @ block.reshape(-1)[sel] - b).max() <= 1e-12 * scale
+    gram = P @ W @ block @ W.T @ P.T
     assert np.abs(program.constraints.residual(gram)).max() <= 1e-9 * scale
 
 

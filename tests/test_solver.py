@@ -3,7 +3,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from cardcsp import sdp_solver
 from cardcsp.errors import CardCspError
 from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               cut_instance, generate, max2sat_instance)
-from cardcsp.lasserre import build_relaxation, check_feasibility
+from cardcsp.lasserre import _offsets, build_relaxation, check_feasibility
 from cardcsp.oracle import brute_force
 from cardcsp.sdp_solver import SolverConfig, project_psd
 from cardcsp.suite import default_suite
@@ -156,6 +157,33 @@ def test_planted12_level3_converges():
     assert report.objective == pytest.approx(0.9, abs=1e-5)
 
 
+def _odd_moments(sol):
+    """E[chi_U], chi_U = prod_{i in U} (1 - 2 x_i), for every odd-size U up
+    to the level, read off row 0 of G."""
+    out = []
+    for s in range(1, sol.level + 1, 2):
+        lo, hi = _offsets(sol.n, 2, s)[-2:]
+        signs = [(-1) ** sum(a) for a in product((0, 1), repeat=s)]
+        out.append(sol.gram[0, lo:hi].reshape(-1, 2 ** s) @ signs)
+    return np.concatenate(out)
+
+
+def _check_solve(inst, level):
+    """Solve; the solution is optimal, feasible within 1e-5 and bounds the
+    brute-force optimum."""
+    sol, report = sdp_solver.solve(build_relaxation(inst, level))
+    assert report.status == "optimal"
+    feas = check_feasibility(sol, inst)
+    assert max(feas.psd_violation, feas.consistency_violation,
+               feas.cardinality_violation) <= 1e-5
+    optimum = brute_force(inst).optimum
+    if inst.sense == "max":
+        assert sol.objective_value >= optimum - 1e-5
+    else:
+        assert sol.objective_value <= optimum + 1e-5
+    return sol, report
+
+
 @settings(max_examples=25, deadline=None)
 # acceleration from iteration 1 fails on these two draws
 @example(n=5, level=2, kind="maxcut-bisection", p=0.8, seed=774, zero=True)
@@ -176,17 +204,54 @@ def test_accelerated_solve_is_feasible_and_bounds_the_optimum(n, level, kind,
     weights[0] += (n - zero) % 2
     inst = cut_instance(n, edges, kind=kind,
                         vertex_weights=list(weights / weights.sum()))
-    sol, report = sdp_solver.solve(build_relaxation(inst, level))
-    assert report.status == "optimal"
-    feas = check_feasibility(sol, inst)
-    assert feas.psd_violation <= 1e-5
-    assert feas.consistency_violation <= 1e-5
-    assert feas.cardinality_violation <= 1e-5
-    optimum = brute_force(inst).optimum
-    if kind == "maxcut-bisection":
-        assert sol.objective_value >= optimum - 1e-5
-    else:
-        assert sol.objective_value <= optimum + 1e-5
+    sol, report = _check_solve(inst, level)
+    # flip-invariant: the even- and the odd-size subsets, no odd moment
+    even = sum(comb(n, s) for s in range(0, level + 1, 2))
+    assert report.blocks == [even, sum(comb(n, s) for s in range(level + 1))
+                             - even]
+    assert np.abs(_odd_moments(sol)).max() <= 1e-12
+
+
+# -- the scaled parity basis and the label-flip split ---------------------------
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("inst", [
+    max2sat_instance(6, [(0, 1, 1, -1, 0.25), (1, 2, -1, -1, 0.25),
+                         (2, 5, 1, 1, 0.25), (3, 4, -1, 1, 0.25)]),
+    # a third of the weight on value 0: the flip maps the target elsewhere
+    cut_instance(6, [(i, (i + 1) % 6, 1.0) for i in range(6)],
+                 kind="alpha-cut", cardinality=CardinalityFunction(
+                     (Fraction(1, 3), Fraction(2, 3)))),
+], ids=["max2sat", "alpha-cut-third"])
+def test_solves_that_are_not_flip_invariant_run_on_one_block(inst, level):
+    _, report = _check_solve(inst, level)
+    assert report.blocks == [sum(comb(6, s) for s in range(level + 1))]
+
+
+def _ternary(n):
+    """q = 3 on an n-cycle, payoff 1 where the endpoints differ, a third of
+    the weight on each value."""
+    table = tuple(float(a != b) for a in range(3) for b in range(3))
+    return CspInstance(
+        n, 3, tuple(PayoffTerm((min(i, (i + 1) % n), max(i, (i + 1) % n)),
+                               table, 1.0 / n, 3) for i in range(n)),
+        (1.0 / n,) * n, CardinalityFunction((Fraction(1, 3),) * 3))
+
+
+@pytest.mark.parametrize("n, level, status, iterations", [
+    (5, 2, "optimal", 325),
+    (6, 2, "optimal", 275),
+    (4, 3, "infeasible", 25),  # no third of 4 equal weights
+])
+def test_ternary_solves_keep_their_basis_and_iterations(n, level, status,
+                                                        iterations):
+    # q >= 3 keeps the reduced basis R with amplitude 1 on one block: the
+    # iterates, and so the counts, are those of the solver before the
+    # parity basis
+    _, report = sdp_solver.solve(build_relaxation(_ternary(n), level))
+    assert (report.status, report.iterations) == (status, iterations)
+    assert report.blocks == [sum(comb(n, s) * 2 ** s
+                                 for s in range(level + 1))]
 
 
 def _singular(a, b):
@@ -246,22 +311,23 @@ def _iterations_of(messages, text):
 
 def test_solver_logs_rho_changes_acceleration_and_result(caplog):
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
-    program = build_relaxation(dict(default_suite())["gnp10_b"], 2)
+    program = build_relaxation(dict(default_suite())["gnp12"], 2)
     _, report = sdp_solver.solve(program)
     messages = _solver_messages(caplog)
-    # gnp10_b: acceleration starts at the first check; a 100x imbalance
-    # doubles rho twice and drops it; the next balanced check restarts it
-    assert messages[:4] == [
-        "iteration 25: Anderson acceleration on at rho 0.05 (primal 1.13, "
-        "dual 0.0325)",
-        "iteration 150: rho 0.05 -> 0.1 (primal 0.0118, dual 8.89e-05)",
-        "iteration 175: rho 0.1 -> 0.2 (primal 0.0116, dual 5.99e-05)",
-        "iteration 200: Anderson acceleration on at rho 0.2 (primal 0.0112, "
-        "dual 0.000174)"]
+    # gnp12: acceleration starts at the first check; a 100x imbalance
+    # doubles rho and drops it; the next balanced check restarts it
+    assert messages[:3] == [
+        "iteration 25: Anderson acceleration on at rho 0.05 (primal 0.283, "
+        "dual 0.0237)",
+        "iteration 225: rho 0.05 -> 0.1 (primal 0.00283, dual 2.09e-05)",
+        "iteration 250: Anderson acceleration on at rho 0.1 (primal 0.00283, "
+        "dual 3.63e-05)"]
     assert messages[-1].startswith(
         f"optimal after {report.iterations} iterations: primal ")
-    assert messages[-1].endswith(", rho 0.2")
-    assert report.rho == 0.2
+    # flip-invariant at n = 12, level 2: the 1 + 66 even-size subsets and
+    # the 12 odd-size ones
+    assert messages[-1].endswith(", rho 0.1, blocks [67, 12]")
+    assert (report.rho, report.blocks) == (0.1, [67, 12])
 
 
 @pytest.mark.parametrize("failure", ["singular", "nan"])
