@@ -8,20 +8,28 @@ G[S, T] equals the moment G[0, S u T], or 0 on clashing assignments
 G[0, 0] = 1, marginalization, and the cardinality constraint on every
 conditioning event.  The objective is c . G[0, :] with c the payoff
 vector.  ``_layout(n, q, level)`` is the one place the index order, the
-reduced basis R, its lift P and T from P = Q T, the rows' shape-only parts,
-their part on the block G[R, R] and the solver's scaled basis are derived,
-once per shape and each on first use; ``_rows``
-adds an instance's cardinality coefficients.  ``_layout`` is also the one
-gate for a shape: every entry point, relaxation or moment solution, reaches
-it before anything is built, and it refuses an n, q or level that is not a
-positive int and an index set over ``INDEX_CAP``.  Feasible points are
-exactly the moment solutions: G is PSD and meets every row.
-``check_feasibility`` reads the consistency and cardinality violations off
-the same rows, on the symmetric part of G read in place.  It certifies PSD
-on the reduced block G[R, R]: the block's eigenvalues, plus a Weyl bound
-from the residual of the lift G = P G[R, R] P^T, which is never below the
-exact violation; when that residual exceeds ``_LIFT_TOL`` it takes the full
-d x d spectrum instead, the one d x d copy it makes.
+reduced basis R, its lift P as a recursion (``_lift_stages``), P itself and
+T from P = Q T, the rows' shape-only parts, their part on the block
+G[R, R] and the solver's scaled basis are derived, once per shape and each
+on first use; ``_rows`` adds an instance's cardinality coefficients.
+``_layout`` is also the one gate for a shape: every entry point, relaxation
+or moment solution, reaches it before anything is built, and it refuses an
+n, q or level that is not a positive int and an index set over
+``INDEX_CAP``.  Feasible points are exactly the moment solutions: G is PSD
+and meets every row.
+
+The lift is inclusion-exclusion, [x_j = q - 1] = 1 - sum_{a < q - 1}
+[x_j = a], applied one variable at a time: an index with s values q - 1
+is its parent (its last such variable dropped) minus its q - 1 siblings
+(that variable set below q - 1), all with s - 1, so the layout's ``lift``
+computes P X in ``level`` vectorized steps of O(d) rows each, with no
+product by P.  ``check_feasibility`` reads the consistency and cardinality
+violations off the rows, on the symmetric part of G read in place.  It
+certifies PSD on the reduced block G[R, R]: the block's eigenvalues, plus a
+Weyl bound from the residual of the lift G = P G[R, R] P^T, formed in
+column blocks by the recursion and never below the exact violation; when
+that residual exceeds ``_LIFT_TOL`` it takes the full d x d spectrum
+instead, the one d x d copy it makes.
 
 Indices run by subset size, then subset in ``combinations`` order, then
 assignment in row-major order, so the level-(k-1) index set is a prefix of
@@ -296,26 +304,32 @@ def _positions(values, q, level):
     return _offsets(n, q, level)[size] + rank * q ** size + code
 
 
-def _reduced_basis(values, q):
+def _lift_stages(values, q, level):
     """Positions R of the indices whose values all lie below q - 1, and the
-    lift P (d x |R|, dense) with G = P G[R, R] P^T on every moment solution,
-    from the index set's value table.
+    lift P (G = P G[R, R] P^T on every moment solution) as a recursion over
+    the other indices, from the index set's value table.
 
-    P is inclusion-exclusion: each value q - 1 expands as
-    [x_j = q - 1] = 1 - sum_{a < q - 1} [x_j = a], so P[(S, alpha), (T, beta)]
-    is (-1)^{|{j in T : alpha_j = q - 1}|} when T drops only variables valued
-    q - 1 and beta agrees with alpha below q - 1, and zero otherwise.
+    P is inclusion-exclusion: [x_j = q - 1] = 1 - sum_{a < q - 1} [x_j = a].
+    Stage s holds the indices with s values q - 1, for s = 1..level: its
+    rows, and for each row, with j its last variable valued q - 1, the
+    parent (the same event with j dropped) and the q - 1 siblings (j set to
+    each a < q - 1), one array per a.  Row (S, alpha) of P is its parent's
+    row minus its siblings', and parent and siblings lie in earlier stages.
     """
-    red = np.flatnonzero((values < q - 1).all(axis=1))
     top = values == q - 1
-    # one-hot over -1, 0, ..., q - 2; values q - 1 match anything
-    kinds = np.arange(-1, q - 1)
-    full = (values[:, :, None] == kinds).reshape(len(values), -1)
-    sub = full[red]
-    matches = full.astype(float) @ sub.T.astype(float)
-    fits = matches == (~top).sum(axis=1)[:, None]
-    flips = top.astype(float) @ (values[red] >= 0).T.astype(float)
-    return red, np.where(fits, 1.0 - 2.0 * (flips.astype(np.int64) & 1), 0.0)
+    count = top.sum(axis=1)
+    last = values.shape[1] - 1 - top[:, ::-1].argmax(axis=1)
+    stages = []
+    for s in range(1, level + 1):
+        rows = np.flatnonzero(count == s)
+        at = np.arange(len(rows)), last[rows]
+        event = values[rows]
+        kin = []
+        for a in range(-1, q - 1):  # the parent, then the siblings
+            event[at] = a
+            kin.append(_positions(event, q, level))
+        stages.append(_read_only(rows, *kin))
+    return _read_only(np.flatnonzero(count == 0))[0], stages
 
 
 def _consistency_pairs(values, q, level):
@@ -365,9 +379,29 @@ class _Layout:
                                                _offsets(n, q, level))
 
     @cached_property
+    def stages(self):
+        """R and the lift's stages (``_lift_stages``)."""
+        return _lift_stages(self.values, self.q, self.level)
+
+    def lift(self, X, out=None):
+        """P X for X with |R| rows, into ``out`` if given: Y[R] = X, then
+        stage by stage Y[rows] = Y[parent] - sum_a Y[sibling_a]."""
+        red, stages = self.stages
+        Y = np.empty((len(self.indices),) + X.shape[1:]) if out is None else out
+        Y[red] = X
+        for rows, parent, *siblings in stages:
+            Z = Y.take(parent, axis=0)
+            for sibling in siblings:
+                Z -= Y.take(sibling, axis=0)
+            Y[rows] = Z
+        return Y
+
+    @cached_property
     def basis(self):
-        """R, the lift P (dense), and T from P = Q T."""
-        red, P = _reduced_basis(self.values, self.q)
+        """R, the lift P (dense, ``lift`` of the identity), and T from
+        P = Q T."""
+        red = self.stages[0]
+        P = self.lift(np.eye(len(red)))
         return _read_only(red, P, np.linalg.qr(P, mode="r"))
 
     @cached_property
@@ -565,31 +599,35 @@ def _psd_violation(gram, layout) -> float:
     With R, P and T from the layout and A = sym[R, R], write
     sym = P A P^T + E.  P = Q T with orthonormal Q, so P A P^T has the
     eigenvalues of T A T^T and zeros, and by Weyl lambda_min(sym) is at
-    least lambda_min(P A P^T) - eps, where eps, the largest absolute row
-    sum of the symmetric E, bounds ||E||_2.  This holds for any P: a G
+    least lambda_min(P A P^T) - eps, where eps bounds ||E||_2.  With
+    F = P A P^T - G, E = -(F + F^T) / 2, so eps, the largest mean of row i's
+    and column i's absolute sums of F, is at least the largest absolute row
+    sum of E, and equal to it for a symmetric G.  This holds for any P: a G
     outside the lift's image shows as a large eps.  When eps exceeds
     ``_LIFT_TOL`` (noisy, inconsistent or external input) the full d x d
     spectrum of sym is computed instead, the only d x d copy made.
     """
-    red, lift, T = layout.basis
+    red, _, T = layout.basis
     A = gram[np.ix_(red, red)]
     A = (A + A.T) / 2
-    APt = np.ascontiguousarray((lift @ A).T)  # A P^T, as A is symmetric
-    # sym and E in row blocks read off G, so no second d x d array is formed;
-    # E is symmetric, so each block is formed up to its diagonal only and its
-    # part left of the diagonal also counts for the rows it mirrors; row i of
-    # P is 0 past the columns of R at or before i (P reads subsets only)
+    PA = layout.lift(A)
+    # F in column blocks: (P A P^T)[:, lo:hi] = P (P A)[lo:hi]^T, A symmetric,
+    # each block lifted by the layout's recursion, so no d x d array is
+    # formed; a block of about 2^16 entries stays in cache through the lift
     d = len(gram)
-    block = max(1, (1 << 18) // d)
-    sums = np.zeros(d)
+    block = min(d, max(1, (1 << 16) // d))
+    rows, cols = np.zeros(d), np.zeros(d)
+    buffer, ones = np.empty((d, block)), np.ones(d)
     for lo in range(0, d, block):
         hi = min(lo + block, d)
-        k = np.searchsorted(red, hi)
-        E = np.abs((gram[lo:hi, :hi] + gram[:hi, lo:hi].T) / 2
-                   - lift[lo:hi, :k] @ APt[:k, :hi])
-        sums[lo:hi] += E.sum(axis=1)
-        sums[:lo] += E[:, :lo].sum(axis=0)
-    eps = float(sums.max())
+        F = layout.lift(PA[lo:hi].T, buffer[:, :hi - lo])
+        F -= gram[:, lo:hi]
+        np.abs(F, out=F)
+        # the absolute sums as matrix-vector products, which run faster
+        # than reductions along either axis
+        rows += F @ ones[:hi - lo]
+        cols[lo:hi] = ones @ F
+    eps = float((rows + cols).max()) / 2
     if eps > _LIFT_TOL:
         sym = gram + gram.T
         sym /= 2
@@ -598,10 +636,19 @@ def _psd_violation(gram, layout) -> float:
     return max(0.0, eps - min(0.0, low))
 
 
+def _labels(assignment, q) -> tuple[int, ...]:
+    """An assignment's labels as plain ints: each an int or a numpy integer
+    (not a bool or a float) in 0..q - 1, as the int rule says."""
+    return tuple(_admit_int("assignment label",
+                            int(a) if isinstance(a, np.integer) else a,
+                            0, q - 1) for a in assignment)
+
+
 def integral_lift(instance: CspInstance, assignment, level: int = 2) -> MomentSolution:
-    """Moment matrix of a deterministic assignment."""
-    assignment = tuple(int(a) for a in assignment)
-    value = instance.evaluate(assignment)  # refuses one that does not fit
+    """Moment matrix of a deterministic assignment: n labels, each an int
+    or a numpy integer in 0..q - 1 (``_labels``)."""
+    assignment = _labels(assignment, instance.q)
+    value = instance.evaluate(assignment)  # refuses one of the wrong length
     layout = _layout(instance.n, instance.q, level)
     vec = _lift_vectors(layout.values, [assignment])[0]
     return MomentSolution(level, instance.n, instance.q, list(layout.indices),

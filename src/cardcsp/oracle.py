@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapacityError, CardCspError, _admit_int, _admit_real
 from .instance import CspInstance
-from .lasserre import MomentSolution, _layout, _lift_vectors
+from .lasserre import MomentSolution, _labels, _layout, _lift_vectors
 
 _BISECTION_CAP = 24  # largest n brute_force enumerates under the cardinality rule
 _SPLIT_SLACK = 1e-9  # rounding slack on a side's weight against the target
@@ -118,14 +118,15 @@ def exact_mixture_moments(instance: CspInstance, assignments, probabilities,
     """Moment matrix of a finite mixture of deterministic assignments.
 
     Feasible by convexity whenever every assignment respects the
-    cardinality constraint.  Each probability is a finite real >= 0.
+    cardinality constraint.  Each probability is a finite real >= 0, and
+    each label an int or a numpy integer in 0..q - 1.
     """
     probabilities = np.array([_admit_real("probability", p, 0, math.inf, "[)")
                               for p in probabilities])
     if abs(probabilities.sum() - 1.0) > 1e-9:
         raise CardCspError(f"mixture probabilities sum to {probabilities.sum()}")
-    assignments = [tuple(int(a) for a in x) for x in assignments]
-    # evaluate refuses an assignment that does not fit the instance
+    assignments = [_labels(x, instance.q) for x in assignments]
+    # evaluate refuses an assignment of the wrong length
     objective = float(sum(p * instance.evaluate(x)
                           for x, p in zip(assignments, probabilities)))
     layout = _layout(instance.n, instance.q, level)

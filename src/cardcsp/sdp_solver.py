@@ -2,7 +2,7 @@
 
 Every moment solution is a fixed linear image G = P G' P^T of its
 principal block G' = G[R, R] on R, the indices whose values all lie below
-q - 1 (``lasserre._reduced_basis``; ``lasserre._layout`` derives R, P and
+q - 1 (``lasserre._lift_stages``; ``lasserre._layout`` derives R, P and
 T from P = Q T once per shape).  P has full column rank, so G is PSD
 exactly when G' is, and the rows inside R x R (the layout's ``block``)
 constrain G' as the full rows constrain G.  The solver works on M with

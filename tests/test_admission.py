@@ -2,8 +2,9 @@
 
 An int argument must be a plain int (not a bool, a float or a numpy
 integer) in its range; a real one a finite real, numpy scalars included, in
-its interval.  Anything else raises CardCspError (CapacityError above a
-cap); a document reader raises ParseError.
+its interval.  An assignment's labels take numpy integers too, as rows of
+integer arrays hold them.  Anything else raises CardCspError (CapacityError
+above a cap); a document reader raises ParseError.
 """
 
 import dataclasses
@@ -131,6 +132,16 @@ HOLDS_MINUS_ONE = {"RoundedAssignment value", "RoundedAssignment balance",
                    "assignment value", "mc_bvn rho"}
 
 
+# name: (call with one label set to the value, a valid label); q = 2
+LABEL_ARGUMENTS = {
+    "integral_lift label": (
+        lambda v: integral_lift(_inst(), (0, 1, 0, v)), 1),
+    "exact_mixture_moments label": (
+        lambda v: exact_mixture_moments(_inst(), [(0, 1, 0, 1), (1, 0, 1, v)],
+                                        [0.5, 0.5]), 0),
+}
+
+
 def _int_cases(table):
     for name, (_, valid) in table.items():
         for bad in (True, np.int64(valid), float(valid), math.nan, math.inf,
@@ -151,6 +162,24 @@ def test_int_arguments_take_only_plain_ints_in_range(name, bad):
     with pytest.raises(CardCspError, match="must be an int") as raised:
         call(bad)
     assert not isinstance(raised.value, CapacityError)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), 0.7, 1.0,
+                                 np.float64(0.0), math.nan, -1, 2,
+                                 np.int64(2), "1"])
+@pytest.mark.parametrize("name", sorted(LABEL_ARGUMENTS))
+def test_labels_take_only_ints_in_range(name, bad):
+    """A float label was once truncated and a bool read as 0 or 1."""
+    call, _ = LABEL_ARGUMENTS[name]
+    with pytest.raises(CardCspError, match="assignment label must be an int"):
+        call(bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("name", sorted(LABEL_ARGUMENTS))
+def test_labels_take_numpy_integers(name, kind):
+    call, valid = LABEL_ARGUMENTS[name]
+    assert np.array_equal(call(kind(valid)).gram, call(valid).gram)
 
 
 @pytest.mark.parametrize("name, bad", list(_real_cases(REAL_ARGUMENTS)))

@@ -72,7 +72,7 @@ def test_lower_level_layout_is_a_prefix(n, q, level):
 
 def test_each_shape_builds_its_layout_once(monkeypatch):
     """build_relaxation -> solve -> check_feasibility -> pipeline derives
-    the index list, value table, reduced basis, its QR factor, the
+    the index list, value table, the lift's stages, the QR factor of P, the
     consistency pairs and the block's rows once for the shape."""
     calls = {}
 
@@ -84,7 +84,7 @@ def test_each_shape_builds_its_layout_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("build_index_set", "_value_table", "_reduced_basis",
+    for name in ("build_index_set", "_value_table", "_lift_stages",
                  "_consistency_pairs"):
         counted(lasserre, name)
     counted(np.linalg, "qr")
@@ -98,7 +98,7 @@ def test_each_shape_builds_its_layout_once(monkeypatch):
         pipeline(inst, level=2, trials=4, solution=solution)
         pipeline(inst, level=2, trials=4)
     assert calls == dict.fromkeys(["build_index_set", "_value_table",
-                                   "_reduced_basis", "_consistency_pairs",
+                                   "_lift_stages", "_consistency_pairs",
                                    "qr", "func"], 1)
     assert _cached_layout.cache_info().currsize == 1
 
@@ -243,6 +243,26 @@ def test_feasibility_check_reads_the_gram_in_place():
         tracemalloc.stop()
     d = len(sol.indices)
     assert d == 2049 and report.passes(1e-9)
+    assert peak < d * d * 8
+
+
+def test_psd_certificate_makes_no_d_by_d_array():
+    """At n = 10, level 3 (d = 1,161) the PSD certificate of a mixture
+    peaks below one d x d float array: the lift residual is formed in column
+    blocks by the layout's recursion."""
+    inst = generate("gnp", 10, seed=4, p=0.5)
+    halves = [(0,) * 5 + (1,) * 5, (1, 0) * 5, (0, 1) * 5, (1,) * 5 + (0,) * 5]
+    sol = exact_mixture_moments(inst, halves, [0.4, 0.3, 0.2, 0.1], level=3)
+    layout = _layout(10, 2, 3)
+    lasserre._psd_violation(sol.gram, layout)  # derives the layout's lift
+    tracemalloc.start()
+    try:
+        psd = lasserre._psd_violation(sol.gram, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = len(sol.indices)
+    assert d == 1161 and 0 <= psd <= 1e-12
     assert peak < d * d * 8
 
 

@@ -1,7 +1,7 @@
 """Property tests of the relaxation's constraint operator, and of the
 reduced basis and closed-form affine projection the solver runs on, over
-random instances: domain size 2 or 3, levels 2 and 3, random vertex
-weights."""
+random instances: domain size 2 or 3, levels 2 and 3 (2 to 4 for the
+lift's recursion), random vertex weights."""
 
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -278,20 +278,10 @@ def test_psd_violation_of_a_signed_mixture_is_the_full_spectrum_value(case):
         <= 1e-12
 
 
-@SETTINGS
-@given(st.one_of(balanced_mixtures(), balanced_mixtures(signed=True)),
-       st.sampled_from(["anywhere", "outside", "lifted"]),
-       st.sampled_from([1e-13, 5e-13, 1e-12, 1e-9, 1e-3]),
-       st.integers(0, 2 ** 32 - 1))
-def test_psd_violation_never_under_reports(case, where, size, seed):
+def _noise(where, size, red, P, rng):
     """Symmetric noise with largest absolute row sum ``size``: anywhere on G,
     only off the block G[R, R], or on the block and lifted by P, which
-    keeps G in the lift's image.  Off the image by more than the rounding
-    constant, the full spectrum is read."""
-    inst, level, mixture = case
-    n, q = inst.n, inst.q
-    red, P = _basis(n, q, level)
-    rng = np.random.default_rng(seed)
+    keeps G in the lift's image."""
     if where == "lifted":
         noise = P @ rng.standard_normal((len(red), len(red))) @ P.T
     else:
@@ -300,6 +290,21 @@ def test_psd_violation_never_under_reports(case, where, size, seed):
             noise[np.ix_(red, red)] = 0.0
     noise += noise.T
     noise *= size / np.abs(noise).sum(axis=1).max()
+    return noise
+
+
+@SETTINGS
+@given(st.one_of(balanced_mixtures(), balanced_mixtures(signed=True)),
+       st.sampled_from(["anywhere", "outside", "lifted"]),
+       st.sampled_from([1e-13, 5e-13, 1e-12, 1e-9, 1e-3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_psd_violation_never_under_reports(case, where, size, seed):
+    """Symmetric noise (``_noise``).  Off the lift's image by more than the
+    rounding constant, the full spectrum is read."""
+    inst, level, mixture = case
+    n, q = inst.n, inst.q
+    red, P = _basis(n, q, level)
+    noise = _noise(where, size, red, P, np.random.default_rng(seed))
     perturbed = MomentSolution(level, n, q, mixture.indices,
                                mixture.gram + noise)
     full = _full_psd_violation(perturbed.gram)
@@ -309,6 +314,59 @@ def test_psd_violation_never_under_reports(case, where, size, seed):
         assert psd <= full + 1e-12
     elif _lift_residual(perturbed.gram, n, q, level) > 1e-11:
         assert psd == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+
+@SETTINGS
+@given(st.one_of(balanced_mixtures(), balanced_mixtures(signed=True)),
+       st.sampled_from(["anywhere", "outside", "lifted"]),
+       st.sampled_from([0.0, 1e-13, 1e-9]),
+       st.sampled_from([1e-14, 5e-13, 1e-12, 1e-9, 1e-3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_psd_violation_of_an_asymmetric_gram_never_under_reports(
+        case, where, size, skew, seed):
+    """Symmetric noise (``_noise``) plus an antisymmetric part with largest
+    absolute row sum ``skew``.  The check reads the symmetric part: the
+    antisymmetric part may raise the lift residual, and with it the report
+    or the switch to the full spectrum, but never lowers the report below
+    the symmetric part's full-spectrum value."""
+    inst, level, mixture = case
+    n, q = inst.n, inst.q
+    red, P = _basis(n, q, level)
+    rng = np.random.default_rng(seed)
+    noise = _noise(where, size, red, P, rng) if size else 0.0
+    twist = rng.standard_normal((len(P), len(P)))
+    twist -= twist.T
+    twist *= skew / np.abs(twist).sum(axis=1).max()
+    perturbed = MomentSolution(level, n, q, mixture.indices,
+                               mixture.gram + noise + twist)
+    full = _full_psd_violation(perturbed.gram)
+    psd = check_feasibility(perturbed, inst).psd_violation
+    assert psd >= full - 1e-13
+    if where == "lifted":
+        assert psd <= full + skew + 1e-12
+
+
+@pytest.mark.parametrize("side", ["column", "row"])
+def test_psd_violation_counts_a_one_sided_residual(side):
+    """-1e-13 on 16 entries of one column of G outside R (or of its row),
+    not mirrored: the residual of G's symmetric part is in that row and
+    column both, so a bound from the row (or column) sums of G's residual
+    alone would read 1e-13, below the full-spectrum value near 1.9e-13."""
+    inst = generate("cycle", 6)
+    gram = sum(p * integral_lift(inst, a, 3).gram for p, a in zip(
+        [1 / 3, 1 / 7, 11 / 21],
+        [(0, 1, 0, 1, 0, 1), (1, 1, 0, 0, 1, 0), (0, 0, 1, 1, 0, 1)]))
+    red = _layout(6, 2, 3).basis[0]
+    i = np.setdiff1d(np.arange(len(gram)), red)[5]
+    others = np.setdiff1d(np.arange(len(gram)), [i])
+    j = np.random.default_rng(0).choice(others, 16, replace=False)
+    if side == "column":
+        gram[j, i] -= 1e-13
+    else:
+        gram[i, j] -= 1e-13
+    solution = MomentSolution(3, 6, 2, build_index_set(6, 2, 3), gram)
+    psd = check_feasibility(solution, inst).psd_violation
+    assert 1.5e-13 < _full_psd_violation(gram) <= psd <= 1e-12
 
 
 @SETTINGS
@@ -376,7 +434,8 @@ def test_rows_refuse_writes():
     layout = _layout(4, 2, 2)
     *shape_rows, (at_rows, at_cols) = layout.rows
     held += [layout.values, layout.offsets, *layout.basis, *shape_rows,
-             at_rows, at_cols, *layout.block]
+             at_rows, at_cols, *layout.block, layout.stages[0],
+             *(a for stage in layout.stages[1] for a in stage)]
     assert isinstance(layout.indices, tuple)
     for array in held:
         with pytest.raises(ValueError, match="read-only"):
@@ -484,6 +543,21 @@ def test_lift_equals_inclusion_exclusion_by_loop(shape):
     layout_red, layout_P = _basis(n, q, level)
     assert layout_red.tolist() == red
     assert np.array_equal(layout_P, P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]), st.data())
+def test_lift_recursion_applies_p(q, level, data):
+    """The layout's ``lift`` of X, by its stages' recursion, is P X within
+    1e-12 of the size of |P| |X|, on X of any number of columns."""
+    n = data.draw(st.integers(level, 6 if level == 2 else 5))
+    red, P = _basis(n, q, level)
+    columns = data.draw(st.sampled_from([(), (1,), (3,), (len(red),)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((len(red),) + columns)
+    got = _layout(n, q, level).lift(X)
+    assert got.shape == (len(P),) + columns
+    assert np.abs(got - P @ X).max() <= 1e-12 * (np.abs(P) @ np.abs(X)).max()
 
 
 def _reduced_rows(constraints, d, red):
