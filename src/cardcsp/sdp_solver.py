@@ -42,29 +42,48 @@ F(v) = gamma X + (1 - gamma) Z + U.  While an accelerator runs, the steps
 are type-II Anderson accelerated (Walker & Ni 2011, as in SCS 3):
 v <- F(v) - (dV + dG) theta, with dV and dG the last ``_MEMORY``
 differences of v and of g = F(v) - v, and theta the ridge-regularized
-least-squares solution of min ||g - dG theta||.  At every residual check
-(every 25 iterations), when one residual is more than ``_IMBALANCE`` times
-the other, rho doubles or halves and the accelerator, whose differences
-belong to the old map, is dropped; otherwise a fresh one starts if none
-runs.  A failed or non-finite small solve drops it too.  A check iteration
-takes the plain step, so the reported residuals are those of one exact
-splitting step.
+least-squares solution of min ||g - dG theta||.  A failed or non-finite
+small solve drops the accelerator.
 
-A check ends the solve ``optimal`` when both scaled residuals meet the
-tolerance, and ``infeasible`` on a Farkas certificate read off U (Banjac,
-Goulart, Stellato & Boyd 2019): Y = X0 - U - Pi_A(-U), X0 = Pi_A(0), lies
-in the rows' span, so <Y, M> = <Y, X0> on every M meeting them, and a
-feasible M is PSD with trace at most tau.  Every diagonal entry of M is its
-amplitude times a class value: m_0 = 1 in the parity basis, so tau =
-sum_S 2^-|S| exactly, and a probability in R, so tau = d'.  A margin
-<Y, X0> + tau max(0, -lambda_min(Y)) below -slack thus proves that no G is
-feasible; on two blocks, that no flip-invariant G is, and so none is.
-slack = sqrt(eps) (|U| + |X0|)(|X0| + tau) covers the rounding: Y keeps a
-null-space part of order eps (|U| + |X0|), which moves <Y, M> by that
-times |M - X0| <= |X0| + tau.  On complete graphs, where the objective is
-constant on the feasible set, feasible solves reach margins near 1e-14
-against slacks near 1e-6.  At the cap the solve ends ``max_iter``.
-Progress is logged at DEBUG on ``cardcsp.sdp_solver``.
+Every ``_PROBE_EVERY`` iterations the solver takes the plain step, so the
+residuals it reads are those of one exact splitting step, and probes for
+convergence.  While an accelerator runs, the probe first compares the
+norms of the flat iterates, ||X - Z|| and rho ||Z - Z_prev||, with the
+tolerance: sigma_min(T W) = 1 (``lasserre._Layout.scaled``), so they bound
+the lifted residuals from below, and a probe that fails them ends there.
+Otherwise it measures the lifted residuals; with no accelerator running
+and neither residual more than ``_IMBALANCE`` times the other, a fresh one
+starts.  Every ``_CHECK_EVERY`` iterations and at the last, the full check
+measures the lifted residuals, records them in the history, tests for a
+Farkas certificate and balances the residuals: when one is more than
+``_IMBALANCE`` times the other, rho doubles or halves and the accelerator,
+whose differences belong to the old map, is dropped; otherwise a fresh one
+starts if none runs.
+
+A probe or check ends the solve ``optimal`` when both scaled residuals
+meet the tolerance and the point the solve returns, the affine projection
+X' of sym(X), passes the PSD test of ``check_feasibility``: lambda_min of
+T W X' (T W)^T, the block's T A T^T, with the residual of the lift
+G = L X' L^T counted, within the tolerance.  Its rows hold to round-off
+(which the conditional cardinality check divides by event probabilities
+down to 1e-9), so an ``optimal`` solution passes
+``FeasibilityReport.passes(tolerance)`` at any tolerance above that.  A
+point that fails the PSD test is logged and the solve goes on.
+
+A check ends the solve ``infeasible`` on a Farkas certificate read off U
+(Banjac, Goulart, Stellato & Boyd 2019): Y = X0 - U - Pi_A(-U),
+X0 = Pi_A(0), lies in the rows' span, so <Y, M> = <Y, X0> on every M
+meeting them, and a feasible M is PSD with trace at most tau.  Every
+diagonal entry of M is its amplitude times a class value: m_0 = 1 in the
+parity basis, so tau = sum_S 2^-|S| exactly, and a probability in R, so
+tau = d'.  A margin <Y, X0> + tau max(0, -lambda_min(Y)) below -slack thus
+proves that no G is feasible; on two blocks, that no flip-invariant G is,
+and so none is.  slack = sqrt(eps) (|U| + |X0|)(|X0| + tau) covers the
+rounding: Y keeps a null-space part of order eps (|U| + |X0|), which moves
+<Y, M> by that times |M - X0| <= |X0| + tau.  On complete graphs, where the
+objective is constant on the feasible set, feasible solves reach margins
+near 1e-14 against slacks near 1e-6.  At the cap the solve ends
+``max_iter``.  Progress is logged at DEBUG on ``cardcsp.sdp_solver``.
 """
 
 from __future__ import annotations
@@ -76,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, _admit_int, _admit_real
-from .lasserre import ConicProgram, MomentSolution, _layout
+from .lasserre import ConicProgram, MomentSolution, _layout, _psd_violation
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +103,8 @@ _MEMORY = 10    # Anderson memory: differences kept
 _RIDGE = 1e-10  # Tikhonov ridge on the small Gram matrix, relative to its trace
 _RHO = 0.05     # initial penalty; residual balancing moves it
 _OVER_RELAXATION = 1.85  # gamma, the weight of the affine step, in [1, 2)
-_CHECK_EVERY = 25  # iterations between residual checks
+_PROBE_EVERY = 5  # iterations between convergence probes
+_CHECK_EVERY = 25  # iterations between full checks (rho, Farkas, history)
 _IMBALANCE = 100  # residual ratio at which rho moves
 _FARKAS_SLACK = np.sqrt(np.finfo(float).eps)  # the certificate's, relative
 
@@ -101,16 +121,17 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """``optimal`` means both scaled, lifted residuals met the tolerance; it
-    does not imply ``FeasibilityReport.passes()`` at 1e-6 (gnp12 at level
-    3 ends ``optimal`` with psd_violation 5.1e-6)."""
+    """``optimal`` means both scaled, lifted residuals met the tolerance and
+    the solution's PSD violation, as ``check_feasibility`` measures it, is
+    at most the tolerance; its rows hold to round-off, so it passes
+    ``FeasibilityReport.passes(tolerance)``."""
 
     status: str  # optimal | infeasible (a Farkas certificate) | max_iter
     iterations: int
     primal_residual: float
     dual_residual: float
     objective: float
-    residual_history: list  # (iteration, primal, dual) per residual check
+    residual_history: list  # (iteration, primal, dual): full checks, the last
     rho: float  # the penalty at the last iteration
     blocks: list  # the sizes of the blocks of M the solve ran on
     seconds: float  # wall time of the solve
@@ -262,6 +283,31 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
     def lifted_norm(flat):
         return np.linalg.norm(TW @ full(flat) @ TW.T)
 
+    def returned(flat):
+        """The point the solve returns for the iterate X: the affine
+        projection of sym(X).  The last projection left rounding errors near
+        1e-14 in the rows, which the conditional cardinality check divides by
+        event probabilities down to 1e-9; from the nearly feasible X, one
+        more is exact to about 1e-17."""
+        M = full(flat)
+        return full(project_affine(((M + M.T) / 2).ravel()[sel]))
+
+    def passing_gram(flat, it):
+        """G = L M L^T for the returned point M when its PSD violation, as
+        ``check_feasibility`` measures it, is at most the tolerance; else
+        None.  lambda_min(T W M (T W)^T) screens it first, so a failing
+        point costs one small eigvalsh, not the lift."""
+        M = returned(flat)
+        violation = -np.linalg.eigvalsh(TW @ M @ TW.T)[0]
+        if violation <= config.tolerance:
+            gram = lift @ M @ lift.T
+            violation = _psd_violation(gram, layout)
+            if violation <= config.tolerance:
+                return gram
+        log.debug("iteration %d: residuals pass but psd violation %.3g > "
+                  "tolerance %.3g", it, violation, config.tolerance)
+        return None
+
     rho, gamma = _RHO, _OVER_RELAXATION
     X = X0 = project_affine(np.zeros(len(sel)))
     x0_norm = np.linalg.norm(X0)
@@ -274,14 +320,16 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
     history = []
     status = "max_iter"
     pri = dual = np.inf
+    gram = None
     accel = None  # running while the residuals are balanced
     for it in range(1, config.max_iterations + 1):
         X = project_affine(Z - U + Cs / rho)
         f = gamma * X + (1 - gamma) * Z + U  # F(v)
         check = it % _CHECK_EVERY == 0 or it == config.max_iterations
+        probe = check or it % _PROBE_EVERY == 0
         if accel is not None:
             accel.push(f, f - v)
-            if not check:
+            if not probe:
                 step = accel.step()
                 if step is None:
                     log.debug("iteration %d: Anderson step failed; "
@@ -293,16 +341,27 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
         Z_prev = Z
         Z = psd(v)
         U = v - Z
+        if not probe:
+            continue
 
-        if check:
-            pri = lifted_norm(X - Z)
-            dual = rho * lifted_norm(Z - Z_prev)
-            scale = max(1.0, np.linalg.norm(X))
+        bound = config.tolerance * max(1.0, np.linalg.norm(X))
+        # the flat norms bound the lifted ones from below (sigma_min(T W) =
+        # 1); an accelerated probe that fails them needs nothing more
+        if (not check and accel is not None
+                and (np.linalg.norm(X - Z) > bound
+                     or rho * np.linalg.norm(Z - Z_prev) > bound)):
+            continue
+        pri = lifted_norm(X - Z)
+        dual = rho * lifted_norm(Z - Z_prev)
+        if pri <= bound and dual <= bound:
+            gram = passing_gram(X, it)
+        if check or gram is not None:
             history.append((it, pri, dual))
-            if (pri <= config.tolerance * scale
-                    and dual <= config.tolerance * scale):
-                status = "optimal"
-                break
+        if gram is not None:
+            status = "optimal"
+            break
+        balanced = not (pri > _IMBALANCE * dual or dual > _IMBALANCE * pri)
+        if check:
             Y = X0 - U - project_affine(-U)  # the part of -U in the rows' span
             low = min(np.linalg.eigvalsh(p)[0] for p in pieces(Y))
             margin = np.vdot(Y, X0) + tau * max(0.0, -low)
@@ -313,24 +372,20 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
                 status = "infeasible"
                 break
             # residual balancing keeps the two projections in step
-            if pri > _IMBALANCE * dual or dual > _IMBALANCE * pri:
+            if not balanced:
                 factor = 2.0 if pri > dual else 0.5
                 log.debug("iteration %d: rho %.4g -> %.4g (primal %.3g, "
                           "dual %.3g)", it, rho, rho * factor, pri, dual)
                 rho *= factor
                 U /= factor
                 accel = None  # its differences belong to the old map
-            elif accel is None:
-                log.debug("iteration %d: Anderson acceleration on at rho "
-                          "%.4g (primal %.3g, dual %.3g)", it, rho, pri, dual)
-                accel = _Anderson(len(sel))
+        if balanced and accel is None:
+            log.debug("iteration %d: Anderson acceleration on at rho "
+                      "%.4g (primal %.3g, dual %.3g)", it, rho, pri, dual)
+            accel = _Anderson(len(sel))
 
-    # The last projection left rounding errors near 1e-14 in the rows, which
-    # the conditional cardinality check divides by event probabilities down
-    # to 1e-9; from the nearly feasible X, one more is exact to about 1e-17.
-    M = full(X)
-    M = full(project_affine(((M + M.T) / 2).ravel()[sel]))
-    gram = lift @ M @ lift.T
+    if gram is None:
+        gram = lift @ returned(X) @ lift.T
     objective = float(program.c @ gram[0])
     solution = MomentSolution(program.level, program.n, program.q,
                               list(program.indices), gram, objective)

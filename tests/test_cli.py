@@ -70,9 +70,9 @@ def test_solve_trace_adds_the_residual_history(c4_file, tmp_path):
     assert main(["solve", c4_file, "--trace", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     history = doc["residual_history"]
-    # one entry per residual check, every 25 iterations and at the last
+    # one entry per full check, every 25 iterations, and one at the last
     assert [h["iteration"] for h in history] == list(
-        range(25, doc["iterations"] + 1, 25))
+        range(25, doc["iterations"], 25)) + [doc["iterations"]]
     assert history[-1] == {"iteration": doc["iterations"],
                            "primal": doc["primal_residual"],
                            "dual": doc["dual_residual"]}

@@ -560,6 +560,17 @@ def test_lift_recursion_applies_p(q, level, data):
     assert np.abs(got - P @ X).max() <= 1e-12 * (np.abs(P) @ np.abs(X)).max()
 
 
+@settings(max_examples=15, deadline=None)
+@given(shapes())
+def test_scaled_lift_shortens_no_vector(shape):
+    """sigma_min(T W) = 1 (P^T P >= I since P[R] = I): the norms of the
+    solver's flat iterates bound the lifted residuals from below, which its
+    probes read as a shortcut."""
+    q, level, n = shape
+    TW = _layout(n, q, level).scaled[1]
+    assert np.linalg.svd(TW, compute_uv=False).min() >= 1 - 1e-12
+
+
 def _reduced_rows(constraints, d, red):
     """Reference rows over vec(G[R, R]): the program's rows whose support
     lies inside R x R, restricted to those columns and scaled to unit norm.

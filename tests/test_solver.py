@@ -20,6 +20,7 @@ from cardcsp.lasserre import _offsets, build_relaxation, check_feasibility
 from cardcsp.oracle import brute_force
 from cardcsp.sdp_solver import SolverConfig, project_psd
 from cardcsp.suite import default_suite
+from solver_draws import instance
 
 
 def test_config_validation():
@@ -194,16 +195,9 @@ def _check_solve(inst, level):
        zero=st.booleans())
 def test_accelerated_solve_is_feasible_and_bounds_the_optimum(n, level, kind,
                                                                p, seed, zero):
-    rng = np.random.default_rng(seed)
-    edges = [(i, j, 1.0) for i, j in combinations(range(n), 2)
-             if rng.random() < p] or [(0, 1, 1.0)]
     # the last vertex may weigh 0; with an odd number of weighted vertices,
     # vertex 0 weighs double, so an exact bisection exists
-    weights = np.ones(n)
-    weights[-1] -= zero
-    weights[0] += (n - zero) % 2
-    inst = cut_instance(n, edges, kind=kind,
-                        vertex_weights=list(weights / weights.sum()))
+    inst = instance(kind, "uniform", n, seed, p, zero)
     sol, report = _check_solve(inst, level)
     # flip-invariant: the even- and the odd-size subsets, no odd moment
     even = sum(comb(n, s) for s in range(0, level + 1, 2))
@@ -239,8 +233,8 @@ def _ternary(n):
 
 
 @pytest.mark.parametrize("n, level, status, iterations", [
-    (5, 2, "optimal", 325),
-    (6, 2, "optimal", 275),
+    (5, 2, "optimal", 335),
+    (6, 2, "optimal", 290),
     (4, 3, "infeasible", 25),  # no third of 4 equal weights
 ])
 def test_ternary_solves_keep_their_basis_and_iterations(n, level, status,
@@ -285,17 +279,20 @@ def test_check_iterations_take_the_plain_step(monkeypatch, caplog):
             return _original(self, *args)
 
         monkeypatch.setattr(sdp_solver._Anderson, name, spy)
+    monkeypatch.setattr(sdp_solver, "_PROBE_EVERY", 4)
     monkeypatch.setattr(sdp_solver, "_CHECK_EVERY", 10)
     caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
     _, report = sdp_solver.solve(build_relaxation(generate("cycle", 8), 3))
     # one start: rho never moves on this solve
     [start] = _iterations_of(_solver_messages(caplog), "acceleration on")
-    # one push per iteration after the start, then a step unless a check
+    # one push per iteration after the start, then a step unless a probe or
+    # a check
     pushes = [i for i, e in enumerate(events) if e == "push"]
     assert len(pushes) == report.iterations - start
     plain = {start + 1 + k for k, i in enumerate(pushes)
              if events[i + 1:i + 2] != ["step"]}
-    assert plain == set(range(start + 10, report.iterations + 1, 10))
+    assert plain == {it for it in range(start + 1, report.iterations + 1)
+                     if it % 4 == 0 or it % 10 == 0}
 
 
 # -- logging --------------------------------------------------------------------
@@ -314,20 +311,41 @@ def test_solver_logs_rho_changes_acceleration_and_result(caplog):
     program = build_relaxation(dict(default_suite())["gnp12"], 2)
     _, report = sdp_solver.solve(program)
     messages = _solver_messages(caplog)
-    # gnp12: acceleration starts at the first check; a 100x imbalance
-    # doubles rho and drops it; the next balanced check restarts it
-    assert messages[:3] == [
-        "iteration 25: Anderson acceleration on at rho 0.05 (primal 0.283, "
-        "dual 0.0237)",
-        "iteration 225: rho 0.05 -> 0.1 (primal 0.00283, dual 2.09e-05)",
-        "iteration 250: Anderson acceleration on at rho 0.1 (primal 0.00283, "
-        "dual 3.63e-05)"]
+    # gnp12: acceleration starts at the first probe; a 100x imbalance at a
+    # full check doubles rho and drops it; the next balanced probe restarts
+    # it.  The residuals pass three probes before the returned point passes
+    # the PSD test.
+    assert messages[:-1] == [
+        "iteration 5: Anderson acceleration on at rho 0.05 (primal 3.96, "
+        "dual 0.0901)",
+        "iteration 225: rho 0.05 -> 0.1 (primal 0.003, dual 2.17e-05)",
+        "iteration 235: Anderson acceleration on at rho 0.1 (primal 0.0029, "
+        "dual 2.96e-05)",
+        "iteration 335: residuals pass but psd violation 2.71e-06 > "
+        "tolerance 1e-06",
+        "iteration 340: residuals pass but psd violation 1.41e-06 > "
+        "tolerance 1e-06",
+        "iteration 345: residuals pass but psd violation 1.61e-06 > "
+        "tolerance 1e-06"]
     assert messages[-1].startswith(
         f"optimal after {report.iterations} iterations: primal ")
     # flip-invariant at n = 12, level 2: the 1 + 66 even-size subsets and
     # the 12 odd-size ones
     assert messages[-1].endswith(", rho 0.1, blocks [67, 12]")
     assert (report.rho, report.blocks) == (0.1, [67, 12])
+
+
+def test_solver_logs_a_returned_point_that_fails_the_psd_test(caplog):
+    # both residuals pass at iteration 90, but the point the solve would
+    # return there is not PSD within the tolerance; at the next probe it is
+    inst = instance("max2sat", "integer", 7, 35267)
+    caplog.set_level(logging.DEBUG, logger="cardcsp.sdp_solver")
+    solution, report = sdp_solver.solve(build_relaxation(inst, 2))
+    [line] = [m for m in _solver_messages(caplog) if "residuals pass" in m]
+    assert line == ("iteration 90: residuals pass but psd violation 2.11e-06 "
+                    "> tolerance 1e-06")
+    assert (report.status, report.iterations) == ("optimal", 95)
+    assert check_feasibility(solution, inst).passes()
 
 
 @pytest.mark.parametrize("failure", ["singular", "nan"])
@@ -392,42 +410,41 @@ def test_infeasible_relaxations_end_infeasible(inst, level):
     assert report.iterations <= 100
 
 
+_KINDS = st.sampled_from(["maxcut-bisection", "mincut-bisection", "max2sat"])
+
+
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(3, 7), level=st.integers(2, 3),
-       kind=st.sampled_from(["maxcut-bisection", "mincut-bisection",
-                             "max2sat"]),
+@given(n=st.integers(3, 7), level=st.integers(2, 3), kind=_KINDS,
        complete=st.booleans(), seed=st.integers(0, 2**16),
        cap=st.sampled_from([25, 100, 1000]))
 def test_feasible_relaxations_never_end_infeasible(n, level, kind, complete,
                                                     seed, cap):
     # vertex weights that admit an exact split, so the integral lift of that
-    # split is feasible at every level; complete graphs with uniform weights
-    # have an objective constant on the feasible set, where the margin of
-    # the certificate tends to 0
-    rng = np.random.default_rng(seed)
-    if complete:
-        weights = np.ones(n)
-        weights[0] += n % 2  # vertex 0 weighs double: an exact bisection
-        edges = list(combinations(range(n), 2))
-    else:
-        side = rng.permutation(np.arange(n) % 2)
-        weights = rng.integers(1, 6, n).astype(float)
-        light = int(weights[side == 1].sum() < weights[side == 0].sum())
-        deficit = abs(weights[side == 1].sum() - weights[side == 0].sum())
-        weights[np.flatnonzero(side == light)[0]] += deficit
-        edges = [e for e in combinations(range(n), 2)
-                 if rng.random() < 0.5] or [(0, 1)]
-    weights = list(weights / weights.sum())
-    if kind == "max2sat":
-        inst = max2sat_instance(n, [(i, j, int(rng.choice([-1, 1])),
-                                     int(rng.choice([-1, 1])), 1.0)
-                                    for i, j in edges], vertex_weights=weights)
-    else:
-        inst = cut_instance(n, [(i, j, 1.0) for i, j in edges], kind=kind,
-                            vertex_weights=weights)
+    # split is feasible at every level; complete graphs (p = 1) with uniform
+    # weights have an objective constant on the feasible set, where the
+    # margin of the certificate tends to 0
+    inst = instance(kind, "uniform" if complete else "integer", n, seed, p=1.0)
     _, report = sdp_solver.solve(build_relaxation(inst, level),
                                  SolverConfig(max_iterations=cap))
     assert report.status != "infeasible"
+
+
+@pytest.mark.parametrize("tolerance", [SolverConfig().tolerance, 1e-7])
+@settings(max_examples=25, deadline=None)
+# ending on the residuals alone, checked every 25 iterations, leaves this
+# draw at iteration 100 with psd violation 2.0e-6
+@example(n=7, level=2, kind="max2sat", weights="integer", seed=35267)
+@given(n=st.integers(3, 7), level=st.integers(2, 3), kind=_KINDS,
+       weights=st.sampled_from(["integer", "uniform"]),
+       seed=st.integers(0, 2**16))
+def test_optimal_solves_pass_the_feasibility_check(tolerance, n, level, kind,
+                                                   weights, seed):
+    # vertex weights that admit an exact split
+    inst = instance(kind, weights, n, seed)
+    config = SolverConfig(max_iterations=5000, tolerance=tolerance)
+    solution, report = sdp_solver.solve(build_relaxation(inst, level), config)
+    if report.status == "optimal":
+        assert check_feasibility(solution, inst).passes(config.tolerance)
 
 
 def test_default_solve_writes_nothing_to_stderr(tmp_path):
