@@ -64,12 +64,15 @@ class PayoffTerm:
     q: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "scope", tuple(
+            _admit_int("scope vertex", v, 0) for v in self.scope))
         if len(set(self.scope)) != len(self.scope):
             raise CardCspError(f"repeated variable in scope {self.scope}")
         if len(self.table) != self.q ** len(self.scope):
             raise CardCspError("payoff table size does not match scope")
-        if not all(-1e-12 <= v <= 1 + 1e-12 for v in self.table):
-            raise CardCspError("payoff values must lie in [0, 1]")
+        object.__setattr__(self, "table", tuple(
+            _admit_real("payoff values", v, -1e-12, 1 + 1e-12, "[]")
+            for v in self.table))
         _admit_real("payoff weight", self.weight, 0, math.inf, "[)")
 
     def value(self, local_assignment):
@@ -183,8 +186,7 @@ class CspInstance:
             q = doc["q"]
             payoffs = tuple(
                 PayoffTerm(
-                    scope=tuple(_admit_int("scope vertex", v, 0)
-                                for v in t["scope"]),
+                    scope=t["scope"],
                     table=tuple(float(v) for v in t["table"]),
                     weight=float(t["weight"]),
                     q=q,

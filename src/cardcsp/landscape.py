@@ -307,11 +307,6 @@ def _rounded_grid(kind, mu1, mu2, rhobar, cells=None, phi=None):
     return _rounded(kind, p1, p2, orthant)
 
 
-def separation_prob(config: EdgeConfig) -> float:
-    """Probability the rounding labels the two endpoints differently."""
-    return rounded_value("cut", config)
-
-
 # -- ratio certificate -----------------------------------------------------
 
 @dataclass

@@ -23,13 +23,13 @@ The lift is inclusion-exclusion, [x_j = q - 1] = 1 - sum_{a < q - 1}
 is its parent (its last such variable dropped) minus its q - 1 siblings
 (that variable set below q - 1), all with s - 1, so the layout's ``lift``
 computes P X in ``level`` vectorized steps of O(d) rows each, with no
-product by P.  ``check_feasibility`` reads the consistency and cardinality
-violations off the rows, on the symmetric part of G read in place.  It
-certifies PSD on the reduced block G[R, R]: the block's eigenvalues, plus a
-Weyl bound from the residual of the lift G = P G[R, R] P^T, formed in
-column blocks by the recursion and never below the exact violation; when
-that residual exceeds ``_LIFT_TOL`` it takes the full d x d spectrum
-instead, the one d x d copy it makes.
+product by P.  G is symmetric by construction (``MomentSolution``), so
+the check and every reader read G itself.  ``check_feasibility`` reads the
+violations off the rows and certifies PSD on the reduced block G[R, R]:
+the block's eigenvalues, plus a Weyl bound from the residual of the lift
+G = P G[R, R] P^T, formed in column blocks by the recursion and never
+below the exact violation; when that residual exceeds ``_LIFT_TOL`` it
+takes the full d x d spectrum instead.
 
 Indices run by subset size, then subset in ``combinations`` order, then
 assignment in row-major order, so the level-(k-1) index set is a prefix of
@@ -49,7 +49,7 @@ from math import comb
 import numpy as np
 
 from .errors import (CapacityError, CardCspError, InconsistentSolutionError,
-                     _admit_int)
+                     _admit_int, _admit_real)
 from .instance import CspInstance, _document
 
 PROB_FLOOR = 1e-9  # probabilities below this are treated as zero events
@@ -75,7 +75,9 @@ class MomentSolution:
 
     ``level``, ``n`` and ``q`` must be positive ints and ``indices`` must be
     ``build_index_set(n, q, level)``: every reader finds an index
-    (S, alpha) at its closed-form position in that order.
+    (S, alpha) at its closed-form position in that order.  G is the
+    symmetric part, in float64, of ``gram``, a finite array of ints or
+    floats; ``objective_value`` is a finite real or NaN (no value).
     """
 
     level: int
@@ -91,13 +93,23 @@ class MomentSolution:
         if tuple(self.indices) != indices:
             raise CardCspError("moment indices must be build_index_set(n, q, "
                                "level), in that order")
-        if np.shape(self.gram) != (d, d):
-            raise CardCspError(f"gram has shape {np.shape(self.gram)}, "
+        gram = np.asarray(self.gram)
+        if gram.shape != (d, d):
+            raise CardCspError(f"gram has shape {gram.shape}, "
                                f"expected ({d}, {d})")
-        if not np.isfinite(self.gram).all():
-            r, c = np.argwhere(~np.isfinite(self.gram))[0]
+        if gram.dtype.kind not in "iuf":
+            raise CardCspError(f"gram holds {gram.dtype}, not ints or floats")
+        gram = gram.astype(float, copy=False)
+        if not np.isfinite(gram).all():
+            r, c = np.argwhere(~np.isfinite(gram))[0]
             raise CardCspError(f"gram entry ({r}, {c}) is "
-                               f"{self.gram[r, c]}, not finite")
+                               f"{gram[r, c]}, not finite")
+        if not np.array_equal(gram, gram.T):
+            gram = gram / 2 + gram.T / 2  # halved first: no entry overflows
+        self.gram = gram
+        value = self.objective_value
+        if not (isinstance(value, float) and np.isnan(value)):
+            self.objective_value = _admit_real("objective_value", value)
 
     def _position(self, subset, assignment) -> int:
         """Position of the index of the event x_S = alpha, S in any order;
@@ -151,15 +163,14 @@ class MomentSolution:
             rows = doc["gram_lower"]
             if [len(row) for row in rows] != list(range(1, d + 1)):
                 raise CardCspError("gram_lower must hold rows of length 1 to d")
-            entries = [*chain.from_iterable(rows), doc["objective_value"]]
+            entries = [*chain.from_iterable(rows)]
             if not set(map(type, entries)) <= {int, float}:
-                raise CardCspError("gram_lower entries and objective_value "
-                                   "must be numbers")
+                raise CardCspError("gram_lower entries must be numbers")
             r, c = np.tril_indices(d)
             gram = np.zeros((d, d))
-            gram[r, c] = gram[c, r] = entries[:-1]
+            gram[r, c] = gram[c, r] = entries
             return cls(doc["level"], doc["n"], doc["q"], indices, gram,
-                       entries[-1])
+                       doc["objective_value"])
 
 
 @dataclass
@@ -229,14 +240,13 @@ class ConstraintOperator:
         return len(self.b)
 
     def residual(self, gram) -> np.ndarray:
-        """Each row's value on the symmetric part of G, minus b."""
-        row0 = (gram[0] + gram[:, 0]) / 2
+        """Each row's value on a symmetric G (a moment solution's), minus b."""
         rows, columns, coefs = self.forms
-        out = np.bincount(rows, weights=coefs * row0[columns],
+        out = np.bincount(rows, weights=coefs * gram[0, columns],
                           minlength=len(self.b)) - self.b
         # a clash reads the appended 0
-        out[1:1 + len(self.r)] += ((gram[self.r, self.c] + gram[self.c, self.r])
-                                   / 2 - np.append(row0, 0.0)[self.tie])
+        out[1:1 + len(self.r)] += (gram[self.r, self.c]
+                                   - np.append(gram[0], 0.0)[self.tie])
         return out
 
 
@@ -567,8 +577,8 @@ class FeasibilityReport:
 
 def check_feasibility(solution: MomentSolution,
                       instance: CspInstance) -> FeasibilityReport:
-    """Report the largest PSD / consistency / cardinality violations of the
-    symmetric part of G.
+    """Report the largest PSD / consistency / cardinality violations of G,
+    which is symmetric (``MomentSolution``).
 
     Consistency is the largest residual of the unit, consistency and
     marginalization rows.  Cardinality is checked in conditional form: each
@@ -585,8 +595,7 @@ def check_feasibility(solution: MomentSolution,
     resid = np.abs(ops.residual(gram))
     card = ops.event >= 0
     consistency = float(resid[~card].max())
-    events = ops.event[card]
-    p_event = (gram[0, events] + gram[events, 0]) / 2
+    p_event = gram[0, ops.event[card]]
     live = p_event > PROB_FLOOR
     cardinality = float((resid[card][live] / p_event[live]).max(initial=0.0))
     psd_violation = _psd_violation(
@@ -595,45 +604,40 @@ def check_feasibility(solution: MomentSolution,
 
 
 def _psd_violation(gram, layout) -> float:
-    """max(0, -lambda_min(sym)) for the symmetric part sym of G or, when sym
-    is the lift of its block, an upper bound on it within ``_LIFT_TOL``.
+    """max(0, -lambda_min(G)) for a symmetric G or, when G is the lift of
+    its block, an upper bound on it within ``_LIFT_TOL``.
 
-    With R, P and T from the layout and A = sym[R, R], write
-    sym = P A P^T + E.  P = Q T with orthonormal Q, so P A P^T has the
-    eigenvalues of T A T^T and zeros, and by Weyl lambda_min(sym) is at
+    With R, P and T from the layout and A = G[R, R], write
+    G = P A P^T + E.  P = Q T with orthonormal Q, so P A P^T has the
+    eigenvalues of T A T^T and zeros, and by Weyl lambda_min(G) is at
     least lambda_min(P A P^T) - eps, where eps bounds ||E||_2.  With
-    F = P A P^T - G, E = -(F + F^T) / 2, so eps, the largest mean of row i's
-    and column i's absolute sums of F, is at least the largest absolute row
-    sum of E, and equal to it for a symmetric G.  This holds for any P: a G
-    outside the lift's image shows as a large eps.  When eps exceeds
-    ``_LIFT_TOL`` (noisy, inconsistent or external input) the full d x d
-    spectrum of sym is computed instead, the only d x d copy made.
+    F = P A P^T - G, E = -F is symmetric, so its largest absolute column
+    sum bounds ||E||_2.  This holds for any P: a G outside the lift's image
+    shows as a large eps.  When eps exceeds ``_LIFT_TOL`` (noisy,
+    inconsistent or external input) the full d x d spectrum of G is
+    computed instead.
     """
     red, _, T = layout.basis
     A = gram[np.ix_(red, red)]
-    A = (A + A.T) / 2
     PA = layout.lift(A)
     # F in column blocks: (P A P^T)[:, lo:hi] = P (P A)[lo:hi]^T, A symmetric,
     # each block lifted by the layout's recursion, so no d x d array is
     # formed; a block of about 2^16 entries stays in cache through the lift
     d = len(gram)
     block = min(d, max(1, (1 << 16) // d))
-    rows, cols = np.zeros(d), np.zeros(d)
+    sums = np.zeros(d)
     buffer, ones = np.empty((d, block)), np.ones(d)
     for lo in range(0, d, block):
         hi = min(lo + block, d)
         F = layout.lift(PA[lo:hi].T, buffer[:, :hi - lo])
         F -= gram[:, lo:hi]
         np.abs(F, out=F)
-        # the absolute sums as matrix-vector products, which run faster
-        # than reductions along either axis
-        rows += F @ ones[:hi - lo]
-        cols[lo:hi] = ones @ F
-    eps = float((rows + cols).max()) / 2
+        # the absolute column sums as a vector-matrix product, which runs
+        # faster than a reduction along either axis
+        sums[lo:hi] = ones @ F
+    eps = float(sums.max())
     if eps > _LIFT_TOL:
-        sym = gram + gram.T
-        sym /= 2
-        return max(0.0, float(-np.linalg.eigvalsh(sym).min()))
+        return max(0.0, float(-np.linalg.eigvalsh(gram).min()))
     low = float(np.linalg.eigvalsh(T @ A @ T.T)[0])
     return max(0.0, eps - min(0.0, low))
 

@@ -36,14 +36,10 @@ class ExactResult:
         })
 
 
-def _all_values(instance: CspInstance) -> np.ndarray:
-    """Objective of every assignment, vectorized over the full hypercube."""
-    n = instance.n
-    size = 1 << n
+def _all_values(instance: CspInstance, bits) -> np.ndarray:
+    """Objective of every assignment, from the cube's bit planes."""
+    size = 1 << instance.n
     values = np.zeros(size)
-    codes = np.arange(size, dtype=np.int64)
-    # lexicographic; n planes of 2^n, so one byte per entry
-    bits = [((codes >> (n - 1 - i)) & 1).astype(np.uint8) for i in range(n)]
     for t in instance.payoffs:
         idx = np.zeros(size, dtype=np.int64)
         for v in t.scope:
@@ -65,14 +61,15 @@ def brute_force(instance: CspInstance, respect_cardinality: bool = True) -> Exac
     cap = _BISECTION_CAP if respect_cardinality else 20
     if n > cap:
         raise CapacityError(f"n={n} exceeds enumeration cap {cap}")
-    values = _all_values(instance)
+    codes = np.arange(1 << n, dtype=np.int64)
+    # lexicographic; n planes of 2^n, so one byte per entry
+    bits = [((codes >> (n - 1 - i)) & 1).astype(np.uint8) for i in range(n)]
+    values = _all_values(instance, bits)
     size = values.size
     if respect_cardinality:
-        w = instance.weights_array
-        codes = np.arange(size, dtype=np.int64)
         bal0 = np.zeros(size)
-        for i in range(n):
-            bal0 += w[i] * (1 - ((codes >> (n - 1 - i)) & 1))
+        for wi, plane in zip(instance.weights_array, bits):
+            bal0 += wi * (1 - plane)
         target = float(instance.cardinality.as_floats()[0])
         # the exact weight, as the relaxation's rows demand
         mask = np.abs(bal0 - target) <= _SPLIT_SLACK

@@ -64,11 +64,11 @@ A probe or check ends the solve ``optimal`` when both scaled residuals
 meet the tolerance and the point the solve returns, the affine projection
 X' of sym(X), passes the PSD test of ``check_feasibility``: lambda_min of
 T W X' (T W)^T, the block's T A T^T, with the residual of the lift
-G = L X' L^T counted, within the tolerance.  Its rows hold to round-off
-(which the conditional cardinality check divides by event probabilities
-down to 1e-9), so an ``optimal`` solution passes
-``FeasibilityReport.passes(tolerance)`` at any tolerance above that.  A
-point that fails the PSD test is logged and the solve goes on.
+G = L X' L^T counted, within the tolerance, on the solution the solve
+returns.  Its rows hold to round-off (which the conditional cardinality
+check divides by event probabilities down to 1e-9), so an ``optimal``
+solution passes ``FeasibilityReport.passes(tolerance)`` at any tolerance
+above that.  A point that fails the test is logged and the solve goes on.
 
 A check ends the solve ``infeasible`` on a Farkas certificate read off U
 (Banjac, Goulart, Stellato & Boyd 2019): Y = X0 - U - Pi_A(-U),
@@ -249,7 +249,7 @@ class _Anderson:
 def solve(program: ConicProgram, config: SolverConfig | None = None
           ) -> tuple[MomentSolution, SolveReport]:
     """Run the splitting method on the blocks of M (the layout's ``scaled``
-    basis) and return the lifted moment matrix G = L M L^T."""
+    basis) and return the moment solution of the lifted G = L M L^T."""
     start = time.perf_counter()
     config = config or SolverConfig()
     layout = _layout(program.n, program.q, program.level)
@@ -292,18 +292,22 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
         M = full(flat)
         return full(project_affine(((M + M.T) / 2).ravel()[sel]))
 
-    def passing_gram(flat, it):
-        """G = L M L^T for the returned point M when its PSD violation, as
-        ``check_feasibility`` measures it, is at most the tolerance; else
-        None.  lambda_min(T W M (T W)^T) screens it first, so a failing
-        point costs one small eigvalsh, not the lift."""
+    def moment_solution(M):  # of G = L M L^T
+        return MomentSolution(program.level, program.n, program.q,
+                              list(program.indices), lift @ M @ lift.T)
+
+    def passing_solution(flat, it):
+        """The moment solution of the returned point M when its PSD
+        violation, as ``check_feasibility`` measures it, is at most the
+        tolerance; else None.  lambda_min(T W M (T W)^T) screens it first,
+        so a failing point costs one small eigvalsh, not the lift."""
         M = returned(flat)
         violation = -np.linalg.eigvalsh(TW @ M @ TW.T)[0]
         if violation <= config.tolerance:
-            gram = lift @ M @ lift.T
-            violation = _psd_violation(gram, layout)
+            candidate = moment_solution(M)
+            violation = _psd_violation(candidate.gram, layout)
             if violation <= config.tolerance:
-                return gram
+                return candidate
         log.debug("iteration %d: residuals pass but psd violation %.3g > "
                   "tolerance %.3g", it, violation, config.tolerance)
         return None
@@ -320,7 +324,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
     history = []
     status = "max_iter"
     pri = dual = np.inf
-    gram = None
+    result = None
     accel = None  # running while the residuals are balanced
     for it in range(1, config.max_iterations + 1):
         X = project_affine(Z - U + Cs / rho)
@@ -354,10 +358,10 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
         pri = lifted_norm(X - Z)
         dual = rho * lifted_norm(Z - Z_prev)
         if pri <= bound and dual <= bound:
-            gram = passing_gram(X, it)
-        if check or gram is not None:
+            result = passing_solution(X, it)
+        if check or result is not None:
             history.append((it, pri, dual))
-        if gram is not None:
+        if result is not None:
             status = "optimal"
             break
         balanced = not (pri > _IMBALANCE * dual or dual > _IMBALANCE * pri)
@@ -384,14 +388,12 @@ def solve(program: ConicProgram, config: SolverConfig | None = None
                       "%.4g (primal %.3g, dual %.3g)", it, rho, pri, dual)
             accel = _Anderson(len(sel))
 
-    if gram is None:
-        gram = lift @ returned(X) @ lift.T
-    objective = float(program.c @ gram[0])
-    solution = MomentSolution(program.level, program.n, program.q,
-                              list(program.indices), gram, objective)
+    if result is None:
+        result = moment_solution(returned(X))
+    objective = result.objective_value = float(program.c @ result.gram[0])
     log.debug("%s after %d iterations: primal %.3g, dual %.3g, rho %.4g, "
               "blocks %s", status, it, pri, dual, rho, sizes)
-    return solution, SolveReport(
+    return result, SolveReport(
         status=status, iterations=it, primal_residual=float(pri),
         dual_residual=float(dual), objective=objective,
         residual_history=history, rho=rho, blocks=sizes,

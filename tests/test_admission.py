@@ -21,7 +21,7 @@ from cardcsp.dictator import (R_CAP, DictGadget, build_gadget, dictator,
                               soundness_enumerate)
 from cardcsp.errors import CapacityError, CardCspError, ParseError
 from cardcsp.independence import decorrelate
-from cardcsp.instance import CspInstance, generate
+from cardcsp.instance import CUT_TABLE, CspInstance, PayoffTerm, generate
 from cardcsp.lasserre import (MomentSolution, build_relaxation, integral_lift,
                               local_distributions)
 from cardcsp.oracle import exact_mixture_moments, mc_bvn
@@ -194,6 +194,60 @@ def test_real_arguments_take_only_finite_reals_in_their_interval(name, bad):
 def test_real_arguments_take_numpy_floats(name, kind):
     call, valid = REAL_ARGUMENTS[name]
     call(kind(valid))
+
+
+@pytest.mark.parametrize("bad", ["x", True, None, math.inf])
+def test_solution_objective_is_a_finite_real_or_nan(bad):
+    """Each but inf was once stored, and the solution's own ``to_json``
+    then refused by ``from_json``."""
+    sol = _sol()
+    with pytest.raises(CardCspError, match="objective_value must be a finite"):
+        MomentSolution(2, 4, 2, sol.indices, sol.gram, bad)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(math.nan)])
+def test_solution_objective_is_stored_as_a_float(value):
+    """A float32 was once stored as given, and ``to_json`` then raised."""
+    sol = _sol()
+    made = MomentSolution(2, 4, 2, sol.indices, sol.gram, value)
+    assert isinstance(made.objective_value, float)
+    back = MomentSolution.from_json(made.to_json()).objective_value
+    assert back == made.objective_value == 0.5 or math.isnan(back)
+
+
+# (scope, table) of a PayoffTerm of weight 1, and the rule it breaks
+PAYOFF_TERMS = [
+    ((0.5, 1), CUT_TABLE, "scope vertex must be an int"),
+    ((True, 2), CUT_TABLE, "scope vertex must be an int"),
+    ((np.int64(0), 1), CUT_TABLE, "scope vertex must be an int"),
+    ((-1, 1), CUT_TABLE, "scope vertex must be an int"),
+    ((0, 1), ("0", 1.0, 1.0, 0.0), "payoff values must be a finite real"),
+    ((0, 1), (False, True, True, False), "payoff values must be a finite"),
+    ((0, 1), (0.0, 1.5, 1.0, 0.0), "payoff values must be a finite real"),
+]
+
+
+@pytest.mark.parametrize("scope, table, message", PAYOFF_TERMS)
+def test_payoff_terms_take_int_vertices_and_real_values(scope, table, message):
+    """A float vertex was once truncated by the relaxation and failed
+    ``evaluate``, a bool vertex failed ``evaluate``, and a string or bool
+    table value escaped the constructor or was stored as given."""
+    with pytest.raises(CardCspError, match=message):
+        PayoffTerm(scope, table, 1.0)
+
+
+def test_payoff_terms_store_a_tuple_of_ints_and_floats():
+    term = PayoffTerm([0, 1], (0, 1, np.float32(1.0), 0), 1.0)
+    assert term.scope == (0, 1) and type(term.scope) is tuple
+    assert term.table == CUT_TABLE
+    assert {type(v) for v in term.table} == {float}
+
+
+def test_instance_reader_refuses_a_float_scope_vertex():
+    doc = json.loads(_inst().to_json())
+    doc["payoffs"][0]["scope"] = [0.5, 1]
+    with pytest.raises(ParseError, match="scope vertex must be an int"):
+        CspInstance.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("call, cap", [

@@ -10,8 +10,8 @@ from cardcsp.landscape import (EdgeConfig, bvn_cdf, bvn_cdf_grid,
                                config_valid_mask, edge_sdp_value,
                                edge_sdp_value_grid,
                                landscape_csv, ratio_search, rounded_value,
-                               rounded_value_grid, separation_prob,
-                               sqrt_eps_curve, worst_separation)
+                               rounded_value_grid, sqrt_eps_curve,
+                               worst_separation)
 from cardcsp.oracle import mc_bvn
 
 
@@ -112,10 +112,13 @@ def test_edge_config_validity():
 
 def test_separation_prob_limits():
     # antipodal unbiased pair always separates; identical pair never does
-    assert separation_prob(EdgeConfig(0.0, 0.0, -1.0)) == pytest.approx(1.0)
-    assert separation_prob(EdgeConfig(0.0, 0.0, 1.0)) == pytest.approx(0.0)
+    assert rounded_value("cut", EdgeConfig(0.0, 0.0, -1.0)) == \
+        pytest.approx(1.0)
+    assert rounded_value("cut", EdgeConfig(0.0, 0.0, 1.0)) == \
+        pytest.approx(0.0)
     # independent unbiased pair separates half the time
-    assert separation_prob(EdgeConfig(0.0, 0.0, 0.0)) == pytest.approx(0.5)
+    assert rounded_value("cut", EdgeConfig(0.0, 0.0, 0.0)) == \
+        pytest.approx(0.5)
 
 
 def test_edge_sdp_values():

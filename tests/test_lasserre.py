@@ -284,16 +284,17 @@ def _mixture(level=3):
 @st.composite
 def moment_solutions(draw):
     """Solutions of any shape up to n = 3, q = 3, level 2 with arbitrary
-    finite symmetric grams; the objective is NaN (its default) or any float."""
+    finite grams, of which the solution stores the symmetric part; the
+    objective is NaN (its default) or any finite float."""
     n, q = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
     level = draw(st.integers(1, 2))
     indices = build_index_set(n, q, level)
     d = len(indices)
-    lower = np.tril(draw(arrays(float, (d, d), elements=st.floats(
-        allow_nan=False, allow_infinity=False))))
-    objective = draw(st.one_of(st.just(math.nan), st.floats()))
-    return MomentSolution(level, n, q, indices, lower + np.tril(lower, -1).T,
-                          objective)
+    gram = draw(arrays(float, (d, d), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    objective = draw(st.one_of(st.just(math.nan), st.floats(
+        allow_nan=False, allow_infinity=False)))
+    return MomentSolution(level, n, q, indices, gram, objective)
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,6 +332,21 @@ def test_solution_rejects_gram_of_wrong_shape():
         MomentSolution(2, 6, 2, sol.indices, sol.gram[:-1, :-1])
     with pytest.raises(CardCspError, match="shape"):
         MomentSolution(2, 6, 2, sol.indices, sol.gram[0])
+
+
+def test_solution_stores_its_gram_as_symmetric_float64():
+    """A nested list and an int array are stored as float64, a symmetric
+    float64 array as is, and a bool, complex or object array is refused."""
+    sol = integral_lift(generate("cycle", 4), (0, 1, 0, 1))
+    ints = sol.gram.astype(int)
+    for given_gram in (ints.tolist(), ints):
+        stored = MomentSolution(2, 4, 2, sol.indices, given_gram).gram
+        assert stored.dtype == np.float64
+        assert np.array_equal(stored, sol.gram)
+    assert MomentSolution(2, 4, 2, sol.indices, sol.gram).gram is sol.gram
+    for kind in (bool, complex, object):
+        with pytest.raises(CardCspError, match="ints or floats"):
+            MomentSolution(2, 4, 2, sol.indices, sol.gram.astype(kind))
 
 
 @pytest.mark.parametrize("entry, value, on_block", [

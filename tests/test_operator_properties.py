@@ -19,7 +19,9 @@ from cardcsp.instance import (CardinalityFunction, CspInstance, PayoffTerm,
                               generate)
 from cardcsp.lasserre import (MomentSolution, _cached_layout, _layout, _rows,
                               build_index_set, build_relaxation,
-                              check_feasibility, integral_lift)
+                              check_feasibility, integral_lift,
+                              local_distributions, solution_objective)
+from cardcsp.rounding import pipeline
 from cardcsp.sdp_solver import _affine_projection
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -216,19 +218,51 @@ def test_every_row_holds_on_mixtures_of_balanced_lifts(case):
     assert check_feasibility(mixture, inst).passes(1e-12)
 
 
+def _readings(solution, inst):
+    """Every number read off a moment solution: each index's probability,
+    the local distributions of every size, the objective and the
+    feasibility report."""
+    return ([solution.prob(s, a) for s, a in solution.indices],
+            [local_distributions(solution, size).tolist()
+             for size in range(solution.level + 1)],
+            solution_objective(solution, inst),
+            check_feasibility(solution, inst))
+
+
 @SETTINGS
 @given(balanced_mixtures(), st.integers(0, 2 ** 32 - 1))
-def test_feasibility_of_an_asymmetric_gram_is_that_of_its_symmetric_part(
-        case, seed):
+def test_every_reader_reads_the_symmetric_part_of_the_gram(case, seed):
+    """A mixture's gram plus a random antisymmetric part: the solution
+    stores the symmetric part, so every reading, and every reading after a
+    JSON round trip, is that of the solution built from the symmetric
+    part.  Once the feasibility check read the symmetric part and the other
+    readers row 0."""
     inst, level, mixture = case
-    d = len(mixture.indices)
-    noise = 1e-3 * np.random.default_rng(seed).standard_normal((d, d))
-    asymmetric = MomentSolution(level, inst.n, inst.q, mixture.indices,
-                                mixture.gram + noise)
+    twist = np.random.default_rng(seed).standard_normal(mixture.gram.shape)
+    gram = mixture.gram + twist - twist.T
+    skewed = MomentSolution(level, inst.n, inst.q, mixture.indices, gram)
     symmetric = MomentSolution(level, inst.n, inst.q, mixture.indices,
-                               (asymmetric.gram + asymmetric.gram.T) / 2)
-    assert check_feasibility(asymmetric, inst) == \
-        check_feasibility(symmetric, inst)
+                               (gram + gram.T) / 2)
+    expected = _readings(symmetric, inst)
+    assert _readings(skewed, inst) == expected
+    assert _readings(MomentSolution.from_json(skewed.to_json()), inst) == \
+        expected
+
+
+def test_a_skewed_row_0_is_read_as_the_lift():
+    """The cycle4 lift plus 0.3 on row 0 and -0.3 on column 0, off the
+    diagonal, once passed the check while ``prob`` read 1.3, the objective
+    1.6 and the pipeline raised ``InconsistentSolutionError``."""
+    inst = generate("cycle", 4)
+    lift = integral_lift(inst, (0, 1, 0, 1))
+    twist = np.zeros_like(lift.gram)
+    twist[0, 1:] = 0.3
+    twist[1:, 0] = -0.3
+    skewed = MomentSolution(2, 4, 2, lift.indices, lift.gram + twist)
+    assert check_feasibility(skewed, inst).passes(1e-14)
+    assert skewed.prob((0,), (0,)) == pytest.approx(1.0, abs=1e-15)
+    assert solution_objective(skewed, inst) == pytest.approx(1.0, abs=1e-15)
+    pipeline(inst, trials=4, solution=skewed)
 
 
 @SETTINGS
@@ -325,10 +359,9 @@ def test_psd_violation_never_under_reports(case, where, size, seed):
 def test_psd_violation_of_an_asymmetric_gram_never_under_reports(
         case, where, size, skew, seed):
     """Symmetric noise (``_noise``) plus an antisymmetric part with largest
-    absolute row sum ``skew``.  The check reads the symmetric part: the
-    antisymmetric part may raise the lift residual, and with it the report
-    or the switch to the full spectrum, but never lowers the report below
-    the symmetric part's full-spectrum value."""
+    absolute row sum ``skew``.  The solution stores the symmetric part, and
+    the check reads it: the report is never below its full-spectrum
+    value."""
     inst, level, mixture = case
     n, q = inst.n, inst.q
     red, P = _basis(n, q, level)
@@ -348,10 +381,11 @@ def test_psd_violation_of_an_asymmetric_gram_never_under_reports(
 
 @pytest.mark.parametrize("side", ["column", "row"])
 def test_psd_violation_counts_a_one_sided_residual(side):
-    """-1e-13 on 16 entries of one column of G outside R (or of its row),
-    not mirrored: the residual of G's symmetric part is in that row and
-    column both, so a bound from the row (or column) sums of G's residual
-    alone would read 1e-13, below the full-spectrum value near 1.9e-13."""
+    """-1e-13 on 16 entries of one column of a gram outside R (or of its
+    row), not mirrored: the solution stores the symmetric part, whose
+    residual is in that row and column both, and the check's bound from
+    the residual's column sums stays above the full-spectrum value near
+    1.9e-13."""
     inst = generate("cycle", 6)
     gram = sum(p * integral_lift(inst, a, 3).gram for p, a in zip(
         [1 / 3, 1 / 7, 11 / 21],
@@ -399,6 +433,7 @@ def test_psd_violation_of_solver_outputs_is_the_full_spectrum_value(
     inst = generate(family, n)
     solution, report = sdp_solver.solve(build_relaxation(inst, level))
     assert report.status == "optimal"
+    assert np.array_equal(solution.gram, solution.gram.T)
     # the block certificate, not the full spectrum, reads these
     assert _lift_residual(solution.gram, n, 2, level) <= 1e-12
     assert abs(check_feasibility(solution, inst).psd_violation
